@@ -3,6 +3,9 @@ conditioning, plus closed-form target states and GKP stabilizer metrics.
 
 Step k mixes the memory with a fresh input on transmittance T_k = k/(k+1) and
 conditions the output port: p = 0 for cat breeding, x = 0 for GKP breeding.
+In the quadrature picture the step is a pointwise product of wavefunctions,
+evaluated exactly by `gates.condition_on_quadrature` for pure and mixed
+memories, ideal projections and acceptance windows alike.
 The x = 0 projection is exact for superpositions of imaginary-axis coherent
 states (<x=0|i gamma> = pi^{-1/4} for every real gamma), so the GKP closed
 forms are reproduced to machine precision. The cat closed form is only the
@@ -17,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import comb, eval_genlaguerre, gammaln
+from scipy.special import comb
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .fock import (
     DEFAULT_DIM,
     DensityMatrix,
@@ -30,7 +33,16 @@ from .fock import (
     guard_dim,
     number_parity,
 )
-from .gates import beamsplitter_apply, homodyne_project, window_condition
+from .gates import (
+    condition_on_quadrature,
+    gauss_hermite,
+    projection_rule,
+    quadrature_density,
+    quadrature_eigenbra,
+)
+
+# Unused here: perfbench/tracing.py looks these names up on this module.
+from .gates import beamsplitter_apply, homodyne_project, window_condition  # noqa: F401
 
 CAT_PROJECTION_THETA = np.pi / 2  # condition on p
 GKP_PROJECTION_THETA = 0.0  # condition on x
@@ -75,37 +87,20 @@ def _projection_theta(protocol: str) -> float:
 
 def breed_step(memory, input_state: FockVector, k: int, protocol: str, window=None):
     """One breeding step: beamsplitter T_k = k/(k+1), then condition the
-    output port on the protocol's quadrature.
+    output port on the protocol's quadrature, ideally at 0 or over `window`.
 
-    `memory` may be pure or mixed; mixed states are processed branch by
-    branch through an eigendecomposition.  Returns (normalized survivor
+    `memory` may be pure or mixed. Returns (normalized survivor
     DensityMatrix, success density or window acceptance probability).
     """
     if k < 1:
         raise DomainError("step index k must be >= 1")
     mem = as_density_matrix(memory)
-    if mem.dim != input_state.dim:
-        raise DimensionError("memory and input dims must match")
-    T = k / (k + 1)
-    theta = _projection_theta(protocol)
-    w, v = np.linalg.eigh((mem.rho + mem.rho.conj().T) / 2)
-    keep = w > 1e-12
-    out = np.zeros((mem.dim, mem.dim), dtype=complex)
-    total = 0.0
-    for wi, vi in zip(w[keep], v[:, keep].T):
-        joint = beamsplitter_apply(FockVector(mem.dim, vi).normalized(), input_state, T)
-        if window is None:
-            surv, density = homodyne_project(joint, "B", theta, 0.0)
-            out += wi * np.outer(surv.amp, surv.amp.conj())
-            total += wi * density
-        else:
-            lo, hi = window
-            rho_i, acc = window_condition(joint, "B", theta, lo, hi)
-            out += wi * acc * rho_i.rho
-            total += wi * acc
+    out, total = condition_on_quadrature(
+        mem.rho, input_state.amp, k / (k + 1), _projection_theta(protocol), *projection_rule(window)
+    )
     if total <= 0:
         raise DomainError("zero success density; conditioning annihilated the state")
-    return DensityMatrix(mem.dim, out / np.trace(out).real), float(total)
+    return DensityMatrix(mem.dim, out / total), total
 
 
 def run_breeding(plan: BreedingPlan) -> BreedingTrajectory:
@@ -191,30 +186,24 @@ def exact_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int) -> F
     return FockVector(dim, amp).normalized()
 
 
-def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
-    """D(beta) in the Fock basis via the associated-Laguerre closed form:
-    <m|D|n> = sqrt(n!/m!) beta^{m-n} e^{-|beta|^2/2} L_n^{(m-n)}(|beta|^2)
-    for m >= n, and the (-beta*) conjugate expression below the diagonal."""
-    b2 = abs(beta) ** 2
-    D = np.zeros((dim, dim), dtype=complex)
-    env = np.exp(-b2 / 2)
-    for m in range(dim):
-        for n in range(m + 1):
-            d = m - n
-            pref = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-            lag = eval_genlaguerre(n, d, b2)
-            D[m, n] = pref * beta**d * env * lag
-            if d:
-                D[n, m] = pref * (-np.conj(beta)) ** d * env * lag
-    return D
-
-
 def gkp_stabilizer_expectation(state, g: float) -> tuple[float, float]:
-    """(|<e^{i g x>|, |<e^{2 pi i p / g}>|) via displacement operators:
-    e^{igx} = D(ig/sqrt(2)), e^{2 pi i p/g} = D(-sqrt(2) pi / g)."""
+    """(|<e^{i g x}>|, |<e^{2 pi i p / g}>|) as translation overlaps.
+
+    e^{icp} translates x_theta wavefunctions by c, so <e^{icp}> is the
+    integral of rho_theta(u + c/2, u - c/2) over u: c = 2 pi / g at theta = 0
+    for the p stabilizer, and c = g at theta = pi/2, where x is the momentum
+    conjugate to x_theta, for the x stabilizer.
+    """
     if g <= 0:
         raise DomainError("g must be positive")
     rho = as_density_matrix(state)
-    sx = np.trace(rho.rho @ displacement_matrix(1j * g / np.sqrt(2), rho.dim))
-    sp = np.trace(rho.rho @ displacement_matrix(-np.sqrt(2) * np.pi / g, rho.dim))
-    return float(abs(sx)), float(abs(sp))
+    return _translation_overlap(rho, g, np.pi / 2), _translation_overlap(rho, 2 * np.pi / g, 0.0)
+
+
+def _translation_overlap(rho: DensityMatrix, c: float, theta: float) -> float:
+    """|int rho_theta(u + c/2, u - c/2) du|; the integrand is a polynomial of
+    degree <= 2(dim-1) times e^{-u^2}, so Gauss-Hermite quadrature is exact."""
+    u, w = gauss_hermite(2 * (rho.dim - 1))
+    bras = quadrature_eigenbra(u + c / 2, theta, rho.dim)
+    kets = quadrature_eigenbra(u - c / 2, theta, rho.dim)
+    return float(abs(w @ quadrature_density(rho.rho, bras, kets)))

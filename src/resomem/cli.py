@@ -451,14 +451,10 @@ def main(argv=None) -> int:
     parser.add_argument("--figure", help="emit figure data: fig3e|fig4d|edfig_rates|edfig_fidelity")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread budget")
     args = parser.parse_args(argv)
 
     out = args.out or os.environ.get(ENV_PREFIX + "OUT")
     seed = args.seed if args.seed is not None else os.environ.get(ENV_PREFIX + "SEED")
-    threads = args.threads if args.threads is not None else os.environ.get(ENV_PREFIX + "THREADS")
-    if threads is not None:
-        os.environ.setdefault("OMP_NUM_THREADS", str(threads))
     try:
         if args.config is None and args.figure is None:
             raise ConfigError("one of --config or --figure is required")

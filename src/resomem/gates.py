@@ -1,11 +1,17 @@
-"""Two-mode beamsplitter in the Fock basis and homodyne projection.
+"""Beamsplitter + homodyne conditioning: one exact quadrature-picture kernel,
+and the Fock-basis gates kept as its independent oracles.
 
 Beamsplitter convention (matching the effective resonator relations):
     a'    =  sqrt(T) a + sqrt(1-T) b,
     b_out = -sqrt(1-T) a + sqrt(T) b,
 realized by U = exp[theta (a^dag b - a b^dag)] with cos(theta) = sqrt(T).
-The unitary conserves total photon number, so it is applied block by block
-on the fixed-N subspaces.
+`condition_on_quadrature` works with wavefunctions, on which U only rotates
+the arguments. The Fock oracles (`beamsplitter_apply`, `homodyne_project`,
+`window_condition`) apply U block by block on the fixed-N subspaces, since it
+conserves total photon number.
+
+Quadrature convention: <x_theta| = <x| e^{i theta n}, so
+x_theta = x cos(theta) - p sin(theta) and theta = pi/2 measures -p.
 """
 
 from __future__ import annotations
@@ -102,14 +108,87 @@ def hermite_functions(x: float | np.ndarray, dim: int) -> np.ndarray:
     return psi
 
 
-def quadrature_eigenbra(x: float, theta: float, dim: int) -> np.ndarray:
-    """Dual vector of the x_theta quadrature eigenvalue x; component n is
-    e^{i n theta} psi_n(x). theta = pi/2 turns the x projection into a p
-    projection."""
+def quadrature_eigenbra(x: float | np.ndarray, theta: float, dim: int) -> np.ndarray:
+    """Dual vectors <x_theta = x| = <x| e^{i theta n} of the quadrature
+    x_theta = x cos(theta) - p sin(theta); theta = pi/2 measures -p.
+    Component n is e^{i n theta} psi_n(x); shape (dim,) + shape(x)."""
     if dim < 2:
         raise DimensionError("dim must be >= 2")
-    psi = hermite_functions(float(x), dim)
-    return np.exp(1j * np.arange(dim) * theta) * psi
+    x = np.asarray(x, dtype=float)
+    phase = np.exp(1j * theta * np.arange(dim)).reshape((dim,) + (1,) * x.ndim)
+    return phase * hermite_functions(x, dim)
+
+
+def quadrature_density(rho: np.ndarray, bras: np.ndarray, kets: np.ndarray | None = None) -> np.ndarray:
+    """<x|rho|x'> for the quadrature eigenbras <x| in the columns of `bras`
+    and <x'| in those of `kets`, both (dim, V). Without `kets` this is the
+    quadrature density <x_theta|rho|x_theta> (real up to rounding)."""
+    kets = bras if kets is None else kets
+    return np.einsum("iv,iv->v", bras, rho @ kets.conj())
+
+
+def gauss_hermite(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes, and weights times e^{x^2}: the rule integrates
+    p(x) e^{-x^2} exactly for every polynomial p of degree <= `degree`, and it
+    takes the integrand with its Gaussian included. The scaled weights are
+    1 / (n psi_{n-1}(x)^2), which neither underflows nor overflows at large n."""
+    n = degree // 2 + 1
+    with np.errstate(all="ignore"):  # hermgauss's own weights underflow for n >~ 400
+        x, _ = np.polynomial.hermite.hermgauss(n)
+    return x, 1.0 / (n * hermite_functions(x, n)[-1] ** 2)
+
+
+def projection_rule(window: tuple[float, float] | None = None, step: float = PROJECTION_GRID_STEP):
+    """Outcome nodes and weights that conditioning sums over: the ideal
+    value-0 projection is the one-node rule (x = 0, w = 1); a window
+    [lo, hi] is the trapezoid rule at `step`."""
+    if window is None:
+        return np.zeros(1), np.ones(1)
+    lo, hi = window
+    if not lo < hi:
+        raise DomainError("empty window: need lo < hi")
+    npts = max(3, int(round((hi - lo) / step)) + 1)
+    grid = np.linspace(lo, hi, npts)
+    w = np.full(npts, grid[1] - grid[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return grid, w
+
+
+def condition_on_quadrature(
+    rho: np.ndarray,
+    ancilla: np.ndarray,
+    T: float,
+    theta: float,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Mix `rho` (mode A) with the pure `ancilla` (mode B) on a beamsplitter
+    of transmittance T, project B on x_theta = x_g for each outcome node and
+    sum: returns (sum_g w_g K(x_g) rho K(x_g)^dag, its trace).
+
+    On x_theta wavefunctions the beamsplitter only rotates the arguments:
+        (K(x0) psi)(x) = psi(sqrt(T) x - sqrt(1-T) x0) phi(sqrt(1-T) x + sqrt(T) x0),
+    phi being the ancilla's. The Fock amplitudes of K(x0) psi are integrals
+    of a polynomial of degree <= 3(dim-1) times e^{-x^2}, so Gauss-Hermite
+    quadrature gives them exactly; only the output is truncated to `dim`.
+    rho enters through its eigen-factors, rho = F F^dag.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    if np.shape(ancilla) != (dim,):
+        raise DimensionError("memory and input dims must match")
+    lam, vec = np.linalg.eigh((rho + rho.conj().T) / 2)
+    keep = lam > 1e-12 * lam[-1]
+    factors = vec[:, keep] * np.sqrt(lam[keep])
+    x, wx = gauss_hermite(3 * (dim - 1))
+    x0 = np.asarray(nodes, dtype=float)[:, None]
+    t, r = np.sqrt(T), np.sqrt(1.0 - T)
+    mem = np.tensordot(factors, quadrature_eigenbra(t * x - r * x0, theta, dim), axes=(0, 0))
+    anc = np.tensordot(ancilla, quadrature_eigenbra(r * x + t * x0, theta, dim), axes=(0, 0))
+    out = np.tensordot(quadrature_eigenbra(x, theta, dim).conj() * wx, mem * anc, axes=(1, 2))
+    cond = (out * weights).reshape(dim, -1) @ out.reshape(dim, -1).conj().T  # out: (dim, rank, G)
+    return cond, float(np.trace(cond).real)
 
 
 def homodyne_project(j: JointState, mode: str, theta: float, value: float):
@@ -145,9 +224,7 @@ def homodyne_density_grid(j: JointState, mode: str, theta: float, grid: np.ndarr
     Returns (proj, density): proj[i] is the unnormalized surviving vector for
     grid[i], density[i] its squared norm.
     """
-    dim = _mode_dim(j, mode)
-    psi = hermite_functions(np.asarray(grid, dtype=float), dim)  # (dim, G)
-    bras = np.exp(1j * np.arange(dim)[:, None] * theta) * psi
+    bras = quadrature_eigenbra(grid, theta, _mode_dim(j, mode))  # (dim, G)
     amp = j.amp if mode == "B" else j.amp.T
     proj = (amp @ bras).T  # (G, surviving dim)
     density = np.sum(np.abs(proj) ** 2, axis=1)
@@ -167,16 +244,10 @@ def window_condition(
     Integrates the projected states over the window by the trapezoid rule and
     returns (normalized DensityMatrix of the survivor, acceptance probability).
     """
-    if not lo < hi:
-        raise DomainError("empty window: need lo < hi")
+    grid, w = projection_rule((lo, hi), step)
     j.require_normalized()
-    npts = max(3, int(round((hi - lo) / step)) + 1)
-    grid = np.linspace(lo, hi, npts)
     proj, density = homodyne_density_grid(j, mode, theta, grid)
-    w = np.full(npts, grid[1] - grid[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    rho = (proj.conj().T * w) @ proj
+    rho = (proj.T * w) @ proj.conj()
     acceptance = float(np.sum(w * density))
     rho = rho / np.trace(rho).real
     sdim = j.dimA if mode == "B" else j.dimB

@@ -12,7 +12,12 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .fock import DensityMatrix, as_density_matrix
-from .gates import PROJECTION_GRID_BOUND, PROJECTION_GRID_STEP, hermite_functions
+from .gates import (
+    PROJECTION_GRID_BOUND,
+    PROJECTION_GRID_STEP,
+    quadrature_density,
+    quadrature_eigenbra,
+)
 from .memory import TemporalMode
 from .wigner import marginal
 
@@ -98,8 +103,7 @@ def _binned_projectors(data: HomodyneDataset, dim: int, step: float):
         x = data.xs[data.thetas == theta]
         idx = np.round(x / step).astype(np.int64)
         uniq, cnt = np.unique(idx, return_counts=True)
-        psi = hermite_functions(uniq * step, dim)
-        bras.append(np.exp(1j * np.arange(dim)[:, None] * theta) * psi)
+        bras.append(quadrature_eigenbra(uniq * step, theta, dim))
         counts.append(cnt.astype(float))
     return np.concatenate(bras, axis=1), np.concatenate(counts)
 
@@ -111,7 +115,7 @@ def mle_reconstruct(
     step: float = PROJECTION_GRID_STEP,
 ) -> DensityMatrix:
     """Expectation-maximization tomography: rho <- N[R rho R] with
-    R = sum_frames |x_theta><x_theta| / pr(x_theta).
+    R = sum_frames |x_theta><x_theta| / pr(x_theta), pr = <x_theta|rho|x_theta>.
 
     Samples are binned onto the projection grid (bin width `step`, far below
     the sampling noise) so R is accumulated by dense matrix products.  The
@@ -127,12 +131,11 @@ def mle_reconstruct(
     rho = np.eye(dim, dtype=complex) / dim
     last_ll = -np.inf
     for _ in range(iterations):
-        pr = np.einsum("iv,ij,jv->v", B.conj(), rho, B).real
-        pr = np.maximum(pr, 1e-300)
+        pr = np.maximum(quadrature_density(rho, B).real, 1e-300)
         ll = float(np.sum(counts * np.log(pr)))
         if ll < last_ll - 1e-9 * abs(last_ll):
             raise ContractError("MLE log-likelihood decreased")
-        R = (B * (counts / pr)) @ B.conj().T
+        R = (B.conj() * (counts / pr)) @ B.T  # B holds the bras <x_theta|
         rho = R @ rho @ R
         rho = (rho + rho.conj().T) / 2
         rho = rho / np.trace(rho).real
@@ -146,7 +149,7 @@ def mle_reconstruct(
 def log_likelihood(data: HomodyneDataset, rho: DensityMatrix, step: float = PROJECTION_GRID_STEP) -> float:
     """Binned log-likelihood of `data` under `rho` (same binning as the MLE)."""
     B, counts = _binned_projectors(data, rho.dim, step)
-    pr = np.einsum("iv,ij,jv->v", B.conj(), rho.rho, B).real
+    pr = quadrature_density(rho.rho, B).real
     return float(np.sum(counts * np.log(np.maximum(pr, 1e-300))))
 
 

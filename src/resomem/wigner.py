@@ -14,7 +14,7 @@ from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError
 from .fock import as_density_matrix
-from .gates import hermite_functions
+from .gates import quadrature_density, quadrature_eigenbra
 
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 201)
 NEGATIVE_REGION_THRESHOLD = -1e-3
@@ -105,11 +105,7 @@ def negative_region_count(grid: WignerGrid, threshold: float = NEGATIVE_REGION_T
 def marginal(state, theta: float, grid: np.ndarray) -> np.ndarray:
     """Probability density of the x_theta quadrature, <x_theta|rho|x_theta>."""
     rho = as_density_matrix(state)
-    grid = np.asarray(grid, dtype=float)
-    psi = hermite_functions(grid, rho.dim)  # (dim, G)
-    bras = np.exp(1j * np.arange(rho.dim)[:, None] * theta) * psi
-    dens = np.einsum("ig,ij,jg->g", bras, rho.rho, bras.conj()).real
-    return dens
+    return quadrature_density(rho.rho, quadrature_eigenbra(grid, theta, rho.dim)).real
 
 
 def count_peaks(density: np.ndarray, prominence: float = 0.05) -> int:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import resomem as rm
-from resomem.breeding import displacement_matrix
+from resomem.breeding import CAT_PROJECTION_THETA, GKP_PROJECTION_THETA
 from resomem.errors import DomainError
 from resomem.fock import coherent_amplitudes
 
@@ -83,9 +83,12 @@ def test_breed_step_vacua_fixed_point():
 
 
 def test_breed_step_gkp_exact():
-    cat = rm.cat_state(1.0, -1, 60)
-    out, _ = rm.breed_step(cat.to_density_matrix(), cat, 1, "gkp")
-    assert rm.fidelity(rm.theoretical_bred_state(2, 1.0, -1, "gkp", 60), out) >= 0.999
+    # dim 300 needs 449 Gauss-Hermite nodes, beyond where w e^{x^2} is finite
+    for dim in (60, 300):
+        cat = rm.cat_state(1.0, -1, dim)
+        out, _ = rm.breed_step(cat.to_density_matrix(), cat, 1, "gkp")
+        target = rm.theoretical_bred_state(2, 1.0, -1, "gkp", dim).to_density_matrix()
+        assert np.max(np.abs(out.rho - target.rho)) <= 1e-10
 
 
 def test_breed_step_mixed_memory_matches_pure():
@@ -128,10 +131,50 @@ def test_run_breeding_gkp_matches_closed_forms():
 
 def test_window_conditioning_converges_to_ideal():
     cat = rm.cat_state(1.0, -1, 40)
-    ideal, _ = rm.breed_step(cat.to_density_matrix(), cat, 1, "cat")
-    windowed, acc = rm.breed_step(cat.to_density_matrix(), cat, 1, "cat", window=(-0.005, 0.005))
-    assert rm.fidelity(ideal, windowed) >= 0.999
-    assert 0 < acc < 1
+    # a complex-valued memory tells the conditional state from its conjugate
+    for memory in (cat, rm.coherent_state(0.8 + 0.5j, 40)):
+        ideal, _ = rm.breed_step(memory, cat, 1, "cat")
+        windowed, acc = rm.breed_step(memory, cat, 1, "cat", window=(-0.005, 0.005))
+        assert rm.fidelity(ideal, windowed) >= 0.999
+        assert 0 < acc < 1
+
+
+def fock_oracle_step(memory, inp, k, protocol, window):
+    """breed_step from the Fock gates: every eigen-branch of the memory goes
+    through beamsplitter_apply, then homodyne_project or window_condition."""
+    theta = CAT_PROJECTION_THETA if protocol == "cat" else GKP_PROJECTION_THETA
+    w, v = np.linalg.eigh(memory.rho)
+    out = np.zeros_like(memory.rho)
+    total = 0.0
+    for wi, vi in zip(w, v.T):
+        if wi < 1e-12:
+            continue
+        joint = rm.beamsplitter_apply(rm.FockVector(memory.dim, vi), inp, k / (k + 1))
+        if window is None:
+            surv, dens = rm.homodyne_project(joint, "B", theta, 0.0)
+            out += wi * np.outer(surv.amp, surv.amp.conj())
+        else:
+            rho, dens = rm.window_condition(joint, "B", theta, *window)
+            out += wi * dens * rho.rho
+        total += wi * dens
+    return rm.DensityMatrix(memory.dim, out / total), total
+
+
+@pytest.mark.parametrize("protocol", ["cat", "gkp"])
+@pytest.mark.parametrize("window", [None, (-0.1, 0.1)])
+def test_breed_step_matches_fock_oracle(protocol, window):
+    # states well inside guard_dim, so that the Fock beamsplitter, which
+    # truncates its two-mode output, is exact to rounding here
+    cat = rm.cat_state(1.0, -1, 40)
+    coherent = rm.coherent_state(0.8 + 0.5j, 40)
+    rank2 = 0.6 * cat.to_density_matrix().rho + 0.4 * coherent.to_density_matrix().rho
+    for memory in (cat.to_density_matrix(), coherent.to_density_matrix(), rm.DensityMatrix(40, rank2)):
+        for k in (1, 2, 3):
+            out, dens = rm.breed_step(memory, cat, k, protocol, window)
+            ref, ref_dens = fock_oracle_step(memory, cat, k, protocol, window)
+            assert 1 - rm.fidelity(ref, out) <= 1e-12
+            assert np.max(np.abs(ref.rho - out.rho)) <= 1e-12
+            assert abs(dens - ref_dens) <= 1e-10 * ref_dens
 
 
 def test_plan_validation():
@@ -141,15 +184,6 @@ def test_plan_validation():
         rm.BreedingPlan("foo", 1, 1.0)
     with pytest.raises(DomainError):
         rm.BreedingPlan("cat", 1, 1.0, s=2)
-
-
-def test_displacement_matrix_unitary_and_coherent():
-    beta = 0.6 - 0.3j
-    D = displacement_matrix(beta, 40)
-    # unitary away from the truncation edge
-    assert np.max(np.abs(D.conj().T @ D - np.eye(40))[:20, :20]) < 1e-8
-    # D|0> is the coherent state |beta>
-    assert np.max(np.abs(D[:, 0] - coherent_amplitudes(beta, 40))) < 1e-10
 
 
 def test_stabilizers_vacuum():
@@ -168,3 +202,39 @@ def test_stabilizer_x_grows_with_breeding():
         for k in (1, 2, 3)
     ]
     assert vals[0] < vals[1] < vals[2]
+
+
+def coherent_sum_displacement(coeffs, gammas, beta):
+    """<D(beta)> of sum_k c_k |gamma_k> from coherent-state algebra alone:
+    D(beta)|gamma> = e^{(beta gamma* - beta* gamma)/2} |gamma + beta> and
+    <a|b> = exp(-|a|^2/2 - |b|^2/2 + a* b)."""
+
+    def inner(a, b):
+        return np.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + np.conj(a) * b)
+
+    num = norm = 0j
+    for cj, gj in zip(coeffs, gammas):
+        for ck, gk in zip(coeffs, gammas):
+            phase = np.exp((beta * np.conj(gk) - np.conj(beta) * gk) / 2)
+            num += np.conj(cj) * ck * phase * inner(gj, gk + beta)
+            norm += np.conj(cj) * ck * inner(gj, gk)
+    return num / norm
+
+
+@pytest.mark.parametrize(
+    "coeffs,gammas",
+    [
+        ([1.0, -1.0], [1.0j, -1.0j]),  # odd cat, alpha = 1
+        ([1.0, -3.0, 3.0, -1.0], [1j * (-3 + 2 * m) / np.sqrt(3) for m in range(4)]),  # bred GKP, k = 3
+        ([1.0, 0.5j], [0.8 + 0.5j, -0.3 + 1.1j]),  # complex-valued superposition
+    ],
+)
+def test_stabilizers_match_coherent_gram_sums(coeffs, gammas):
+    # e^{igx} = D(ig/sqrt 2), e^{2 pi i p/g} = D(-sqrt(2) pi/g)
+    g = 2.46
+    amp = sum(c * coherent_amplitudes(gm, 60) for c, gm in zip(coeffs, gammas))
+    state = rm.FockVector(60, amp).normalized()
+    sx, sp = rm.gkp_stabilizer_expectation(state.to_density_matrix(), g)
+    assert sx == pytest.approx(abs(coherent_sum_displacement(coeffs, gammas, 1j * g / np.sqrt(2))), abs=1e-10)
+    assert sp == pytest.approx(abs(coherent_sum_displacement(coeffs, gammas, -np.sqrt(2) * np.pi / g)), abs=1e-10)
+

@@ -143,6 +143,17 @@ def test_window_converges_to_ideal_projection():
     assert rm.fidelity(surv.normalized(), rho2) >= 0.999
 
 
+def test_window_condition_is_not_conjugated():
+    # a complex-valued joint state: the conditional state differs from its
+    # complex conjugate, so a narrow window must reproduce the ideal projection
+    a = rm.coherent_state(1 + 0.7j, 30)
+    b = rm.squeezed_vacuum(0.3, 30)
+    j = rm.beamsplitter_apply(a, b, 0.5)
+    surv, _ = rm.homodyne_project(j, "B", 0.3, 0.05)
+    rho, _ = rm.window_condition(j, "B", 0.3, 0.049, 0.051)
+    assert rm.fidelity(surv.normalized(), rho) >= 0.9999
+
+
 def test_window_empty_error():
     j = rm.beamsplitter_apply(rm.vacuum(6), rm.vacuum(6), 0.5)
     with pytest.raises(DomainError):

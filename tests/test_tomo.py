@@ -48,6 +48,14 @@ def test_mle_vacuum_self_consistency():
     assert rm.fidelity(rm.vacuum(20), rho) >= 0.995
 
 
+def test_mle_complex_coherent_state():
+    # complex rho: a reconstruction of rho* instead of rho reaches F ~ 0.14
+    st = rm.coherent_state(1 + 0.7j, 20)
+    data = rm.sample_homodyne(st, PHASES, 20_000, seed=1)
+    rho = rm.mle_reconstruct(data, 20, 100)
+    assert rm.fidelity(st, rho) >= 0.99
+
+
 def test_mle_lossy_single_photon():
     lossy = rm.apply_loss(rm.fock_basis_state(1, 20).to_density_matrix(), 0.93)
     data = rm.sample_homodyne(lossy, PHASES, 50_000, seed=4)

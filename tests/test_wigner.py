@@ -89,6 +89,16 @@ def test_rotation_covariance():
     assert np.max(np.abs(a - b)) < 1e-9
 
 
+def test_marginal_phase_convention():
+    # <x_theta| = <x| e^{i theta n}: x_theta = x cos(theta) - p sin(theta)
+    alpha = 1 + 0.7j
+    grid = np.linspace(-8, 8, 3201)
+    for theta in (0.0, 0.4, np.pi / 2):
+        dens = rm.marginal(rm.coherent_state(alpha, 30), theta, grid)
+        mean = np.sqrt(2) * (alpha.real * np.cos(theta) - alpha.imag * np.sin(theta))
+        assert np.trapezoid(grid * dens, grid) == pytest.approx(mean, abs=1e-9)
+
+
 def test_mixed_state_grid():
     rho = rm.apply_loss(rm.cat_state(1.0, -1, 30).to_density_matrix(), 0.8)
     g = rm.wigner_grid(rho)
