@@ -1,9 +1,14 @@
 """Scenario runner: JSON-configured simulations emitting deterministic CSV
 payloads plus a manifest with checksums.
 
+Each scenario and figure builder only computes: it returns its tables (file
+name -> columns, or a Wigner grid) and its results, and `_write_outputs` is
+the one place that writes them, then the manifest.
+
 Exit codes: 0 ok, 2 config/schema violation, 3 numeric guard violation,
-4 I/O failure.  CSV format: '.' decimal, LF line endings, floats printed with
-17 significant digits so outputs are byte-identical across platforms.
+4 I/O failure.  CSV format: '.' decimal, LF line endings and a trailing
+newline; str values printed as is, numbers with 17 significant digits
+(FLOAT_FMT), so outputs are byte-identical across platforms.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,7 +38,6 @@ from .memory import (
     MemoryHardware,
     entangle_pulse,
     multimode_overlap,
-    output_mode_from_schedule,
     read_pulse,
     simulate_network,
     staircase_overlap_oracle,
@@ -45,10 +48,12 @@ from .memory import (
 from .noise import CoherenceSeries, NoiseParams, evolve_closed_form, fit_T1, fit_Tphi
 from .rates import heralding_probability, k_from_rates, success_probability
 from .tomo import mle_reconstruct, sample_homodyne
-from .wigner import marginal, negative_region_count, wigner_grid
+from .wigner import WignerGrid, marginal, negative_region_count, wigner_grid
 
 FLOAT_FMT = "%.17g"
-ENV_PREFIX = "RESOMEM_"
+# rows formatted and written per file write; bounds the memory a long table
+# takes while it is written
+_BLOCK_ROWS = 4096
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,28 +68,28 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return FLOAT_FMT % float(v)
+def _write_rows(path: Path, head: str, columns) -> None:
+    """Write the line `head`, then one CSV row per index of the equal-length
+    `columns`: a str column printed as is, any other with FLOAT_FMT (which
+    prints integers up to 2**53 as str() does)."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%s" if c.dtype.kind == "U" else FLOAT_FMT for c in columns) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(head + "\n")
+        for i in range(0, len(columns[0]), _BLOCK_ROWS):
+            rows = zip(*(c[i:i + _BLOCK_ROWS].tolist() for c in columns))
+            f.write("".join([line % row for row in rows]))
 
 
-def write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+def write_csv(path: Path, header: list, columns) -> None:
+    _write_rows(path, ",".join(str(h) for h in header), columns)
 
 
 def write_wigner_csv(path: Path, grid) -> None:
     """Bit-exact Wigner grid format: header row of xs (first cell blank),
     then one row per p value, the p value first."""
-    lines = ["," + ",".join(_fmt(x) for x in grid.xs)]
-    for i, p in enumerate(grid.ps):
-        lines.append(_fmt(p) + "," + ",".join(_fmt(w) for w in grid.w[i]))
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    xs = grid.xs.tolist()
+    _write_rows(path, "," + ",".join([FLOAT_FMT] * len(xs)) % tuple(xs), [grid.ps, *grid.w.T])
 
 
 def _sha256(path: Path) -> str:
@@ -106,6 +111,21 @@ def write_manifest(outdir: Path, config: dict, files: list, extra: dict | None =
     path = outdir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _write_outputs(outdir: Path, config: dict, tables: dict, results: dict) -> Path:
+    """Write each table (a Wigner grid, or column name -> column) to
+    outdir/<file name>, then the manifest; returns the manifest path."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = []
+    for name, table in tables.items():
+        path = outdir / name
+        if isinstance(table, WignerGrid):
+            write_wigner_csv(path, table)
+        else:
+            write_csv(path, list(table), list(table.values()))
+        files.append(path)
+    return write_manifest(outdir, config, files, results)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +192,7 @@ def build_state(spec: dict):
 # ---------------------------------------------------------------------------
 # scenarios
 
-def _scenario_pulse(config: dict, outdir: Path) -> dict:
+def _scenario_pulse(config: dict) -> tuple[dict, dict]:
     gamma0 = float(config.get("gamma0", MemoryHardware().gamma0))
     wp = config.get("wavepacket", "exp_rising")
     span = float(config.get("span", 20.0)) / gamma0
@@ -198,13 +218,10 @@ def _scenario_pulse(config: dict, outdir: Path) -> dict:
     else:
         sched = read_pulse(mode)
         Tf_target = 0.0
-    files = []
-    p = outdir / "mode.csv"
-    write_csv(p, ["t", "g"], zip(mode.t, mode.g))
-    files.append(p)
-    p = outdir / "schedule.csv"
-    write_csv(p, ["t", "gamma"], zip(sched.t, sched.gamma))
-    files.append(p)
+    tables = {
+        "mode.csv": {"t": mode.t, "g": mode.g},
+        "schedule.csv": {"t": sched.t, "gamma": sched.gamma},
+    }
     dt = float(config.get("dt_factor", 1e-3)) / gamma0
     net = simulate_network(sched, dt)
     results = {
@@ -214,27 +231,25 @@ def _scenario_pulse(config: dict, outdir: Path) -> dict:
         "out_overlap": net.out_overlap,
     }
     if net.out_mode is not None:
-        p = outdir / "out_mode.csv"
-        write_csv(p, ["t", "g"], zip(net.out_mode.t, net.out_mode.g))
-        files.append(p)
-    return {"files": files, "results": results}
+        tables["out_mode.csv"] = {"t": net.out_mode.t, "g": net.out_mode.g}
+    return tables, results
 
 
-def _scenario_store(config: dict, outdir: Path) -> dict:
+def _scenario_store(config: dict) -> tuple[dict, dict]:
     params = NoiseParams(float(config.get("T1", 2.3e-6)), float(config.get("Tphi", 0.96e-6)))
     times = np.asarray(config.get("times", [0, 0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6]), dtype=float)
     state = build_state(config.get("state", {"type": "fock", "n": 1, "dim": 20}))
     rho0 = state.to_density_matrix() if hasattr(state, "amp") else state
-    rows = []
-    for t in times:
-        rho_t = evolve_closed_form(rho0, float(t), params)
-        rows.append((t, fidelity(rho0, rho_t), rho_t.rho[1, 1].real))
-    p = outdir / "storage_fidelity.csv"
-    write_csv(p, ["t", "fidelity", "rho11"], rows)
-    return {"files": [p], "results": {"T1": params.T1, "Tphi": params.Tphi}}
+    rhos = [evolve_closed_form(rho0, float(t), params) for t in times]
+    table = {
+        "t": times,
+        "fidelity": [fidelity(rho0, rho_t) for rho_t in rhos],
+        "rho11": [rho_t.rho[1, 1].real for rho_t in rhos],
+    }
+    return {"storage_fidelity.csv": table}, {"T1": params.T1, "Tphi": params.Tphi}
 
 
-def _scenario_breed(config: dict, outdir: Path) -> dict:
+def _scenario_breed(config: dict) -> tuple[dict, dict]:
     window = config.get("window")
     plan = BreedingPlan(
         config.get("protocol", "cat"),
@@ -245,38 +260,26 @@ def _scenario_breed(config: dict, outdir: Path) -> dict:
         tuple(window) if window is not None else None,
     )
     traj = run_breeding(plan)
-    rows = []
-    for j, (state, m) in enumerate(zip(traj.states, traj.metrics)):
-        target = theoretical_bred_state(j + 1, plan.alpha, plan.s, plan.protocol, plan.dim)
-        dens = traj.success_densities[j - 1] if j else 1.0
-        rows.append(
-            (j, dens, m["parity"], m["mean_photon"], m["stab_x"], m["stab_p"],
-             fidelity(target, state))
-        )
-    p = outdir / "breeding.csv"
-    write_csv(
-        p,
-        ["step", "success_density", "parity", "mean_photon", "stab_x", "stab_p",
-         "fidelity_vs_theory"],
-        rows,
-    )
-    return {"files": [p], "results": {"final_fidelity": rows[-1][-1]}}
+    table = {"step": list(range(len(traj.states))), "success_density": [1.0, *traj.success_densities]}
+    for key in ("parity", "mean_photon", "stab_x", "stab_p"):
+        table[key] = [m[key] for m in traj.metrics]
+    table["fidelity_vs_theory"] = [
+        fidelity(theoretical_bred_state(j + 1, plan.alpha, plan.s, plan.protocol, plan.dim), state)
+        for j, state in enumerate(traj.states)
+    ]
+    return {"breeding.csv": table}, {"final_fidelity": table["fidelity_vs_theory"][-1]}
 
 
-def _scenario_wigner(config: dict, outdir: Path) -> dict:
+def _scenario_wigner(config: dict) -> tuple[dict, dict]:
     state = build_state(config.get("state", {"type": "cat", "alpha": 1.0, "s": -1, "dim": 40}))
     xs = np.asarray(config["xs"], dtype=float) if "xs" in config else None
     ps = np.asarray(config["ps"], dtype=float) if "ps" in config else None
     grid = wigner_grid(state, xs, ps)
-    p = outdir / "wigner.csv"
-    write_wigner_csv(p, grid)
-    return {
-        "files": [p],
-        "results": {"negative_regions": negative_region_count(grid), "integral": grid.integral()},
-    }
+    results = {"negative_regions": negative_region_count(grid), "integral": grid.integral()}
+    return {"wigner.csv": grid}, results
 
 
-def _scenario_tomo(config: dict, outdir: Path) -> dict:
+def _scenario_tomo(config: dict) -> tuple[dict, dict]:
     state = build_state(config.get("state", {"type": "vacuum", "dim": 20}))
     phases = np.deg2rad(np.asarray(config.get("phases_deg", [0, 30, 60, 90, 120, 150]), float))
     n_frames = int(config.get("n_frames", 20000))
@@ -284,25 +287,16 @@ def _scenario_tomo(config: dict, outdir: Path) -> dict:
     seed = int(config.get("seed", 0))
     data = sample_homodyne(state, phases, n_frames, seed)
     rho = mle_reconstruct(data, dim, int(config.get("iterations", 300)))
-    files = []
-    p = outdir / "samples.csv"
-    write_csv(p, ["theta_deg", "x"], zip(np.rad2deg(data.thetas), data.xs))
-    files.append(p)
-    p = outdir / "rho.csv"
-    write_csv(
-        p,
-        ["n", "m", "re", "im"],
-        ((n, m, rho.rho[n, m].real, rho.rho[n, m].imag) for n in range(dim) for m in range(dim)),
-    )
-    files.append(p)
-    truth = state if state.dim == dim else None
-    res = {}
-    if truth is not None:
-        res["fidelity"] = fidelity(truth, rho)
-    return {"files": files, "results": res}
+    n, m = np.divmod(np.arange(dim * dim), dim)
+    tables = {
+        "samples.csv": {"theta_deg": np.rad2deg(data.thetas), "x": data.xs},
+        "rho.csv": {"n": n, "m": m, "re": rho.rho.real.ravel(), "im": rho.rho.imag.ravel()},
+    }
+    res = {"fidelity": fidelity(state, rho)} if state.dim == dim else {}
+    return tables, res
 
 
-def _scenario_rates(config: dict, outdir: Path) -> dict:
+def _scenario_rates(config: dict) -> tuple[dict, dict]:
     sources = config.get(
         "sources",
         [
@@ -310,30 +304,23 @@ def _scenario_rates(config: dict, outdir: Path) -> dict:
             {"r0": 4e3, "delta": 3e6, "r_bs": 20.0},
         ],
     )
-    rows = []
-    for src in sources:
-        k = k_from_rates(float(src["r0"]), float(src["delta"]), float(src["r_bs"]))
-        p1 = heralding_probability(float(src["r0"]), float(src["delta"]))
-        rows.append((src["r0"], src["delta"], src["r_bs"], k, p1))
-    files = []
-    p = outdir / "k_values.csv"
-    write_csv(p, ["r0", "delta", "r_bs", "k_match", "p1"], rows)
-    files.append(p)
+    k_values = {key: [src[key] for src in sources] for key in ("r0", "delta", "r_bs")}
+    k_values["k_match"] = [
+        k_from_rates(float(src["r0"]), float(src["delta"]), float(src["r_bs"])) for src in sources
+    ]
+    k_values["p1"] = [heralding_probability(float(src["r0"]), float(src["delta"])) for src in sources]
     k_list = [float(k) for k in config.get("k_list", [0.03, 1.0, 3.8, 10.0, 100.0])]
     p1 = float(config.get("p1", 0.25))
-    n_max = int(config.get("n_max", 20))
-    table = []
-    for k in k_list:
-        for n in range(1, n_max + 1):
-            pn = success_probability(n, k, p1)
-            table.append((n, k, pn))
-    p = outdir / "scaling.csv"
-    write_csv(p, ["n", "k_match", "p_n"], table)
-    files.append(p)
-    return {"files": files, "results": {"k_values": [r[3] for r in rows]}}
+    ns = range(1, int(config.get("n_max", 20)) + 1)
+    scaling = {
+        "n": [n for _ in k_list for n in ns],
+        "k_match": [k for k in k_list for _ in ns],
+        "p_n": [success_probability(n, k, p1) for k in k_list for n in ns],
+    }
+    return {"k_values.csv": k_values, "scaling.csv": scaling}, {"k_values": k_values["k_match"]}
 
 
-def _scenario_validate(config: dict, outdir: Path) -> dict:
+def _scenario_validate(config: dict) -> tuple[dict, dict]:
     """Cheap invariant sweep; raises (exit 3) if anything fails."""
     checks = {}
     checks["multimode_T0_0.3"] = abs(multimode_overlap(0.3) - 0.9974) < 5e-4
@@ -348,11 +335,10 @@ def _scenario_validate(config: dict, outdir: Path) -> dict:
     checks["wigner_vacuum"] = abs(w.w[100, 100] - 1 / np.pi) < 1e-9
     dens = marginal(theoretical_bred_state(2, 1.0, -1, "gkp", 40), np.pi / 2, np.linspace(-5, 5, 501))
     checks["gkp_three_peaks"] = abs(np.trapezoid(dens, np.linspace(-5, 5, 501)) - 1) < 1e-4
-    p = outdir / "validation.csv"
-    write_csv(p, ["check", "passed"], ((k, int(v)) for k, v in checks.items()))
     if not all(checks.values()):
         raise ResomemError(f"validation failed: {[k for k, v in checks.items() if not v]}")
-    return {"files": [p], "results": {k: bool(v) for k, v in checks.items()}}
+    table = {"check": list(checks), "passed": [int(v) for v in checks.values()]}
+    return {"validation.csv": table}, {k: bool(v) for k, v in checks.items()}
 
 
 _SCENARIOS = {
@@ -369,10 +355,8 @@ _SCENARIOS = {
 def run_scenario(config: dict, outdir: str | Path) -> Path:
     """Execute one scenario; returns the manifest path."""
     config = validate_config(config)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = _SCENARIOS[config["kind"]](config, outdir)
-    return write_manifest(outdir, config, out["files"], out.get("results"))
+    tables, results = _SCENARIOS[config["kind"]](config)
+    return _write_outputs(Path(outdir), config, tables, results)
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +365,17 @@ def run_scenario(config: dict, outdir: str | Path) -> Path:
 def emit_figure_data(kind: str, outdir: str | Path, params: dict | None = None) -> Path:
     """Emit the CSVs underlying one figure panel family."""
     params = dict(params or {})
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if kind == "fig3e":
-        return _fig_decay(outdir, params)
-    if kind == "fig4d":
-        return _fig_wigner_panels(outdir, params)
     if kind == "edfig_rates":
         return run_scenario({"kind": "rates", **params}, outdir)
     if kind == "edfig_fidelity":
         return run_scenario({"kind": "store", **params}, outdir)
-    raise ConfigError(f"unknown figure kind {kind!r}")
+    if kind not in _FIGURES:
+        raise ConfigError(f"unknown figure kind {kind!r}")
+    tables, results = _FIGURES[kind](params)
+    return _write_outputs(Path(outdir), {"figure": kind, **params}, tables, results)
 
 
-def _fig_decay(outdir: Path, params: dict) -> Path:
+def _fig_decay(params: dict) -> tuple[dict, dict]:
     """Energy-relaxation and coherence decay curves with fitted T1, Tphi."""
     T1 = float(params.get("T1", 2.3e-6))
     Tphi = float(params.get("Tphi", 0.96e-6))
@@ -409,37 +390,35 @@ def _fig_decay(outdir: Path, params: dict) -> Path:
     from .noise import normalized_coherence
 
     R = np.array([normalized_coherence(r) for r in rhos])
-    files = []
-    p = outdir / "relaxation.csv"
-    write_csv(p, ["t", "rho11"], zip(times, rho11))
-    files.append(p)
-    p = outdir / "coherence.csv"
-    write_csv(p, ["t", "R"], zip(times, R))
-    files.append(p)
+    tables = {
+        "relaxation.csv": {"t": times, "rho11": rho11},
+        "coherence.csv": {"t": times, "R": R},
+    }
     fits = {
         "fit_T1": fit_T1(CoherenceSeries(times, rho11)),
         "fit_Tphi": fit_Tphi(rhos, times),
     }
-    return write_manifest(outdir, {"figure": "fig3e", **params}, files, fits)
+    return tables, fits
 
 
-def _fig_wigner_panels(outdir: Path, params: dict) -> Path:
+def _fig_wigner_panels(params: dict) -> tuple[dict, dict]:
     """Input / bred / bred-after-storage Wigner grids per protocol."""
     alpha = float(params.get("alpha", 1.0))
     dim = int(params.get("dim", 40))
     t2 = float(params.get("t2", 40e-9))
     noise = NoiseParams(float(params.get("T1", 2.3e-6)), float(params.get("Tphi", 0.96e-6)))
-    files = []
+    tables = {}
     for protocol in ("cat", "gkp"):
         inp = cat_state(alpha, -1, dim)
         traj = run_breeding(BreedingPlan(protocol, 1, alpha, -1, dim))
         bred = traj.states[-1]
         stored = evolve_closed_form(bred, t2, noise)
         for tag, state in (("input", inp), ("bred", bred), ("stored", stored)):
-            p = outdir / f"{protocol}_{tag}.csv"
-            write_wigner_csv(p, wigner_grid(state))
-            files.append(p)
-    return write_manifest(outdir, {"figure": "fig4d", **params}, files)
+            tables[f"{protocol}_{tag}.csv"] = wigner_grid(state)
+    return tables, {}
+
+
+_FIGURES = {"fig3e": _fig_decay, "fig4d": _fig_wigner_panels}
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +432,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
 
-    out = args.out or os.environ.get(ENV_PREFIX + "OUT")
-    seed = args.seed if args.seed is not None else os.environ.get(ENV_PREFIX + "SEED")
     try:
         if args.config is None and args.figure is None:
             raise ConfigError("one of --config or --figure is required")
-        if out is None:
-            raise ConfigError("--out (or RESOMEM_OUT) is required")
+        if args.out is None:
+            raise ConfigError("--out is required")
         if args.figure is not None:
-            emit_figure_data(args.figure, out)
+            emit_figure_data(args.figure, args.out)
         else:
-            config = json.loads(Path(args.config).read_text())
-            if seed is not None:
-                config["seed"] = int(seed)
-            run_scenario(config, out)
+            config = validate_config(json.loads(Path(args.config).read_text()))
+            if args.seed is not None:
+                config["seed"] = args.seed
+            run_scenario(config, args.out)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -253,24 +253,27 @@ def vacuum(dim: int = DEFAULT_DIM) -> FockVector:
 # fidelity
 
 def fidelity(a, b) -> float:
-    """|<a|b>|^2 for pure states, Uhlmann fidelity when either is mixed."""
+    """|<a|b>|^2 for pure states, Uhlmann fidelity when either is mixed.
+
+    Clamped to at most 1 by np.minimum, which keeps NaN: a state holding NaN
+    gets fidelity NaN, which fails every threshold check."""
     pure_a = isinstance(a, FockVector)
     pure_b = isinstance(b, FockVector)
     if pure_a and pure_b:
         if a.dim != b.dim:
             raise DimensionError("dimension mismatch")
-        return float(min(1.0, abs(a.overlap(b)) ** 2))
+        return float(np.minimum(1.0, abs(a.overlap(b)) ** 2))
     ra, rb = as_density_matrix(a), as_density_matrix(b)
     if ra.dim != rb.dim:
         raise DimensionError("dimension mismatch")
     if pure_a or pure_b:
         v = a.amp if pure_a else b.amp
         other = rb.rho if pure_a else ra.rho
-        return float(min(1.0, np.real(np.vdot(v, other @ v))))
+        return float(np.minimum(1.0, np.real(np.vdot(v, other @ v))))
     # Uhlmann: (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2
     w, v = np.linalg.eigh((ra.rho + ra.rho.conj().T) / 2)
     w = np.clip(w, 0, None)
     sqrt_a = (v * np.sqrt(w)) @ v.conj().T
     m = sqrt_a @ rb.rho @ sqrt_a
     ev = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return float(min(1.0, np.sum(np.sqrt(np.clip(ev, 0, None))) ** 2))
+    return float(np.minimum(1.0, np.sum(np.sqrt(np.clip(ev, 0, None))) ** 2))

@@ -1,9 +1,14 @@
+import hashlib
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import resomem.cli as cli
+from resomem.wigner import WignerGrid
 
 pytestmark = pytest.mark.filterwarnings("ignore::resomem.errors.NumericalAccuracyWarning")
 
@@ -47,8 +52,6 @@ def test_breed_scenario(tmp_path):
 def test_store_scenario_files_and_checksums(tmp_path):
     m = cli.run_scenario({"kind": "store", "T1": 2.3e-6, "Tphi": 0.96e-6}, tmp_path)
     manifest = read_manifest(m)
-    import hashlib
-
     for name, digest in manifest["files"].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
@@ -84,6 +87,10 @@ def test_main_exit_codes(tmp_path):
     bad.write_text(json.dumps({"kind": "nope"}))
     assert cli.main(["--config", str(bad), "--out", str(tmp_path / "out2")]) == 2
     assert cli.main(["--out", str(tmp_path)]) == 2
+    assert cli.main(["--config", str(cfg)]) == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text(json.dumps([1, 2]))
+    assert cli.main(["--config", str(not_object), "--out", str(tmp_path / "o"), "--seed", "2"]) == 2
     numeric = tmp_path / "numeric.json"
     numeric.write_text(json.dumps({"kind": "breed", "alpha": 5.0, "dim": 20}))
     assert cli.main(["--config", str(numeric), "--out", str(tmp_path / "out3")]) == 3
@@ -120,3 +127,68 @@ def test_float_format_roundtrip(tmp_path):
     # 17 significant digits reproduce the doubles exactly
     assert vals[3] == 3.75
     assert vals[4] == 4e3 / 3e6
+
+
+def test_csv_writers_golden_bytes(tmp_path, monkeypatch):
+    n = cli._BLOCK_ROWS + 3  # the last rows are written in a second block
+    names = ["a", "b", "c", "d", "e"] + [f"r{i}" for i in range(5, n)]
+    counts = [0, -1, 2, 2**53, 3] + list(range(5, n))
+    values = [1.0, -0.0, 0.1, 1e-300, 2.0**53] + [i + 0.5 for i in range(5, n)]
+    cli.write_csv(tmp_path / "t.csv", ["name", "count", "value"], [names, np.array(counts), values])
+    expected = (
+        b"name,count,value\n"
+        b"a,0,1\n"
+        b"b,-1,-0\n"
+        b"c,2,0.10000000000000001\n"
+        b"d,9007199254740992,1e-300\n"
+        b"e,3,9007199254740992\n"
+    ) + "".join(f"r{i},{i},{i}.5\n" for i in range(5, n)).encode()
+    assert (tmp_path / "t.csv").read_bytes() == expected
+
+    # the Wigner writer shares the row formatter, not the traced write_csv
+    monkeypatch.setattr(cli, "write_csv", None)
+    grid = WignerGrid(
+        np.array([-1.0, 0.0, 0.5]), np.array([0.1, 2.0]), np.array([[1.0, -0.0, 1e-300], [0.25, 2.0**53, -3.5]])
+    )
+    cli.write_wigner_csv(tmp_path / "w.csv", grid)
+    assert (tmp_path / "w.csv").read_bytes() == (
+        b",-1,0,0.5\n0.10000000000000001,1,-0,1e-300\n2,0.25,9007199254740992,-3.5\n"
+    )
+
+
+# out_mode.csv spans the schedule's support at dt = 1e-3/gamma0: 22, 20 and 1
+# units of 1/gamma0 for the three wavepackets
+@pytest.mark.parametrize(
+    "config, out_rows",
+    [
+        ({"wavepacket": "exp_rising"}, 22001),
+        ({"wavepacket": "exp_decaying"}, 20001),
+        ({"wavepacket": "time_bin", "Tf": 0.43}, 1001),
+    ],
+)
+def test_pulse_scenario(tmp_path, config, out_rows):
+    m = cli.run_scenario({"kind": "pulse", "points": 1001, **config}, tmp_path)
+    manifest = read_manifest(m)
+    headers = {"mode.csv": "t,g", "schedule.csv": "t,gamma", "out_mode.csv": "t,g"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*headers, "manifest.json"])
+    assert sorted(manifest["files"]) == sorted(headers)
+    for name, header in headers.items():
+        body = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(body).hexdigest() == manifest["files"][name]
+        lines = body.decode().splitlines()
+        assert lines[0] == header
+        assert len(lines) - 1 == (out_rows if name == "out_mode.csv" else 1001)
+    res = manifest["results"]
+    assert res["target_Tf"] == config.get("Tf", 0.0)
+    assert abs(res["effective_Tf"] - res["target_Tf"]) < 1e-3
+
+
+def test_perfbench_trace_targets_resolve():
+    """The traced benchmark wraps these module attributes by name; a rename
+    in the program would leave its spans silently empty."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, *_ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -114,6 +114,15 @@ def test_fidelity_symmetric_uhlmann():
     assert abs(rm.fidelity(mats[0], mats[1]) - rm.fidelity(mats[1], mats[0])) < 1e-10
 
 
+def test_fidelity_of_nan_state_is_nan():
+    cat = rm.cat_state(1.0, -1, 20)
+    nan_rho = rm.DensityMatrix(20, np.full((20, 20), np.nan))
+    nan_amp = rm.FockVector(20, np.full(20, np.nan))
+    for f in (rm.fidelity(cat, nan_rho), rm.fidelity(cat, nan_amp)):
+        assert math.isnan(f)
+        assert not f >= 0.999
+
+
 @given(alpha=st.floats(0.0, 1.5), s=st.sampled_from([+1, -1]))
 @settings(max_examples=40, deadline=None)
 def test_cat_norm_and_parity(alpha, s):
