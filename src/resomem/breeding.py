@@ -36,9 +36,9 @@ from .fock import (
 from .gates import (
     condition_on_quadrature,
     gauss_hermite,
+    hermite_functions,
     projection_rule,
     quadrature_density,
-    quadrature_eigenbra,
 )
 
 # Unused here: perfbench/tracing.py looks these names up on this module.
@@ -204,6 +204,6 @@ def _translation_overlap(rho: DensityMatrix, c: float, theta: float) -> float:
     """|int rho_theta(u + c/2, u - c/2) du|; the integrand is a polynomial of
     degree <= 2(dim-1) times e^{-u^2}, so Gauss-Hermite quadrature is exact."""
     u, w = gauss_hermite(2 * (rho.dim - 1))
-    bras = quadrature_eigenbra(u + c / 2, theta, rho.dim)
-    kets = quadrature_eigenbra(u - c / 2, theta, rho.dim)
-    return float(abs(w @ quadrature_density(rho.rho, bras, kets)))
+    psi = hermite_functions(u + c / 2, rho.dim)
+    kets = hermite_functions(u - c / 2, rho.dim)
+    return float(abs(w @ quadrature_density(rho.rho, theta, psi, kets)))

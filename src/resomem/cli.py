@@ -47,7 +47,7 @@ from .memory import (
 )
 from .noise import CoherenceSeries, NoiseParams, evolve_closed_form, fit_T1, fit_Tphi
 from .rates import heralding_probability, k_from_rates, success_probability
-from .tomo import mle_reconstruct, sample_homodyne
+from .tomo import MLE_MAX_DIM, MLE_MIN_FRAMES, mle_reconstruct, sample_homodyne
 from .wigner import WignerGrid, marginal, negative_region_count, wigner_grid
 
 FLOAT_FMT = "%.17g"
@@ -166,7 +166,49 @@ def validate_config(config: dict) -> dict:
         bad = set(state) - _STATE_KEYS[state["type"]]
         if bad:
             raise ConfigError(f"unknown state keys: {sorted(bad)}")
+    if kind in _KIND_CHECKS:
+        _KIND_CHECKS[kind](config)
     return config
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float (not NaN, inf or a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+# integer tomo keys and their (lowest, highest) values; mle_reconstruct and
+# sample_homodyne keep their own guards
+_TOMO_INTS = {
+    "n_frames": (MLE_MIN_FRAMES, None),
+    "dim": (2, MLE_MAX_DIM),
+    "iterations": (1, None),
+    "seed": (0, None),
+}
+
+
+def _check_tomo(config: dict) -> None:
+    for key, (lo, hi) in _TOMO_INTS.items():
+        if key not in config:
+            continue
+        value = config[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < lo or (hi is not None and value > hi):
+            bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ConfigError(f"tomo {key} must be an integer {bounds}, got {value!r}")
+    phases = config.get("phases_deg", [0.0])
+    if not isinstance(phases, list) or not phases or not all(map(_is_number, phases)):
+        raise ConfigError(f"tomo phases_deg must be a nonempty list of finite numbers, got {phases!r}")
+
+
+def _check_rates(config: dict) -> None:
+    sources = config.get("sources", [])
+    if not isinstance(sources, list):
+        raise ConfigError(f"rates sources must be a list, got {sources!r}")
+    for src in sources:
+        if not isinstance(src, dict) or not all(_is_number(src.get(key)) for key in ("r0", "delta", "r_bs")):
+            raise ConfigError(f"each rates source needs numeric r0, delta and r_bs, got {src!r}")
+
+
+_KIND_CHECKS = {"tomo": _check_tomo, "rates": _check_rates}
 
 
 def build_state(spec: dict):

@@ -119,12 +119,27 @@ def quadrature_eigenbra(x: float | np.ndarray, theta: float, dim: int) -> np.nda
     return phase * hermite_functions(x, dim)
 
 
-def quadrature_density(rho: np.ndarray, bras: np.ndarray, kets: np.ndarray | None = None) -> np.ndarray:
-    """<x|rho|x'> for the quadrature eigenbras <x| in the columns of `bras`
-    and <x'| in those of `kets`, both (dim, V). Without `kets` this is the
-    quadrature density <x_theta|rho|x_theta> (real up to rounding)."""
-    kets = bras if kets is None else kets
-    return np.einsum("iv,iv->v", bras, rho @ kets.conj())
+def phase_matrix(theta: float, dim: int) -> np.ndarray:
+    """F_theta[m, n] = e^{i (m - n) theta}, so rho o F_theta = e^{i theta n} rho e^{-i theta n}."""
+    e = np.exp(1j * theta * np.arange(dim))
+    return e[:, None] * e.conj()
+
+
+def quadrature_density(rho: np.ndarray, theta: float, psi: np.ndarray, kets: np.ndarray | None = None) -> np.ndarray:
+    """<x_theta|rho|x'_theta> with psi(x) in the columns of `psi` and psi(x')
+    in those of `kets`, both real Hermite-function columns (dim, V) from
+    `hermite_functions`.
+
+    Each bra is <x_theta| = e^{i n theta} psi_n(x) with psi_n real, so the
+    phase moves onto rho: <x_theta|rho|x'_theta> = psi(x)^T (rho o F_theta) psi(x')
+    (`phase_matrix`). Rotating rho costs dim^2, and the V-sized contraction
+    is real. Without `kets` this is the quadrature density
+    psi(x)^T Re(rho o F_theta) psi(x), real.
+    """
+    rot = rho * phase_matrix(theta, rho.shape[0])
+    if kets is None:
+        return np.einsum("iv,iv->v", psi, rot.real @ psi)
+    return np.einsum("iv,iv->v", psi, rot @ kets)
 
 
 def gauss_hermite(degree: int) -> tuple[np.ndarray, np.ndarray]:

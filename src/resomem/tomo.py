@@ -1,6 +1,12 @@
 """Simulated homodyne data pipeline: quadrature sampling by inverse CDF,
 PCA temporal-mode extraction from time traces, and iterative
 maximum-likelihood state reconstruction (rho <- N[R rho R]).
+
+Every quadrature bra is <x_theta| = e^{i n theta} psi_n(x) with real Hermite
+functions psi_n, so the density is pr(x) = psi(x)^T Re(rho o F_theta) psi(x)
+with F_theta[m, n] = e^{i (m - n) theta}, and the ML operator is
+R = sum_theta conj(F_theta) o (Psi_theta diag(c / pr) Psi_theta^T): rho is
+rotated per phase (dim^2 work) and every contraction over the samples is real.
 """
 
 from __future__ import annotations
@@ -10,19 +16,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DimensionError, DomainError
 from .fock import DensityMatrix, as_density_matrix
 from .gates import (
     PROJECTION_GRID_BOUND,
     PROJECTION_GRID_STEP,
+    hermite_functions,
+    phase_matrix,
     quadrature_density,
-    quadrature_eigenbra,
 )
 from .memory import TemporalMode
 from .wigner import marginal
 
 DEFAULT_PHASES_DEG = (0.0, 30.0, 60.0, 90.0, 120.0, 150.0)
 MLE_PLATEAU = 1e-9
+MLE_MIN_FRAMES = 1000
+MLE_MAX_DIM = 30
 
 
 @dataclass(frozen=True)
@@ -94,18 +103,17 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     return HomodyneDataset(frame_phase, xs, seed)
 
 
-def _binned_projectors(data: HomodyneDataset, dim: int, step: float):
-    """Bin samples onto the projection grid per phase; returns (bras, counts)
-    with bras of shape (dim, n_bins)."""
-    bras = []
-    counts = []
+def _binned_projectors(data: HomodyneDataset, dim: int, step: float) -> list:
+    """Bin samples onto the projection grid per phase; returns one
+    (theta, psi, counts) per phase, psi the real Hermite functions of the
+    occupied bins, shape (dim, n_bins)."""
+    bins = []
     for theta in data.phase_set:
         x = data.xs[data.thetas == theta]
         idx = np.round(x / step).astype(np.int64)
         uniq, cnt = np.unique(idx, return_counts=True)
-        bras.append(quadrature_eigenbra(uniq * step, theta, dim))
-        counts.append(cnt.astype(float))
-    return np.concatenate(bras, axis=1), np.concatenate(counts)
+        bins.append((float(theta), hermite_functions(uniq * step, dim), cnt.astype(float)))
+    return bins
 
 
 def mle_reconstruct(
@@ -118,24 +126,30 @@ def mle_reconstruct(
     R = sum_frames |x_theta><x_theta| / pr(x_theta), pr = <x_theta|rho|x_theta>.
 
     Samples are binned onto the projection grid (bin width `step`, far below
-    the sampling noise) so R is accumulated by dense matrix products.  The
+    the sampling noise), and per phase R is the real Gram matrix of the bins'
+    Hermite functions weighted by counts / pr, times conj(F_theta).  The
     log-likelihood is checked to be non-decreasing at every iteration.
     """
-    if len(data) < 1000:
-        raise DomainError("need >= 1e3 frames for a stable reconstruction")
-    if dim > 30:
-        raise DomainError("dim > 30 not supported by the reconstruction guard")
+    if iterations < 1:
+        raise DomainError("iterations must be >= 1")
+    if len(data) < MLE_MIN_FRAMES:
+        raise DomainError(f"need >= {MLE_MIN_FRAMES} frames for a stable reconstruction")
+    if dim > MLE_MAX_DIM:
+        raise DomainError(f"dim > {MLE_MAX_DIM} not supported by the reconstruction guard")
+    if dim < 2:
+        raise DimensionError("dim must be >= 2")
     if len(data.phase_set) < 2:
         warnings.warn("single measurement phase: reconstruction is ill-conditioned")
-    B, counts = _binned_projectors(data, dim, step)  # (dim, V), (V,)
+    bins = _binned_projectors(data, dim, step)
+    phases = [phase_matrix(theta, dim).conj() for theta, _, _ in bins]
     rho = np.eye(dim, dtype=complex) / dim
     last_ll = -np.inf
     for _ in range(iterations):
-        pr = np.maximum(quadrature_density(rho, B).real, 1e-300)
-        ll = float(np.sum(counts * np.log(pr)))
+        prs = [np.maximum(quadrature_density(rho, theta, psi), 1e-300) for theta, psi, _ in bins]
+        ll = float(sum(np.sum(cnt * np.log(pr)) for (_, _, cnt), pr in zip(bins, prs)))
         if ll < last_ll - 1e-9 * abs(last_ll):
             raise ContractError("MLE log-likelihood decreased")
-        R = (B.conj() * (counts / pr)) @ B.T  # B holds the bras <x_theta|
+        R = sum(f * ((psi * (cnt / pr)) @ psi.T) for f, (_, psi, cnt), pr in zip(phases, bins, prs))
         rho = R @ rho @ R
         rho = (rho + rho.conj().T) / 2
         rho = rho / np.trace(rho).real
@@ -148,9 +162,10 @@ def mle_reconstruct(
 
 def log_likelihood(data: HomodyneDataset, rho: DensityMatrix, step: float = PROJECTION_GRID_STEP) -> float:
     """Binned log-likelihood of `data` under `rho` (same binning as the MLE)."""
-    B, counts = _binned_projectors(data, rho.dim, step)
-    pr = quadrature_density(rho.rho, B).real
-    return float(np.sum(counts * np.log(np.maximum(pr, 1e-300))))
+    return float(sum(
+        np.sum(cnt * np.log(np.maximum(quadrature_density(rho.rho, theta, psi), 1e-300)))
+        for theta, psi, cnt in _binned_projectors(data, rho.dim, step)
+    ))
 
 
 def simulate_traces(mode: TemporalMode, quad_samples, noise_var: float, seed: int) -> TraceMatrix:

@@ -14,7 +14,7 @@ from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError
 from .fock import as_density_matrix
-from .gates import quadrature_density, quadrature_eigenbra
+from .gates import hermite_functions, quadrature_density
 
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 201)
 NEGATIVE_REGION_THRESHOLD = -1e-3
@@ -103,9 +103,10 @@ def negative_region_count(grid: WignerGrid, threshold: float = NEGATIVE_REGION_T
 
 
 def marginal(state, theta: float, grid: np.ndarray) -> np.ndarray:
-    """Probability density of the x_theta quadrature, <x_theta|rho|x_theta>."""
+    """Probability density of the x_theta quadrature, <x_theta|rho|x_theta>
+    (`gates.quadrature_density`: rho rotated by theta, real Hermite functions)."""
     rho = as_density_matrix(state)
-    return quadrature_density(rho.rho, quadrature_eigenbra(grid, theta, rho.dim)).real
+    return quadrature_density(rho.rho, theta, hermite_functions(grid, rho.dim))
 
 
 def count_peaks(density: np.ndarray, prominence: float = 0.05) -> int:

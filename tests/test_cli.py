@@ -94,6 +94,39 @@ def test_main_exit_codes(tmp_path):
     numeric = tmp_path / "numeric.json"
     numeric.write_text(json.dumps({"kind": "breed", "alpha": 5.0, "dim": 20}))
     assert cli.main(["--config", str(numeric), "--out", str(tmp_path / "out3")]) == 3
+    tomo_errors = [
+        {"n_frames": 10},
+        {"n_frames": "many"},
+        {"dim": 31},
+        {"dim": 1},
+        {"iterations": 0},
+        {"iterations": -5},
+        {"phases_deg": []},
+        {"phases_deg": [0, "x"]},
+        {"phases_deg": [0, float("nan")]},
+    ]
+    for i, bad_tomo in enumerate(tomo_errors):
+        path = tmp_path / f"tomo{i}.json"
+        path.write_text(json.dumps({"kind": "tomo", "n_frames": 2000, **bad_tomo}))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / f"tomo{i}")]) == 2, bad_tomo
+        assert not (tmp_path / f"tomo{i}").exists()
+
+
+def test_rates_sources_schema(tmp_path, capsys):
+    for i, src in enumerate([
+        {"r0": None, "delta": 1e6, "r_bs": 10},
+        {"r0": 1e5},
+        "r0",
+        {"r0": True, "delta": 1e6, "r_bs": 10},
+        {"r0": 10**400, "delta": 1e6, "r_bs": 10},
+    ]):
+        cfg = tmp_path / f"rates{i}.json"
+        cfg.write_text(json.dumps({"kind": "rates", "sources": [src]}))
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, src
+        assert "r0, delta and r_bs" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"kind": "rates", "sources": [{"r0": 4000, "delta": 3e6, "r_bs": 20}]}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "k_values.csv").read_text().splitlines()[1].startswith("4000,3000000,20,3.75,")
 
 
 def test_seed_override(tmp_path):

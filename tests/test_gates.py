@@ -7,7 +7,7 @@ from scipy.special import erf
 
 import resomem as rm
 from resomem.errors import ContractError, DimensionError, DomainError
-from resomem.gates import full_line_window, hermite_functions
+from resomem.gates import full_line_window, hermite_functions, quadrature_density
 
 
 def dense_bs_oracle(dimA, dimB, T):
@@ -75,6 +75,31 @@ def test_eigenbra_phase_rotation():
     bra = rm.quadrature_eigenbra(0.7, np.pi / 2, 10)
     psi = hermite_functions(0.7, 10)
     assert np.allclose(bra, np.exp(1j * np.arange(10) * np.pi / 2) * psi)
+
+
+def _random_mixed_state(dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, 2.5, -1.0])
+def test_quadrature_density_matches_complex_contraction(theta):
+    """Rotating rho by theta with real Hermite functions equals the complex
+    contraction <x_theta|rho|x'_theta> over the eigenbras."""
+    x = np.linspace(-5, 5, 301)
+    xp = 0.8 * x[::-1] + 0.3
+    states = [rm.coherent_state(1 + 0.7j, 20).to_density_matrix().rho, _random_mixed_state(12, 4, 3)]
+    for rho in states:
+        dim = rho.shape[0]
+        bras = rm.quadrature_eigenbra(x, theta, dim)
+        kets = rm.quadrature_eigenbra(xp, theta, dim)
+        diag = quadrature_density(rho, theta, hermite_functions(x, dim))
+        assert diag.dtype == float
+        assert np.max(np.abs(diag - np.einsum("iv,iv->v", bras, rho @ bras.conj()))) < 1e-13
+        off = quadrature_density(rho, theta, hermite_functions(x, dim), hermite_functions(xp, dim))
+        assert np.max(np.abs(off - np.einsum("iv,iv->v", bras, rho @ kets.conj()))) < 1e-13
 
 
 def test_hermite_functions_orthonormal():

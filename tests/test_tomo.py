@@ -4,7 +4,7 @@ from scipy.stats import kstest
 
 import resomem as rm
 from resomem.errors import DomainError
-from resomem.gates import hermite_functions
+from resomem.gates import PROJECTION_GRID_STEP, hermite_functions
 from resomem.tomo import log_likelihood, project_traces
 
 PHASES = np.deg2rad([0.0, 30.0, 60.0, 90.0, 120.0, 150.0])
@@ -68,6 +68,39 @@ def test_mle_bred_gkp_state():
     data = rm.sample_homodyne(st, PHASES, 20_000, seed=5)
     rho = rm.mle_reconstruct(data, 20, 300)
     assert rm.fidelity(st, rho) >= 0.98
+
+
+def complex_em(data, dim, iterations, step=PROJECTION_GRID_STEP):
+    """RrhoR iterations on the concatenated complex eigenbras of the bins."""
+    bras, counts = [], []
+    for theta in data.phase_set:
+        idx = np.round(data.xs[data.thetas == theta] / step).astype(np.int64)
+        uniq, cnt = np.unique(idx, return_counts=True)
+        bras.append(rm.quadrature_eigenbra(uniq * step, theta, dim))
+        counts.append(cnt.astype(float))
+    B, counts = np.concatenate(bras, axis=1), np.concatenate(counts)
+    rho = np.eye(dim, dtype=complex) / dim
+    for _ in range(iterations):
+        pr = np.maximum(np.einsum("iv,iv->v", B, rho @ B.conj()).real, 1e-300)
+        R = (B.conj() * (counts / pr)) @ B.T
+        rho = R @ rho @ R
+        rho = (rho + rho.conj().T) / 2
+        rho = rho / np.trace(rho).real
+    return rho
+
+
+def test_mle_matches_complex_em_oracle():
+    st = rm.coherent_state(1 + 0.7j, 20)
+    data = rm.sample_homodyne(st, PHASES, 6000, seed=11)
+    rho = rm.mle_reconstruct(data, 20, 30)
+    assert np.max(np.abs(rho.rho - complex_em(data, 20, 30))) < 1e-12
+
+
+def test_mle_rejects_nonpositive_iterations():
+    data = rm.sample_homodyne(rm.vacuum(10), PHASES, 2000, seed=7)
+    for iterations in (0, -5):
+        with pytest.raises(DomainError):
+            rm.mle_reconstruct(data, 10, iterations)
 
 
 def test_mle_likelihood_nondecreasing():
