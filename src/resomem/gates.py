@@ -12,6 +12,10 @@ conserves total photon number.
 
 Quadrature convention: <x_theta| = <x| e^{i theta n}, so
 x_theta = x cos(theta) - p sin(theta) and theta = pi/2 measures -p.
+Component n of that bra is e^{i n theta} psi_n(x) with psi_n a real Hermite
+function, so `quadrature_density` rotates rho instead of the bras:
+<x_theta|rho|x'_theta> = psi(x)^T (rho o F_theta) psi(x'), F_theta[m, n] =
+e^{i (m - n) theta}, and every contraction over the grid is real.
 """
 
 from __future__ import annotations

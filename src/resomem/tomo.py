@@ -112,7 +112,7 @@ def _binned_projectors(data: HomodyneDataset, dim: int, step: float) -> list:
         x = data.xs[data.thetas == theta]
         idx = np.round(x / step).astype(np.int64)
         uniq, cnt = np.unique(idx, return_counts=True)
-        bins.append((float(theta), hermite_functions(uniq * step, dim), cnt.astype(float)))
+        bins.append((theta, hermite_functions(uniq * step, dim), cnt.astype(float)))
     return bins
 
 

@@ -101,6 +101,7 @@ def test_main_exit_codes(tmp_path):
         {"dim": 1},
         {"iterations": 0},
         {"iterations": -5},
+        {"seed": -1},
         {"phases_deg": []},
         {"phases_deg": [0, "x"]},
         {"phases_deg": [0, float("nan")]},
