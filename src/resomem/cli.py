@@ -8,7 +8,11 @@ the one place that writes them, then the manifest.
 Exit codes: 0 ok, 2 config/schema violation, 3 numeric guard violation,
 4 I/O failure.  CSV format: '.' decimal, LF line endings and a trailing
 newline; str values printed as is, numbers with 17 significant digits
-(FLOAT_FMT), so outputs are byte-identical across platforms.
+(FLOAT_FMT), so outputs are byte-identical across platforms. One vectorized
+kernel (`_format_rows`) prints every cell of every CSV, a block of rows at a
+time, and equals FLOAT_FMT % x byte for byte: values it cannot decide exactly
+are printed by FLOAT_FMT itself. Each writer returns the sha256 of the bytes
+it wrote, and the manifest records those digests.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -66,37 +72,201 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# serialization: one kernel prints every CSV cell
+#
+# A number's cell is cut out of one 48-byte field, held as six little-endian
+# 64-bit words:
+#     sign "0.000" d1 . d2 . ... d16 . d17 e +-hto <3 pad bytes> separator
+# A value fills in its sign, its 17 significant digits N (10**16 <= N < 10**17,
+# rounded half-even) and its decimal exponent X. A keep-mask picked by its
+# layout (zero, fixed with X in [-4, 16], or scientific with a 2- or 3-digit
+# exponent; times the digits left once trailing zeros go) zeroes every byte
+# its FLOAT_FMT string lacks, and bytes.translate deletes the zeros.
+# N = |x| * 10**(16 - X) comes from Dekker's exact product with the
+# double-double 10**(16 - X) of a table, so its fraction is known to < 1e-14.
+# Where that cannot decide the digits (non-finite x, |x| outside
+# [1e-280, 1e280], a fraction within 1e-9 of 1/2, N outside [1e16, 1e17)) the
+# cell is FLOAT_FMT % x itself, so every cell equals FLOAT_FMT % x.
 
-def _write_rows(path: Path, head: str, columns) -> None:
-    """Write the line `head`, then one CSV row per index of the equal-length
-    `columns`: a str column printed as is, any other with FLOAT_FMT (which
-    prints integers up to 2**53 as str() does)."""
+_FIELD = 48
+_WORD = np.dtype("<u8")
+_X_MIN, _X_MAX = -281, 280  # decimal exponents the scale table covers
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+_ZERO, _SCI2, _SCI3 = 0, 22, 23  # layout classes; X + 5 is fixed notation
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text, "little")
+
+
+def _cell_tables():
+    """Lookup tables of the kernel, from exact integer arithmetic."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quad = np.full((10000, 8), ord("."), np.uint8)
+    quad[:, ::2] = digits + ord("0")
+    quad_e = quad.copy()
+    quad_e[:, 7] = ord("e")
+    # digits of a 4-digit group up to its last nonzero one
+    sig = 4 - np.argmax(digits[:, ::-1] != 0, axis=1)
+    xs = range(_X_MIN, _X_MAX + 1)
+    exponent = np.array([_word(b"%+04d\0\0\0," % x) for x in xs], _WORD)
+    cls = np.array([x + 5 if -4 <= x <= 16 else _SCI3 if abs(x) >= 100 else _SCI2 for x in xs])
+    scales = []  # 10**(16 - x) = hh + hl + lo: hh, hl 26-bit halves of the double nearest it
+    for x in xs:
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi = num / den  # correctly rounded, as is every int / int
+        a, b = hi.as_integer_ratio()
+        c = hi * _SPLIT
+        hh = c - (c - hi)
+        scales.append((hh, hi - hh, (num * b - a * den) / (den * b)))
+    masks = np.zeros((24, 18, _FIELD), np.uint8)
+    masks[..., [0, _FIELD - 1]] = 0xFF
+    masks[_ZERO, :, 1] = 0xFF
+    digit = 6 + 2 * np.arange(17)
+    for s in range(1, 18):
+        for x in range(-4, 17):
+            m = masks[x + 5, s]
+            if x < 0:
+                m[1:2 - x] = 0xFF  # "0." and -x - 1 zeros
+                m[digit[:s]] = 0xFF
+            else:
+                m[digit[:max(s, x + 1)]] = 0xFF
+                if s > x + 1:
+                    m[digit[x] + 1] = 0xFF
+        for c in (_SCI2, _SCI3):
+            m = masks[c, s]
+            m[digit[:s]] = 0xFF
+            m[7] = 0xFF if s > 1 else 0
+            m[39:41] = 0xFF
+            m[41 + (c == _SCI2):44] = 0xFF
+    return (
+        quad.view(_WORD).ravel(), quad_e.view(_WORD).ravel(), sig, exponent, cls,
+        *np.array(scales).T, masks.reshape(-1, _FIELD).view(_WORD),
+    )
+
+
+_QUAD, _QUAD_E, _SIG, _EXPONENT, _CLASS, _HH, _HL, _LO, _MASKS = _cell_tables()
+_SIGN_WORD = _word(b"\0" b"0.000" b"\0.")
+
+
+def _number_cells(v: np.ndarray) -> np.ndarray:
+    """(len(v), _FIELD) bytes: FLOAT_FMT % x of each float64 x in v, NUL-padded,
+    then a ',' separator."""
+    a = np.abs(v)
+    zero = a == 0
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    j = np.floor(np.log10(a)).astype(np.intp) - _X_MIN
+    hh, hl = _HH.take(j), _HL.take(j)
+    p = a * (hh + hl)
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    t = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * _LO.take(j)  # a * 10**(16 - X) - p
+    r = np.floor(t)
+    frac = t - r
+    N = p.astype(np.int64) + r.astype(np.int64)
+    fallback = ~(fast | zero) | (np.abs(frac - 0.5) < 1e-9) | (N < 10**16)
+    N += frac > 0.5
+    fallback |= N >= 10**17
+    N[fallback] = 10**16
+    top = N // 10**8
+    low = N - top * 10**8
+    d1 = top // 10**8
+    mid = top - d1 * 10**8
+    g1 = mid // 10**4
+    g2 = mid - g1 * 10**4
+    g3 = low // 10**4
+    g4 = low - g3 * 10**4
+    layout = _CLASS.take(j) * 18 + 13 + _SIG.take(g4)  # class * 18 + significant digits
+    short = np.flatnonzero(g4 == 0)  # few values end in 0000; only those look at g1..g3
+    if short.size:
+        h1, h2, h3 = g1[short], g2[short], g3[short]
+        layout[short] += np.where(h3, _SIG.take(h3) - 8, np.where(
+            h2, _SIG.take(h2) - 12, np.where(h1, _SIG.take(h1) - 16, -16)))
+    layout = np.where(zero, _ZERO, layout)
+    words = (
+        _SIGN_WORD | (d1.astype(_WORD) + ord("0")) << 48 | np.signbit(v).astype(_WORD) * ord("-"),
+        _QUAD.take(g1), _QUAD.take(g2), _QUAD.take(g3), _QUAD_E.take(g4), _EXPONENT.take(j),
+    )
+    cells = _MASKS.take(layout, axis=0)
+    for i, w in enumerate(words):
+        cells[:, i] &= w
+    cells = cells.view(np.uint8)
+    slow = np.flatnonzero(fallback)
+    if slow.size:
+        text = np.array([FLOAT_FMT % x for x in v[slow].tolist()], f"S{_FIELD - 1}")
+        cells[slow, :-1] = text.view(np.uint8).reshape(-1, _FIELD - 1)
+    return cells
+
+
+def _str_cells(column: np.ndarray) -> np.ndarray:
+    """A str column as NUL-padded ASCII cells, each followed by a ',' separator."""
+    text = column.astype(np.bytes_)  # UnicodeEncodeError beyond ASCII
+    width = text.dtype.itemsize
+    cells = np.zeros((len(text), width + 1), np.uint8)
+    cells[:, :width] = text.view(np.uint8).reshape(-1, width)
+    if np.any((cells[:, :-2] == 0) & (cells[:, 1:-1] != 0)):
+        raise ValueError("a CSV str value holds a NUL character")
+    cells[:, width] = ord(",")
+    return cells
+
+
+def _as_float(column: np.ndarray) -> np.ndarray:
+    """A numeric column as the float64 values FLOAT_FMT prints."""
+    if column.dtype.kind == "O":  # ints beyond 64 bits; float() rejects what FLOAT_FMT rejects
+        return np.array([float(x) for x in column.tolist()], np.float64)
+    if column.dtype.kind not in "biuf":
+        raise TypeError(f"cannot write a {column.dtype} column as CSV numbers")
+    return column.astype(np.float64)
+
+
+def _format_rows(columns: list) -> bytes:
+    """One CSV line per index of the equal-length 1-D arrays `columns`: a str
+    column printed as is, any other with FLOAT_FMT (which prints integers up
+    to 2**53 as str() does)."""
+    cells = []
+    for is_str, run in groupby(columns, key=lambda c: c.dtype.kind == "U"):
+        if is_str:
+            cells += [_str_cells(c) for c in run]
+        else:
+            values = np.column_stack([_as_float(c) for c in run])
+            cells.append(_number_cells(values.ravel()).reshape(len(values), -1))
+    block = np.hstack(cells) if len(cells) > 1 else cells[0]
+    block[:, -1] = ord("\n")
+    return block.tobytes().translate(None, b"\0")
+
+
+def _write_rows(path: Path, head: bytes, columns) -> str:
+    """Write `head`, then the rows of `columns` a block at a time; returns the
+    sha256 hex digest of the bytes written."""
     columns = [np.asarray(c) for c in columns]
-    line = ",".join("%s" if c.dtype.kind == "U" else FLOAT_FMT for c in columns) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(head + "\n")
+    digest = hashlib.sha256(head)
+    with open(path, "wb") as f:
+        f.write(head)
         for i in range(0, len(columns[0]), _BLOCK_ROWS):
-            rows = zip(*(c[i:i + _BLOCK_ROWS].tolist() for c in columns))
-            f.write("".join([line % row for row in rows]))
+            block = _format_rows([c[i:i + _BLOCK_ROWS] for c in columns])
+            digest.update(block)
+            f.write(block)
+    return digest.hexdigest()
 
 
-def write_csv(path: Path, header: list, columns) -> None:
-    _write_rows(path, ",".join(str(h) for h in header), columns)
+def write_csv(path: Path, header: list, columns) -> str:
+    """Write a CSV with one header line; returns its sha256 hex digest."""
+    return _write_rows(path, (",".join(str(h) for h in header) + "\n").encode("ascii"), columns)
 
 
-def write_wigner_csv(path: Path, grid) -> None:
+def write_wigner_csv(path: Path, grid) -> str:
     """Bit-exact Wigner grid format: header row of xs (first cell blank),
-    then one row per p value, the p value first."""
-    xs = grid.xs.tolist()
-    _write_rows(path, "," + ",".join([FLOAT_FMT] * len(xs)) % tuple(xs), [grid.ps, *grid.w.T])
+    then one row per p value, the p value first. Returns the sha256 hex digest."""
+    head = b"," + _format_rows(list(np.asarray(grid.xs)[:, None]))
+    return _write_rows(path, head, [grid.ps, *grid.w.T])
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def write_manifest(outdir: Path, config: dict, files: list, extra: dict | None = None) -> Path:
+def write_manifest(outdir: Path, config: dict, files: dict, extra: dict | None = None) -> Path:
+    """Write manifest.json; `files` maps each written file's name to its
+    sha256 hex digest."""
     manifest = {
         "config": config,
         "versions": {
@@ -104,7 +274,7 @@ def write_manifest(outdir: Path, config: dict, files: list, extra: dict | None =
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "files": {f.name: _sha256(f) for f in files},
+        "files": files,
     }
     if extra:
         manifest["results"] = extra
@@ -117,14 +287,12 @@ def _write_outputs(outdir: Path, config: dict, tables: dict, results: dict) -> P
     """Write each table (a Wigner grid, or column name -> column) to
     outdir/<file name>, then the manifest; returns the manifest path."""
     outdir.mkdir(parents=True, exist_ok=True)
-    files = []
+    files = {}
     for name, table in tables.items():
-        path = outdir / name
         if isinstance(table, WignerGrid):
-            write_wigner_csv(path, table)
+            files[name] = write_wigner_csv(outdir / name, table)
         else:
-            write_csv(path, list(table), list(table.values()))
-        files.append(path)
+            files[name] = write_csv(outdir / name, list(table), list(table.values()))
     return write_manifest(outdir, config, files, results)
 
 
@@ -149,6 +317,14 @@ _STATE_KEYS = {
     "bred": {"type", "protocol", "steps", "alpha", "s", "dim"},
 }
 
+# keys a state type needs: one key of each group
+_STATE_REQUIRED = {
+    "fock": [("n",)],
+    "cat": [("alpha",)],
+    "squeezed_single_photon": [("r", "alpha")],
+    "bred": [("protocol",), ("steps",), ("alpha",)],
+}
+
 
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
@@ -166,9 +342,18 @@ def validate_config(config: dict) -> dict:
         bad = set(state) - _STATE_KEYS[state["type"]]
         if bad:
             raise ConfigError(f"unknown state keys: {sorted(bad)}")
-    if kind in _KIND_CHECKS:
-        _KIND_CHECKS[kind](config)
+        for group in _STATE_REQUIRED.get(state["type"], []):
+            if not any(key in state for key in group):
+                raise ConfigError(f"a {state['type']} state needs {' or '.join(group)}")
+        _check_keys(f"{state['type']} state", state, _STATE_CHECKS)
+    _check_keys(kind, config, _KIND_CHECKS.get(kind, {}))
     return config
+
+
+def _check_keys(where: str, spec: dict, rules: dict) -> None:
+    for key, (ok, what) in rules.items():
+        if key in spec and not ok(spec[key]):
+            raise ConfigError(f"{where} {key} must be {what}, got {spec[key]!r}")
 
 
 def _is_number(value) -> bool:
@@ -176,39 +361,70 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-# integer tomo keys and their (lowest, highest) values; mle_reconstruct and
-# sample_homodyne keep their own guards
-_TOMO_INTS = {
-    "n_frames": (MLE_MIN_FRAMES, None),
-    "dim": (2, MLE_MAX_DIM),
-    "iterations": (1, None),
-    "seed": (0, None),
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(lo: int, hi: int | None = None) -> tuple:
+    return (
+        lambda v: _is_int(v) and lo <= v and (hi is None or v <= hi),
+        f"an integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]",
+    )
+
+
+def _numbers(min_len: int, item=_is_number, what: str = "finite numbers") -> tuple:
+    return (
+        lambda v: isinstance(v, list) and len(v) >= min_len and all(map(item, v)),
+        f"a list of >= {min_len} {what}",
+    )
+
+
+def _is_source(src) -> bool:
+    return isinstance(src, dict) and all(_is_number(src.get(key)) for key in ("r0", "delta", "r_bs"))
+
+
+# (test, what the value must be) for each key a scenario or state reads; the
+# library keeps its own guards (exit 3) for limits that depend on several keys
+_PROTOCOL = (lambda v: v in ("cat", "gkp"), "'cat' or 'gkp'")
+_PARITY = (lambda v: _is_int(v) and v in (-1, 1), "-1 or 1")
+_ALPHA = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
+_LIFETIME = (lambda v: (_is_number(v) or v == math.inf) and v > 0, "a positive number or Infinity")
+_STATE_CHECKS = {
+    "dim": _integer(2),
+    "n": _integer(0),
+    "alpha": _ALPHA,
+    "s": _PARITY,
+    "r": (_is_number, "a finite number"),
+    "protocol": _PROTOCOL,
+    "steps": _integer(1),
 }
-
-
-def _check_tomo(config: dict) -> None:
-    for key, (lo, hi) in _TOMO_INTS.items():
-        if key not in config:
-            continue
-        value = config[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < lo or (hi is not None and value > hi):
-            bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise ConfigError(f"tomo {key} must be an integer {bounds}, got {value!r}")
-    phases = config.get("phases_deg", [0.0])
-    if not isinstance(phases, list) or not phases or not all(map(_is_number, phases)):
-        raise ConfigError(f"tomo phases_deg must be a nonempty list of finite numbers, got {phases!r}")
-
-
-def _check_rates(config: dict) -> None:
-    sources = config.get("sources", [])
-    if not isinstance(sources, list):
-        raise ConfigError(f"rates sources must be a list, got {sources!r}")
-    for src in sources:
-        if not isinstance(src, dict) or not all(_is_number(src.get(key)) for key in ("r0", "delta", "r_bs")):
-            raise ConfigError(f"each rates source needs numeric r0, delta and r_bs, got {src!r}")
-
-
-_KIND_CHECKS = {"tomo": _check_tomo, "rates": _check_rates}
+_KIND_CHECKS = {
+    "store": {
+        "T1": _LIFETIME,
+        "Tphi": _LIFETIME,
+        "times": _numbers(1, lambda t: _is_number(t) and t >= 0, "finite numbers >= 0"),
+    },
+    "breed": {
+        "protocol": _PROTOCOL,
+        "steps": _integer(1),
+        "alpha": _ALPHA,
+        "s": _PARITY,
+        "dim": _integer(2),
+        "window": (lambda v: v is None or (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+                                           and v[0] < v[1]),
+                   "null or a list [lo, hi] of finite numbers with lo < hi"),
+    },
+    "wigner": {"xs": _numbers(2), "ps": _numbers(2)},
+    "tomo": {
+        "n_frames": _integer(MLE_MIN_FRAMES),
+        "dim": _integer(2, MLE_MAX_DIM),
+        "iterations": _integer(1),
+        "seed": _integer(0),
+        "phases_deg": _numbers(1),
+    },
+    "rates": {"sources": (lambda v: isinstance(v, list) and all(map(_is_source, v)),
+                          "a list of objects with numeric r0, delta and r_bs")},
+}
 
 
 def build_state(spec: dict):

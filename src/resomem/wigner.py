@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import ndimage
 from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError
@@ -113,5 +113,7 @@ def count_peaks(density: np.ndarray, prominence: float = 0.05) -> int:
     """Number of peaks with relative prominence above `prominence` * max."""
     if prominence <= 0:
         raise DomainError("prominence must be positive")
-    peaks, _ = signal.find_peaks(np.asarray(density), prominence=prominence * np.max(density))
+    from scipy.signal import find_peaks  # imported here: only tests count peaks, and it loads scipy.stats
+
+    peaks, _ = find_peaks(np.asarray(density), prominence=prominence * np.max(density))
     return int(len(peaks))

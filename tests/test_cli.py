@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resomem.cli as cli
 from resomem.wigner import WignerGrid
@@ -111,6 +113,25 @@ def test_main_exit_codes(tmp_path):
         path.write_text(json.dumps({"kind": "tomo", "n_frames": 2000, **bad_tomo}))
         assert cli.main(["--config", str(path), "--out", str(tmp_path / f"tomo{i}")]) == 2, bad_tomo
         assert not (tmp_path / f"tomo{i}").exists()
+    config_errors = [
+        {"kind": "breed", "alpha": "abc"},
+        {"kind": "breed", "window": [1]},
+        {"kind": "breed", "window": [0.1, -0.1]},
+        {"kind": "breed", "steps": 0},
+        {"kind": "breed", "s": 0},
+        {"kind": "store", "times": "x"},
+        {"kind": "store", "T1": 0},
+        {"kind": "wigner", "xs": [0]},
+        {"kind": "wigner", "state": {"type": "cat"}},
+        {"kind": "wigner", "state": {"type": "fock", "n": -1}},
+        {"kind": "tomo", "state": {"type": "squeezed_single_photon", "dim": 20}},
+        {"kind": "tomo", "state": {"type": "bred", "protocol": "gkp", "alpha": 1.0}},
+    ]
+    for i, bad_config in enumerate(config_errors):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad_config))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / f"bad{i}")]) == 2, bad_config
+        assert not (tmp_path / f"bad{i}").exists()
 
 
 def test_rates_sources_schema(tmp_path, capsys):
@@ -188,6 +209,64 @@ def test_csv_writers_golden_bytes(tmp_path, monkeypatch):
     assert (tmp_path / "w.csv").read_bytes() == (
         b",-1,0,0.5\n0.10000000000000001,1,-0,1e-300\n2,0.25,9007199254740992,-3.5\n"
     )
+
+
+def percent_rows(columns) -> bytes:
+    """The row formatter the CSV kernel replaced: one `%` per row, str values
+    as they are and every other value with FLOAT_FMT."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%s" if c.dtype.kind == "U" else cli.FLOAT_FMT for c in columns) + "\n"
+    return "".join([line % row for row in zip(*(c.tolist() for c in columns))]).encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=k, max_size=k),
+    min_size=1, max_size=30,
+)))
+def test_csv_kernel_matches_percent_format(rows):
+    columns = [np.array(c, dtype=float) for c in zip(*rows)]
+    assert cli._format_rows(columns) == percent_rows(columns)
+
+
+def test_csv_kernel_edge_values():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    boundaries = np.array([1e-4, 1e-5, 1e16, 1e17, 9.9999999999999995e-5, 1.2345e-5, 0.00012345,
+                           1.2345678901234567e16, 12345678901234567.0, 99999999999999999.0])
+    floats = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max],
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens,
+        boundaries, np.nextafter(boundaries, 0), np.nextafter(boundaries, np.inf),
+        2.0 ** -np.arange(1, 80), np.arange(1, 200) * 2.0**-25,  # exact 17-digit ties among them
+    ])
+    assert cli._format_rows([floats]) == percent_rows([floats])
+    assert cli._format_rows([np.array([2.0**-25])]) == b"2.9802322387695312e-08\n"
+    ints = np.arange(2**53 - 3, 2**53 + 4)
+    for column in (ints, -ints, np.array([2**63 - 1, -(2**63)]), np.array([2**64 - 1, 2**63 + 1], np.uint64),
+                   np.array([2**64 + 1, 10**20, -(2**70), 3], dtype=object), np.array([True, False])):
+        assert cli._format_rows([column]) == percent_rows([column]), column
+    names = np.array(["", "a", "x,y", "long name " * 5])
+    mixed = [names, floats[:4], np.arange(4), names, floats[4:8]]
+    assert cli._format_rows(mixed) == percent_rows(mixed)
+
+
+def test_csv_kernel_pulse_tables(tmp_path):
+    """Every table of the default (200 001-point) write pulse, against the
+    per-row formatter."""
+    tables, _ = cli._scenario_pulse({"kind": "pulse"})
+    assert len(tables["mode.csv"]["t"]) == 200001
+    for name, table in tables.items():
+        digest = cli.write_csv(tmp_path / name, list(table), list(table.values()))
+        body = (tmp_path / name).read_bytes()
+        assert body == (",".join(table) + "\n").encode() + percent_rows(list(table.values())), name
+        assert digest == hashlib.sha256(body).hexdigest()
+
+
+def test_csv_str_cells_reject_nul_and_non_ascii(tmp_path):
+    with pytest.raises(ValueError, match="NUL"):
+        cli.write_csv(tmp_path / "nul.csv", ["s"], [["a\0b"]])
+    with pytest.raises(UnicodeEncodeError):
+        cli.write_csv(tmp_path / "utf.csv", ["s"], [["\u00e9"]])
 
 
 # out_mode.csv spans the schedule's support at dt = 1e-3/gamma0: 22, 20 and 1
