@@ -53,7 +53,7 @@ from .memory import (
 )
 from .noise import CoherenceSeries, NoiseParams, evolve_closed_form, fit_T1, fit_Tphi
 from .rates import heralding_probability, k_from_rates, success_probability
-from .tomo import MLE_MAX_DIM, MLE_MIN_FRAMES, mle_reconstruct, sample_homodyne
+from .tomo import MLE_MAX_DIM, MLE_MIN_FRAMES, likelihood_gap, log_likelihood, mle_reconstruct, sample_homodyne
 from .wigner import WignerGrid, marginal, negative_region_count, wigner_grid
 
 FLOAT_FMT = "%.17g"
@@ -389,6 +389,7 @@ _PROTOCOL = (lambda v: v in ("cat", "gkp"), "'cat' or 'gkp'")
 _PARITY = (lambda v: _is_int(v) and v in (-1, 1), "-1 or 1")
 _ALPHA = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
 _LIFETIME = (lambda v: (_is_number(v) or v == math.inf) and v > 0, "a positive number or Infinity")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a finite number > 0")
 _STATE_CHECKS = {
     "dim": _integer(2),
     "n": _integer(0),
@@ -399,6 +400,16 @@ _STATE_CHECKS = {
     "steps": _integer(1),
 }
 _KIND_CHECKS = {
+    "pulse": {
+        "wavepacket": (lambda v: v in ("exp_rising", "exp_decaying", "time_bin"),
+                       "'exp_rising', 'exp_decaying' or 'time_bin'"),
+        "gamma0": _POSITIVE,
+        "t0": (lambda v: v is None or (_is_number(v) and v > 0), "null or a finite number > 0"),
+        "Tf": (lambda v: v is None or (_is_number(v) and 0 < v < 1), "null or a number in (0, 1)"),
+        "span": _POSITIVE,
+        "points": _integer(3),  # a TemporalMode needs 3 samples
+        "dt_factor": _POSITIVE,
+    },
     "store": {
         "T1": _LIFETIME,
         "Tphi": _LIFETIME,
@@ -422,8 +433,13 @@ _KIND_CHECKS = {
         "seed": _integer(0),
         "phases_deg": _numbers(1),
     },
-    "rates": {"sources": (lambda v: isinstance(v, list) and all(map(_is_source, v)),
-                          "a list of objects with numeric r0, delta and r_bs")},
+    "rates": {
+        "sources": (lambda v: isinstance(v, list) and all(map(_is_source, v)),
+                    "a list of objects with numeric r0, delta and r_bs"),
+        "k_list": _numbers(1, lambda k: _is_number(k) and k >= 0, "finite numbers >= 0"),
+        "p1": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+        "n_max": _integer(1, 64),  # as rates.scaling_curve
+    },
 }
 
 
@@ -551,6 +567,8 @@ def _scenario_tomo(config: dict) -> tuple[dict, dict]:
         "rho.csv": {"n": n, "m": m, "re": rho.rho.real.ravel(), "im": rho.rho.imag.ravel()},
     }
     res = {"fidelity": fidelity(state, rho)} if state.dim == dim else {}
+    res["log_likelihood"] = log_likelihood(data, rho)
+    res["likelihood_gap"] = likelihood_gap(data, rho)
     return tables, res
 
 

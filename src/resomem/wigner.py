@@ -102,11 +102,14 @@ def negative_region_count(grid: WignerGrid, threshold: float = NEGATIVE_REGION_T
     return int(n)
 
 
-def marginal(state, theta: float, grid: np.ndarray) -> np.ndarray:
+def marginal(state, theta: float, grid: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
     """Probability density of the x_theta quadrature, <x_theta|rho|x_theta>
-    (`gates.quadrature_density`: rho rotated by theta, real Hermite functions)."""
+    (`gates.quadrature_density`: rho rotated by theta, real Hermite functions).
+    `psi`, if given, is `hermite_functions(grid, dim)`, shared across phases."""
     rho = as_density_matrix(state)
-    return quadrature_density(rho.rho, theta, hermite_functions(grid, rho.dim))
+    if psi is None:
+        psi = hermite_functions(grid, rho.dim)
+    return quadrature_density(rho.rho, theta, psi)
 
 
 def count_peaks(density: np.ndarray, prominence: float = 0.05) -> int:

@@ -151,6 +151,37 @@ def test_rates_sources_schema(tmp_path, capsys):
     assert (tmp_path / "ok" / "k_values.csv").read_text().splitlines()[1].startswith("4000,3000000,20,3.75,")
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"kind": "pulse", "points": "x"}, "points"),
+    ({"kind": "pulse", "points": 1}, "points"),
+    ({"kind": "pulse", "wavepacket": "square"}, "wavepacket"),
+    ({"kind": "pulse", "wavepacket": "time_bin", "Tf": 1.0}, "Tf"),
+    ({"kind": "pulse", "gamma0": 0}, "gamma0"),
+    ({"kind": "rates", "k_list": ["a"]}, "k_list"),
+    ({"kind": "rates", "k_list": [-1.0]}, "k_list"),
+    ({"kind": "rates", "p1": "x"}, "p1"),
+    ({"kind": "rates", "p1": 1.5}, "p1"),
+    ({"kind": "rates", "n_max": -1}, "n_max"),
+    ({"kind": "rates", "n_max": 65}, "n_max"),
+])
+def test_pulse_and_rates_keys_checked(tmp_path, capsys, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{config['kind']} {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tomo_manifest_records_certificate(tmp_path):
+    from resomem.tomo import MLE_GAP
+
+    cfg = {"kind": "tomo", "state": {"type": "vacuum", "dim": 8}, "n_frames": 2000, "dim": 8, "seed": 1}
+    res = read_manifest(cli.run_scenario(cfg, tmp_path))["results"]
+    assert res["log_likelihood"] < 0
+    assert res["likelihood_gap"] <= MLE_GAP
+    assert res["fidelity"] > 0.99
+
+
 def test_seed_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "tomo", "state": {"type": "vacuum", "dim": 8}, "n_frames": 2000, "dim": 8, "iterations": 10, "seed": 1}))

@@ -1,10 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
 import resomem as rm
 from resomem.errors import DomainError
-from resomem.memory import MemoryHardware, staircase_overlap_oracle
+from resomem.memory import MemoryHardware, _cumulative_trapezoid, staircase_overlap_oracle
 
 GAMMA0 = 2 * np.pi * 1.5e6
 
@@ -195,3 +198,17 @@ def test_voltage_gamma_roundtrip():
     assert rm.voltage_gamma(hw, v) == pytest.approx(hw.gamma0, rel=1e-9)
     with pytest.raises(DomainError):
         rm.voltage_gamma(hw, 3 * hw.c / hw.L, "inverse")
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1001, 200_001])
+def test_cumulative_trapezoid_bit_equal_to_scipy(n):
+    rng = np.random.default_rng(n)
+    for t in (np.sort(rng.normal(size=n)), np.linspace(-3.0, 1.0, n)):
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+        assert np.array_equal(_cumulative_trapezoid(y, t), cumulative_trapezoid(y, t, initial=0.0))
+
+
+def test_cli_import_skips_scipy_integrate_and_optimize():
+    code = "import sys, resomem.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,11 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 import resomem as rm
-from resomem.errors import DomainError
+from resomem.errors import DomainError, NumericalAccuracyWarning
 from resomem.gates import PROJECTION_GRID_STEP, hermite_functions
-from resomem.tomo import log_likelihood, project_traces
+from resomem.tomo import (
+    MLE_GAP,
+    _binned_projectors,
+    _log_likelihood,
+    _ml_operator,
+    likelihood_gap,
+    log_likelihood,
+    project_traces,
+)
 
 PHASES = np.deg2rad([0.0, 30.0, 60.0, 90.0, 120.0, 150.0])
 
@@ -70,30 +80,76 @@ def test_mle_bred_gkp_state():
     assert rm.fidelity(st, rho) >= 0.98
 
 
-def complex_em(data, dim, iterations, step=PROJECTION_GRID_STEP):
-    """RrhoR iterations on the concatenated complex eigenbras of the bins."""
+def complex_bins(data, dim, step=PROJECTION_GRID_STEP):
+    """The concatenated complex eigenbras of the occupied bins, and their counts."""
     bras, counts = [], []
     for theta in data.phase_set:
         idx = np.round(data.xs[data.thetas == theta] / step).astype(np.int64)
         uniq, cnt = np.unique(idx, return_counts=True)
         bras.append(rm.quadrature_eigenbra(uniq * step, theta, dim))
         counts.append(cnt.astype(float))
-    B, counts = np.concatenate(bras, axis=1), np.concatenate(counts)
-    rho = np.eye(dim, dtype=complex) / dim
+    return np.concatenate(bras, axis=1), np.concatenate(counts)
+
+
+def complex_evaluate(B, counts, rho):
+    """Log-likelihood and R = sum_v c_v |x_v><x_v| / pr_v from the eigenbras."""
+    pr = np.maximum(np.einsum("iv,iv->v", B, rho @ B.conj()).real, 1e-300)
+    return float(np.sum(counts * np.log(pr))), (B.conj() * (counts / pr)) @ B.T
+
+
+def complex_em(B, counts, iterations):
+    """RrhoR iterations from I/dim; the log-likelihood of every iterate."""
+    rho = np.eye(B.shape[0], dtype=complex) / B.shape[0]
+    lls = []
     for _ in range(iterations):
-        pr = np.maximum(np.einsum("iv,iv->v", B, rho @ B.conj()).real, 1e-300)
-        R = (B.conj() * (counts / pr)) @ B.T
+        ll, R = complex_evaluate(B, counts, rho)
+        lls.append(ll)
         rho = R @ rho @ R
         rho = (rho + rho.conj().T) / 2
         rho = rho / np.trace(rho).real
-    return rho
+    return np.array(lls)
 
 
 def test_mle_matches_complex_em_oracle():
     st = rm.coherent_state(1 + 0.7j, 20)
     data = rm.sample_homodyne(st, PHASES, 6000, seed=11)
-    rho = rm.mle_reconstruct(data, 20, 30)
-    assert np.max(np.abs(rho.rho - complex_em(data, 20, 30))) < 1e-12
+    rho = rm.mle_reconstruct(data, 20)
+    B, counts = complex_bins(data, 20)
+    bins = _binned_projectors(data, 20, PROJECTION_GRID_STEP)
+    # (a) the loop's log-likelihood and R are the eigenbra evaluation, at a
+    # random complex mixed rho and at the returned rho
+    rng = np.random.default_rng(3)
+    G = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+    for sigma in (G @ G.conj().T / np.trace(G @ G.conj().T).real, rho.rho):
+        ll, prs = _log_likelihood(bins, sigma)
+        ll_ref, R_ref = complex_evaluate(B, counts, sigma)
+        assert abs(ll - ll_ref) <= 1e-12 * abs(ll_ref)
+        assert np.max(np.abs(_ml_operator(bins, prs) - R_ref)) <= 1e-12 * np.max(np.abs(R_ref))
+    # (b) the certificate holds: EM, which reaches L_max here, never climbs
+    # past ll(returned rho) + gap, and gap <= MLE_GAP
+    gain = np.max(complex_em(B, counts, 3000)) - log_likelihood(data, rho)
+    assert gain <= likelihood_gap(data, rho) <= MLE_GAP
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("state", [
+    rm.squeezed_single_photon(rm.cat_squeezing_for_alpha(1.0), 20),
+    rm.cat_state(1.0, -1, 20),
+    rm.fock_basis_state(1, 20),
+], ids=["squeezed", "cat", "fock1"])
+def test_mle_stops_at_certified_optimum(state, seed):
+    data = rm.sample_homodyne(state, PHASES, 20_000, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericalAccuracyWarning)
+        rho = rm.mle_reconstruct(data, 20)
+    assert likelihood_gap(data, rho) <= MLE_GAP
+
+
+def test_mle_warns_when_iterations_run_out():
+    data = rm.sample_homodyne(rm.cat_state(1.0, -1, 20), PHASES, 20_000, seed=1)
+    with pytest.warns(NumericalAccuracyWarning, match="short of its certified optimum"):
+        rho = rm.mle_reconstruct(data, 20, iterations=1)
+    assert likelihood_gap(data, rho) > MLE_GAP
 
 
 def test_mle_rejects_nonpositive_iterations():
