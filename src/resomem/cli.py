@@ -53,7 +53,7 @@ from .memory import (
 )
 from .noise import CoherenceSeries, NoiseParams, evolve_closed_form, fit_T1, fit_Tphi
 from .rates import heralding_probability, k_from_rates, success_probability
-from .tomo import MLE_MAX_DIM, MLE_MIN_FRAMES, likelihood_gap, log_likelihood, mle_reconstruct, sample_homodyne
+from .tomo import MLE_MAX_DIM, MLE_MIN_FRAMES, mle_reconstruct, sample_homodyne
 from .wigner import WignerGrid, marginal, negative_region_count, wigner_grid
 
 FLOAT_FMT = "%.17g"
@@ -567,8 +567,8 @@ def _scenario_tomo(config: dict) -> tuple[dict, dict]:
         "rho.csv": {"n": n, "m": m, "re": rho.rho.real.ravel(), "im": rho.rho.imag.ravel()},
     }
     res = {"fidelity": fidelity(state, rho)} if state.dim == dim else {}
-    res["log_likelihood"] = log_likelihood(data, rho)
-    res["likelihood_gap"] = likelihood_gap(data, rho)
+    res["log_likelihood"] = rho.log_likelihood
+    res["likelihood_gap"] = rho.likelihood_gap
     return tables, res
 
 
@@ -683,14 +683,13 @@ def _fig_wigner_panels(params: dict) -> tuple[dict, dict]:
     dim = int(params.get("dim", 40))
     t2 = float(params.get("t2", 40e-9))
     noise = NoiseParams(float(params.get("T1", 2.3e-6)), float(params.get("Tphi", 0.96e-6)))
+    inp = wigner_grid(cat_state(alpha, -1, dim))  # both protocols breed the same input cat
     tables = {}
     for protocol in ("cat", "gkp"):
-        inp = cat_state(alpha, -1, dim)
-        traj = run_breeding(BreedingPlan(protocol, 1, alpha, -1, dim))
-        bred = traj.states[-1]
-        stored = evolve_closed_form(bred, t2, noise)
-        for tag, state in (("input", inp), ("bred", bred), ("stored", stored)):
-            tables[f"{protocol}_{tag}.csv"] = wigner_grid(state)
+        bred = run_breeding(BreedingPlan(protocol, 1, alpha, -1, dim)).states[-1]
+        tables[f"{protocol}_input.csv"] = inp
+        tables[f"{protocol}_bred.csv"] = wigner_grid(bred)
+        tables[f"{protocol}_stored.csv"] = wigner_grid(evolve_closed_form(bred, t2, noise))
     return tables, {}
 
 

@@ -84,6 +84,15 @@ class TraceMatrix:
         object.__setattr__(self, "data", data)
 
 
+@dataclass(frozen=True)
+class MLEstimate(DensityMatrix):
+    """The rho `mle_reconstruct` returns, with the log-likelihood and the
+    certificate lambda_max(R) - N of its last evaluation."""
+
+    log_likelihood: float
+    likelihood_gap: float
+
+
 def _sampling_grid(step: float = PROJECTION_GRID_STEP) -> np.ndarray:
     npts = int(round(2 * PROJECTION_GRID_BOUND / step)) + 1
     return np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND, npts)
@@ -192,6 +201,7 @@ def mle_reconstruct(
     running out first warns NumericalAccuracyWarning, as does a line search
     that finds no increase. Each step backtracks from t = 1 until the Armijo
     condition holds, so the log-likelihood increases at every accepted step.
+    The result carries that last evaluation's L and certificate (`MLEstimate`).
     """
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
@@ -242,7 +252,7 @@ def mle_reconstruct(
             f"MLE stopped {gap:.3g} nats short of its certified optimum (MLE_GAP = {MLE_GAP})",
             NumericalAccuracyWarning,
         )
-    return DensityMatrix(dim, rho)
+    return MLEstimate(dim, rho, ll, gap)
 
 
 def log_likelihood(data: HomodyneDataset, rho: DensityMatrix, step: float = PROJECTION_GRID_STEP) -> float:

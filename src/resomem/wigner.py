@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError
@@ -42,8 +41,10 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     """Evaluate the Wigner function of `state` on the (xs, ps) grid.
 
     Uses the associated-Laguerre series for the displacement-parity matrix
-    elements, recurrences running over the grid, which is stable to dim ~ 100
-    for |x|, |p| <= 6.
+    elements. The radial part depends on r^2 = |2 beta|^2 alone, so its
+    recurrences run over the distinct radii of the grid and are scattered back
+    to the points (each point sees the same floating-point operations as a
+    per-point recurrence); stable to dim ~ 100 for |x|, |p| <= 6.
     """
     rho = as_density_matrix(state)
     xs = DEFAULT_GRID if xs is None else np.asarray(xs, dtype=float)
@@ -57,6 +58,8 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     B = np.sqrt(2.0) * (X + 1j * P)  # 2 beta
     r2 = (np.abs(B) ** 2).astype(float)
     env = np.exp(-r2 / 2)
+    radii, to_grid = np.unique(r2, return_inverse=True)  # distinct r^2, and each point's index
+    to_grid = to_grid.reshape(r2.shape)  # numpy < 2 returns it flat
     dim = rho.dim
     n_arr = np.arange(dim)
     signs = (-1.0) ** n_arr
@@ -74,18 +77,18 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
         )
         # Laguerre recurrence in n at fixed order d, accumulated on the fly
         Lprev = None
-        Lcur = np.ones_like(r2)  # L_0^{(d)}
+        Lcur = np.ones_like(radii)  # L_0^{(d)}
         acc = coeffs[0] * pref[0] * Lcur.astype(complex)
         for n in range(1, dim - d):
             if n == 1:
-                Lnew = (d + 1) - r2
+                Lnew = (d + 1) - radii
             else:
-                Lnew = ((2 * n + d - 1 - r2) * Lcur - (n + d - 1) * Lprev) / n
+                Lnew = ((2 * n + d - 1 - radii) * Lcur - (n + d - 1) * Lprev) / n
             Lprev, Lcur = Lcur, Lnew
             c = coeffs[n] * pref[n]
             if abs(c) > 1e-18:
                 acc = acc + c * Lcur
-        term = phase * acc
+        term = phase * acc[to_grid]
         W += (2.0 if d else 1.0) * term.real
     return WignerGrid(xs, ps, W / np.pi)
 
@@ -97,8 +100,9 @@ def negativity_volume(grid: WignerGrid) -> float:
 
 def negative_region_count(grid: WignerGrid, threshold: float = NEGATIVE_REGION_THRESHOLD) -> int:
     """Count 4-connected regions where W < threshold."""
-    mask = grid.w < threshold
-    _, n = ndimage.label(mask)
+    from scipy import ndimage  # imported here: it adds ~0.08 s to `import resomem.cli`
+
+    _, n = ndimage.label(grid.w < threshold)
     return int(n)
 
 

@@ -212,3 +212,10 @@ def test_cli_import_skips_scipy_integrate_and_optimize():
     code = "import sys, resomem.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_skips_scipy_ndimage():
+    # wigner.negative_region_count imports scipy.ndimage when it is called
+    code = "import sys, resomem.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -152,6 +152,16 @@ def test_mle_warns_when_iterations_run_out():
     assert likelihood_gap(data, rho) > MLE_GAP
 
 
+@pytest.mark.parametrize("iterations", [1, 300])
+def test_mle_estimate_carries_its_last_evaluation(iterations):
+    data = rm.sample_homodyne(rm.cat_state(0.8, -1, 16), PHASES, 5000, seed=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericalAccuracyWarning)
+        rho = rm.mle_reconstruct(data, 16, iterations)
+    assert rho.log_likelihood == log_likelihood(data, rho)
+    assert rho.likelihood_gap == likelihood_gap(data, rho)
+
+
 def test_mle_rejects_nonpositive_iterations():
     data = rm.sample_homodyne(rm.vacuum(10), PHASES, 2000, seed=7)
     for iterations in (0, -5):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import resomem as rm
 from resomem.errors import DimensionError
+from resomem.fock import as_density_matrix
+from resomem.wigner import DEFAULT_GRID
 
 
 def analytic_odd_cat_wigner(alpha, x, p):
@@ -104,3 +107,71 @@ def test_mixed_state_grid():
     g = rm.wigner_grid(rho)
     assert g.integral() == pytest.approx(1.0, abs=1e-3)
     assert np.max(np.abs(g.w.imag if np.iscomplexobj(g.w) else 0)) == 0
+
+
+def per_point_wigner(rho, xs, ps):
+    """The associated-Laguerre kernel run over every grid point, as
+    `wigner_grid` ran before it worked on the distinct radii only."""
+    X, P = np.meshgrid(xs, ps)
+    B = np.sqrt(2.0) * (X + 1j * P)
+    r2 = (np.abs(B) ** 2).astype(float)
+    env = np.exp(-r2 / 2)
+    dim = rho.shape[0]
+    signs = (-1.0) ** np.arange(dim)
+    W = np.zeros_like(r2)
+    for d in range(dim):
+        coeffs = rho[np.arange(dim - d), np.arange(d, dim)] * signs[: dim - d]
+        if not np.any(np.abs(coeffs) > 1e-16):
+            continue
+        phase = env * B**d if d else env
+        pref = np.exp(0.5 * (gammaln(np.arange(dim - d) + 1) - gammaln(np.arange(dim - d) + d + 1)))
+        Lprev = None
+        Lcur = np.ones_like(r2)
+        acc = coeffs[0] * pref[0] * Lcur.astype(complex)
+        for n in range(1, dim - d):
+            if n == 1:
+                Lnew = (d + 1) - r2
+            else:
+                Lnew = ((2 * n + d - 1 - r2) * Lcur - (n + d - 1) * Lprev) / n
+            Lprev, Lcur = Lcur, Lnew
+            c = coeffs[n] * pref[n]
+            if abs(c) > 1e-18:
+                acc = acc + c * Lcur
+        W += (2.0 if d else 1.0) * (phase * acc).real
+    return W / np.pi
+
+
+@pytest.fixture(scope="module")
+def kernel_states():
+    rng = np.random.default_rng(11)
+    G = np.zeros((30, 3), dtype=complex)  # rank 3, support on n < 7 so the default grid covers it
+    G[:7] = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    mixed = rm.DensityMatrix(30, G @ G.conj().T / np.sum(np.abs(G) ** 2))
+    bred = rm.run_breeding(rm.BreedingPlan("gkp", 1, 1.0, -1, 40)).states[-1]
+    stored = rm.evolve_closed_form(bred, 40e-9, rm.NoiseParams(2.3e-6, 0.96e-6))
+    return {"coherent": rm.coherent_state(0.8 + 0.5j, 30), "mixed": mixed, "bred_gkp": bred, "stored_gkp": stored}
+
+
+def kernel_grids():
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.uniform(-6, 6, 30), [1.5, 1.5, -1.5, 0.0, 6.0]])  # repeats and +-x pairs
+    ps = np.concatenate([np.geomspace(0.01, 6, 20), -np.geomspace(0.01, 6, 20)[::3], [1.5, 0.0, 0.0]])
+    rng.shuffle(xs)
+    rng.shuffle(ps)
+    return {
+        "default": (DEFAULT_GRID, DEFAULT_GRID),
+        "unsorted": (xs, ps),
+        "one_x": (np.array([0.3]), ps),
+        "one_p": (xs, np.array([-5.9])),
+    }
+
+
+@pytest.mark.parametrize("name", ["coherent", "mixed", "bred_gkp", "stored_gkp"])
+def test_distinct_radii_kernel_bit_equal_to_per_point(kernel_states, name):
+    state = kernel_states[name]
+    rho = as_density_matrix(state).rho
+    odd_diagonals = any(np.abs(np.diag(rho, d)).max() > 1e-3 for d in (1, 3))
+    assert odd_diagonals == (name in ("coherent", "mixed"))  # the GKP states have even ones only
+    for xs, ps in kernel_grids().values():
+        g = rm.wigner_grid(state, xs, ps)
+        assert np.array_equal(g.w, per_point_wigner(rho, xs, ps))
