@@ -44,7 +44,9 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     elements. The radial part depends on r^2 = |2 beta|^2 alone, so its
     recurrences run over the distinct radii of the grid and are scattered back
     to the points (each point sees the same floating-point operations as a
-    per-point recurrence); stable to dim ~ 100 for |x|, |p| <= 6.
+    per-point recurrence); stable to dim ~ 100 for |x|, |p| <= 6. Each term
+    is rho[n, n+d] times a matrix element of the unitary D(2 beta) Pi, of
+    modulus <= 1, so terms with |rho[n, n+d]| <= 1e-18 are skipped.
     """
     rho = as_density_matrix(state)
     xs = DEFAULT_GRID if xs is None else np.asarray(xs, dtype=float)
@@ -85,9 +87,8 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
             else:
                 Lnew = ((2 * n + d - 1 - radii) * Lcur - (n + d - 1) * Lprev) / n
             Lprev, Lcur = Lcur, Lnew
-            c = coeffs[n] * pref[n]
-            if abs(c) > 1e-18:
-                acc = acc + c * Lcur
+            if abs(coeffs[n]) > 1e-18:  # a skipped term moves W by <= 2e-18 / pi
+                acc = acc + coeffs[n] * pref[n] * Lcur
         term = phase * acc[to_grid]
         W += (2.0 if d else 1.0) * term.real
     return WignerGrid(xs, ps, W / np.pi)
