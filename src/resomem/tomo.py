@@ -201,7 +201,6 @@ def mle_reconstruct(
     running out first warns NumericalAccuracyWarning, as does a line search
     that finds no increase. Each step backtracks from t = 1 until the Armijo
     condition holds, so the log-likelihood increases at every accepted step.
-    The result carries that last evaluation's L and certificate (`MLEstimate`).
     """
     if iterations < 1:
         raise DomainError("iterations must be >= 1")

@@ -44,9 +44,7 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     elements. The radial part depends on r^2 = |2 beta|^2 alone, so its
     recurrences run over the distinct radii of the grid and are scattered back
     to the points (each point sees the same floating-point operations as a
-    per-point recurrence); stable to dim ~ 100 for |x|, |p| <= 6. Each term
-    is rho[n, n+d] times a matrix element of the unitary D(2 beta) Pi, of
-    modulus <= 1, so terms with |rho[n, n+d]| <= 1e-18 are skipped.
+    per-point recurrence); stable to dim ~ 100 for |x|, |p| <= 6.
     """
     rho = as_density_matrix(state)
     xs = DEFAULT_GRID if xs is None else np.asarray(xs, dtype=float)
@@ -61,7 +59,6 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     r2 = (np.abs(B) ** 2).astype(float)
     env = np.exp(-r2 / 2)
     radii, to_grid = np.unique(r2, return_inverse=True)  # distinct r^2, and each point's index
-    to_grid = to_grid.reshape(r2.shape)  # numpy < 2 returns it flat
     dim = rho.dim
     n_arr = np.arange(dim)
     signs = (-1.0) ** n_arr
@@ -87,9 +84,10 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
             else:
                 Lnew = ((2 * n + d - 1 - radii) * Lcur - (n + d - 1) * Lprev) / n
             Lprev, Lcur = Lcur, Lnew
-            if abs(coeffs[n]) > 1e-18:  # a skipped term moves W by <= 2e-18 / pi
+            # rho[n, n+d] times an element of the unitary D(2 beta) Pi: skipping moves W <= 2e-18 / pi
+            if abs(coeffs[n]) > 1e-18:
                 acc = acc + coeffs[n] * pref[n] * Lcur
-        term = phase * acc[to_grid]
+        term = phase * acc[to_grid].reshape(r2.shape)  # numpy < 2 returns to_grid flat
         W += (2.0 if d else 1.0) * term.real
     return WignerGrid(xs, ps, W / np.pi)
 
