@@ -33,6 +33,7 @@ from .breeding import BreedingPlan, run_breeding, theoretical_bred_state
 from .errors import ResomemError
 from .fock import (
     DEFAULT_DIM,
+    as_density_matrix,
     cat_state,
     cat_squeezing_for_alpha,
     fidelity,
@@ -53,8 +54,8 @@ from .memory import (
 )
 from .noise import CoherenceSeries, NoiseParams, evolve_closed_form, fit_T1, fit_Tphi
 from .rates import heralding_probability, k_from_rates, success_probability
-from .tomo import MLE_MAX_DIM, MLE_MIN_FRAMES, mle_reconstruct, sample_homodyne
-from .wigner import WignerGrid, marginal, negative_region_count, wigner_grid
+from .tomo import DEFAULT_PHASES_DEG, MLE_MAX_DIM, MLE_MIN_FRAMES, mle_reconstruct, sample_homodyne
+from .wigner import DEFAULT_GRID, WignerGrid, marginal, negative_region_count, wigner_grid
 
 FLOAT_FMT = "%.17g"
 # rows formatted and written per file write; bounds the memory a long table
@@ -297,63 +298,15 @@ def _write_outputs(outdir: Path, config: dict, tables: dict, results: dict) -> P
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema: one table per scenario kind (_SCENARIOS), state type and
+# figure (_FIGURES) maps each key it reads to (rule, default), where a rule is
+# (test, what the value must be) and a JSON null takes the default. Two more
+# items (key, values) allow the key only where that earlier key resolved to
+# one of the values. A _STATE value is resolved by the table its "type" names.
+# The library keeps its own guards (exit 3) for limits that couple keys.
 
-_SCENARIO_KEYS = {
-    "pulse": {"kind", "wavepacket", "gamma0", "t0", "Tf", "span", "points", "dt_factor", "seed"},
-    "store": {"kind", "T1", "Tphi", "times", "state", "seed"},
-    "breed": {"kind", "protocol", "steps", "alpha", "s", "dim", "window", "seed"},
-    "wigner": {"kind", "state", "xs", "ps", "seed"},
-    "tomo": {"kind", "state", "phases_deg", "n_frames", "dim", "iterations", "seed"},
-    "rates": {"kind", "sources", "k_list", "p1", "n_max", "seed"},
-    "validate": {"kind", "seed"},
-}
-
-_STATE_KEYS = {
-    "vacuum": {"type", "dim"},
-    "fock": {"type", "n", "dim"},
-    "cat": {"type", "alpha", "s", "dim"},
-    "squeezed_single_photon": {"type", "r", "alpha", "dim"},
-    "bred": {"type", "protocol", "steps", "alpha", "s", "dim"},
-}
-
-# keys a state type needs: one key of each group
-_STATE_REQUIRED = {
-    "fock": [("n",)],
-    "cat": [("alpha",)],
-    "squeezed_single_photon": [("r", "alpha")],
-    "bred": [("protocol",), ("steps",), ("alpha",)],
-}
-
-
-def validate_config(config: dict) -> dict:
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    kind = config.get("kind")
-    if kind not in _SCENARIO_KEYS:
-        raise ConfigError(f"unknown scenario kind {kind!r}; expected one of {sorted(_SCENARIO_KEYS)}")
-    unknown = set(config) - _SCENARIO_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"unknown keys for scenario {kind!r}: {sorted(unknown)}")
-    if "state" in config:
-        state = config["state"]
-        if not isinstance(state, dict) or state.get("type") not in _STATE_KEYS:
-            raise ConfigError(f"state must declare a type in {sorted(_STATE_KEYS)}")
-        bad = set(state) - _STATE_KEYS[state["type"]]
-        if bad:
-            raise ConfigError(f"unknown state keys: {sorted(bad)}")
-        for group in _STATE_REQUIRED.get(state["type"], []):
-            if not any(key in state for key in group):
-                raise ConfigError(f"a {state['type']} state needs {' or '.join(group)}")
-        _check_keys(f"{state['type']} state", state, _STATE_CHECKS)
-    _check_keys(kind, config, _KIND_CHECKS.get(kind, {}))
-    return config
-
-
-def _check_keys(where: str, spec: dict, rules: dict) -> None:
-    for key, (ok, what) in rules.items():
-        if key in spec and not ok(spec[key]):
-            raise ConfigError(f"{where} {key} must be {what}, got {spec[key]!r}")
+class _Required(tuple):
+    """A default that is no value: the key, or one of the keys this holds, must be given."""
 
 
 def _is_number(value) -> bool:
@@ -383,124 +336,138 @@ def _is_source(src) -> bool:
     return isinstance(src, dict) and all(_is_number(src.get(key)) for key in ("r0", "delta", "r_bs"))
 
 
-# (test, what the value must be) for each key a scenario or state reads; the
-# library keeps its own guards (exit 3) for limits that depend on several keys
+def _is_axis(v) -> bool:
+    """At least two finite numbers, strictly increasing and evenly spaced to
+    1e-9 relative, as a TemporalMode's time grid."""
+    if not _numbers(2)[0](v):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.diff(np.asarray(v, dtype=float))
+        return bool(np.isfinite(step).all() and step[0] > 0 and np.allclose(step, step[0], rtol=1e-9, atol=0))
+
+
+_STATE = (lambda v: isinstance(v, dict), "an object")
 _PROTOCOL = (lambda v: v in ("cat", "gkp"), "'cat' or 'gkp'")
 _PARITY = (lambda v: _is_int(v) and v in (-1, 1), "-1 or 1")
-_ALPHA = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
-_LIFETIME = (lambda v: (_is_number(v) or v == math.inf) and v > 0, "a positive number or Infinity")
+_NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a finite number > 0")
-_STATE_CHECKS = {
-    "dim": _integer(2),
-    "n": _integer(0),
-    "alpha": _ALPHA,
-    "s": _PARITY,
-    "r": (_is_number, "a finite number"),
-    "protocol": _PROTOCOL,
-    "steps": _integer(1),
-}
-_KIND_CHECKS = {
-    "pulse": {
-        "wavepacket": (lambda v: v in ("exp_rising", "exp_decaying", "time_bin"),
-                       "'exp_rising', 'exp_decaying' or 'time_bin'"),
-        "gamma0": _POSITIVE,
-        "t0": (lambda v: v is None or (_is_number(v) and v > 0), "null or a finite number > 0"),
-        "Tf": (lambda v: v is None or (_is_number(v) and 0 < v < 1), "null or a number in (0, 1)"),
-        "span": _POSITIVE,
-        "points": _integer(3),  # a TemporalMode needs 3 samples
-        "dt_factor": _POSITIVE,
+_LIFETIME = (lambda v: (_is_number(v) or v == math.inf) and v > 0, "a positive number or Infinity")
+_AXIS = (_is_axis, "a list of >= 2 finite numbers, increasing and evenly spaced")
+_DIM = (_integer(2), DEFAULT_DIM)
+_NOISE = {"T1": (_LIFETIME, 2.3e-6), "Tphi": (_LIFETIME, 0.96e-6)}  # defaults: the paper's memory, s
+
+_STATES = {
+    "vacuum": {"dim": _DIM},
+    "fock": {"n": (_integer(0), _Required()), "dim": _DIM},
+    "cat": {"alpha": (_NONNEGATIVE, _Required()), "s": (_PARITY, -1), "dim": _DIM},
+    "squeezed_single_photon": {
+        "r": ((_is_number, "a finite number"), _Required(("alpha",))),
+        "alpha": (_NONNEGATIVE, None),
+        "dim": _DIM,
     },
-    "store": {
-        "T1": _LIFETIME,
-        "Tphi": _LIFETIME,
-        "times": _numbers(1, lambda t: _is_number(t) and t >= 0, "finite numbers >= 0"),
-    },
-    "breed": {
-        "protocol": _PROTOCOL,
-        "steps": _integer(1),
-        "alpha": _ALPHA,
-        "s": _PARITY,
-        "dim": _integer(2),
-        "window": (lambda v: v is None or (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
-                                           and v[0] < v[1]),
-                   "null or a list [lo, hi] of finite numbers with lo < hi"),
-    },
-    "wigner": {"xs": _numbers(2), "ps": _numbers(2)},
-    "tomo": {
-        "n_frames": _integer(MLE_MIN_FRAMES),
-        "dim": _integer(2, MLE_MAX_DIM),
-        "iterations": _integer(1),
-        "seed": _integer(0),
-        "phases_deg": _numbers(1),
-    },
-    "rates": {
-        "sources": (lambda v: isinstance(v, list) and all(map(_is_source, v)),
-                    "a list of objects with numeric r0, delta and r_bs"),
-        "k_list": _numbers(1, lambda k: _is_number(k) and k >= 0, "finite numbers >= 0"),
-        "p1": (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
-        "n_max": _integer(1, 64),  # as rates.scaling_curve
+    "bred": {
+        "protocol": (_PROTOCOL, _Required()),
+        "steps": (_integer(1), _Required()),
+        "alpha": (_NONNEGATIVE, _Required()),
+        "s": (_PARITY, -1),
+        "dim": _DIM,
     },
 }
+
+
+def _resolve(where: str, spec: dict, table: dict) -> dict:
+    """Check `spec` against `table`; returns each key of the table, as given
+    or defaulted."""
+    unknown = set(spec) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown keys for {where}: {sorted(unknown)}; it reads {sorted(table)}")
+    settings = {}
+    for key, (rule, default, *only) in table.items():
+        if key in spec:
+            value = spec[key]
+            if not rule[0](value):
+                raise ConfigError(f"{where} {key} must be {rule[1]}, got {value!r}")
+            if only and settings[only[0]] not in only[1]:
+                raise ConfigError(f"{where} {key} is read only where {only[0]} is "
+                                  f"{' or '.join(map(repr, only[1]))}, not {settings[only[0]]!r}")
+            if value is None:
+                value = default
+        elif isinstance(default, _Required):
+            if not any(other in spec for other in default):
+                raise ConfigError(f"{where} needs {' or '.join((key, *default))}")
+            value = None
+        else:
+            value = default
+        settings[key] = _resolve_state(value) if rule is _STATE else value
+    return settings
+
+
+def _resolve_state(spec: dict) -> dict:
+    t = spec.get("type")
+    if not isinstance(t, str) or t not in _STATES:
+        raise ConfigError(f"state must be an object with a type in {sorted(_STATES)}")
+    rest = {k: v for k, v in spec.items() if k != "type"}
+    return {"type": t, **_resolve(f"{t} state", rest, _STATES[t])}
+
+
+def validate_config(config) -> dict:
+    """Check a scenario config against its kind's table; returns the settings
+    its scenario reads: kind, then each key of the table, as given or defaulted."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    kind = config.get("kind")
+    if not isinstance(kind, str) or kind not in _SCENARIOS:
+        raise ConfigError(f"unknown scenario kind {kind!r}; expected one of {sorted(_SCENARIOS)}")
+    rest = {k: v for k, v in config.items() if k != "kind"}
+    return {"kind": kind, **_resolve(kind, rest, _SCENARIOS[kind][1])}
 
 
 def build_state(spec: dict):
-    dim = int(spec.get("dim", DEFAULT_DIM))
-    t = spec["type"]
+    """The state of a resolved state spec (see _resolve_state)."""
+    t, dim = spec["type"], spec["dim"]
     if t == "vacuum":
         return vacuum(dim)
     if t == "fock":
-        return fock_basis_state(int(spec["n"]), dim)
+        return fock_basis_state(spec["n"], dim)
     if t == "cat":
-        return cat_state(float(spec["alpha"]), int(spec.get("s", -1)), dim)
+        return cat_state(float(spec["alpha"]), spec["s"], dim)
     if t == "squeezed_single_photon":
-        r = float(spec["r"]) if "r" in spec else cat_squeezing_for_alpha(float(spec["alpha"]))
+        r = cat_squeezing_for_alpha(float(spec["alpha"])) if spec["r"] is None else float(spec["r"])
         return squeezed_single_photon(r, dim)
-    if t == "bred":
-        plan = BreedingPlan(
-            spec["protocol"], int(spec["steps"]), float(spec["alpha"]), int(spec.get("s", -1)), dim
-        )
-        return run_breeding(plan).states[-1]
-    raise ConfigError(f"unknown state type {t!r}")
+    plan = BreedingPlan(spec["protocol"], spec["steps"], float(spec["alpha"]), spec["s"], dim)
+    return run_breeding(plan).states[-1]
 
 
 # ---------------------------------------------------------------------------
 # scenarios
 
-def _scenario_pulse(config: dict) -> tuple[dict, dict]:
-    gamma0 = float(config.get("gamma0", MemoryHardware().gamma0))
-    wp = config.get("wavepacket", "exp_rising")
-    span = float(config.get("span", 20.0)) / gamma0
-    points = int(config.get("points", 200001))
-    t0 = config.get("t0")
-    t0 = float(t0) / gamma0 if t0 is not None else None
+def _scenario_pulse(c: dict) -> tuple[dict, dict]:
+    gamma0 = float(c["gamma0"])
+    wp = c["wavepacket"]
+    span = float(c["span"]) / gamma0
+    t0 = float(c["t0"]) / gamma0
     if wp == "exp_rising":
-        grid = np.linspace(-span, 2.0 / gamma0, points)
+        grid = np.linspace(-span, 2.0 / gamma0, c["points"])
     elif wp == "time_bin":
-        if t0 is None:
-            t0 = 1.0 / gamma0
-        grid = np.linspace(0.0, t0, points)
+        grid = np.linspace(0.0, t0, c["points"])
     else:
-        grid = np.linspace(0.0, span, points)
+        grid = np.linspace(0.0, span, c["points"])
     mode = standard_wavepacket(wp, gamma0, grid, t0=t0)
-    Tf = config.get("Tf")
+    Tf = c["Tf"]
     if wp == "exp_rising":
         sched = write_pulse(mode)
-        Tf_target = 0.0
     elif Tf is not None:
         sched = entangle_pulse(mode, float(Tf))
-        Tf_target = float(Tf)
     else:
         sched = read_pulse(mode)
-        Tf_target = 0.0
     tables = {
         "mode.csv": {"t": mode.t, "g": mode.g},
         "schedule.csv": {"t": sched.t, "gamma": sched.gamma},
     }
-    dt = float(config.get("dt_factor", 1e-3)) / gamma0
-    net = simulate_network(sched, dt)
+    net = simulate_network(sched, float(c["dt_factor"]) / gamma0)
     results = {
         "effective_Tf": net.effective_Tf,
-        "target_Tf": Tf_target,
+        "target_Tf": 0.0 if Tf is None else float(Tf),
         "in_overlap": net.in_overlap,
         "out_overlap": net.out_overlap,
     }
@@ -509,11 +476,10 @@ def _scenario_pulse(config: dict) -> tuple[dict, dict]:
     return tables, results
 
 
-def _scenario_store(config: dict) -> tuple[dict, dict]:
-    params = NoiseParams(float(config.get("T1", 2.3e-6)), float(config.get("Tphi", 0.96e-6)))
-    times = np.asarray(config.get("times", [0, 0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6]), dtype=float)
-    state = build_state(config.get("state", {"type": "fock", "n": 1, "dim": 20}))
-    rho0 = state.to_density_matrix() if hasattr(state, "amp") else state
+def _scenario_store(c: dict) -> tuple[dict, dict]:
+    params = NoiseParams(float(c["T1"]), float(c["Tphi"]))
+    times = np.asarray(c["times"], dtype=float)
+    rho0 = as_density_matrix(build_state(c["state"]))
     rhos = [evolve_closed_form(rho0, float(t), params) for t in times]
     table = {
         "t": times,
@@ -523,16 +489,9 @@ def _scenario_store(config: dict) -> tuple[dict, dict]:
     return {"storage_fidelity.csv": table}, {"T1": params.T1, "Tphi": params.Tphi}
 
 
-def _scenario_breed(config: dict) -> tuple[dict, dict]:
-    window = config.get("window")
-    plan = BreedingPlan(
-        config.get("protocol", "cat"),
-        int(config.get("steps", 1)),
-        float(config.get("alpha", 1.0)),
-        int(config.get("s", -1)),
-        int(config.get("dim", DEFAULT_DIM)),
-        tuple(window) if window is not None else None,
-    )
+def _scenario_breed(c: dict) -> tuple[dict, dict]:
+    window = tuple(c["window"]) if c["window"] is not None else None
+    plan = BreedingPlan(c["protocol"], c["steps"], float(c["alpha"]), c["s"], c["dim"], window)
     traj = run_breeding(plan)
     table = {"step": list(range(len(traj.states))), "success_density": [1.0, *traj.success_densities]}
     for key in ("parity", "mean_photon", "stab_x", "stab_p"):
@@ -544,23 +503,18 @@ def _scenario_breed(config: dict) -> tuple[dict, dict]:
     return {"breeding.csv": table}, {"final_fidelity": table["fidelity_vs_theory"][-1]}
 
 
-def _scenario_wigner(config: dict) -> tuple[dict, dict]:
-    state = build_state(config.get("state", {"type": "cat", "alpha": 1.0, "s": -1, "dim": 40}))
-    xs = np.asarray(config["xs"], dtype=float) if "xs" in config else None
-    ps = np.asarray(config["ps"], dtype=float) if "ps" in config else None
-    grid = wigner_grid(state, xs, ps)
+def _scenario_wigner(c: dict) -> tuple[dict, dict]:
+    grid = wigner_grid(build_state(c["state"]), c["xs"], c["ps"])
     results = {"negative_regions": negative_region_count(grid), "integral": grid.integral()}
     return {"wigner.csv": grid}, results
 
 
-def _scenario_tomo(config: dict) -> tuple[dict, dict]:
-    state = build_state(config.get("state", {"type": "vacuum", "dim": 20}))
-    phases = np.deg2rad(np.asarray(config.get("phases_deg", [0, 30, 60, 90, 120, 150]), float))
-    n_frames = int(config.get("n_frames", 20000))
-    dim = int(config.get("dim", 20))
-    seed = int(config.get("seed", 0))
-    data = sample_homodyne(state, phases, n_frames, seed)
-    rho = mle_reconstruct(data, dim, int(config.get("iterations", 300)))
+def _scenario_tomo(c: dict) -> tuple[dict, dict]:
+    state = build_state(c["state"])
+    phases = np.deg2rad(np.asarray(c["phases_deg"], float))
+    dim = c["dim"]
+    data = sample_homodyne(state, phases, c["n_frames"], c["seed"])
+    rho = mle_reconstruct(data, dim, c["iterations"])
     n, m = np.divmod(np.arange(dim * dim), dim)
     tables = {
         "samples.csv": {"theta_deg": np.rad2deg(data.thetas), "x": data.xs},
@@ -572,22 +526,16 @@ def _scenario_tomo(config: dict) -> tuple[dict, dict]:
     return tables, res
 
 
-def _scenario_rates(config: dict) -> tuple[dict, dict]:
-    sources = config.get(
-        "sources",
-        [
-            {"r0": 2e5, "delta": 1.2e8, "r_bs": 10.0},
-            {"r0": 4e3, "delta": 3e6, "r_bs": 20.0},
-        ],
-    )
+def _scenario_rates(c: dict) -> tuple[dict, dict]:
+    sources = c["sources"]
     k_values = {key: [src[key] for src in sources] for key in ("r0", "delta", "r_bs")}
     k_values["k_match"] = [
         k_from_rates(float(src["r0"]), float(src["delta"]), float(src["r_bs"])) for src in sources
     ]
     k_values["p1"] = [heralding_probability(float(src["r0"]), float(src["delta"])) for src in sources]
-    k_list = [float(k) for k in config.get("k_list", [0.03, 1.0, 3.8, 10.0, 100.0])]
-    p1 = float(config.get("p1", 0.25))
-    ns = range(1, int(config.get("n_max", 20)) + 1)
+    k_list = [float(k) for k in c["k_list"]]
+    p1 = float(c["p1"])
+    ns = range(1, c["n_max"] + 1)
     scaling = {
         "n": [n for _ in k_list for n in ns],
         "k_match": [k for k in k_list for _ in ns],
@@ -596,7 +544,7 @@ def _scenario_rates(config: dict) -> tuple[dict, dict]:
     return {"k_values.csv": k_values, "scaling.csv": scaling}, {"k_values": k_values["k_match"]}
 
 
-def _scenario_validate(config: dict) -> tuple[dict, dict]:
+def _scenario_validate(c: dict) -> tuple[dict, dict]:
     """Cheap invariant sweep; raises (exit 3) if anything fails."""
     checks = {}
     checks["multimode_T0_0.3"] = abs(multimode_overlap(0.3) - 0.9974) < 5e-4
@@ -617,21 +565,65 @@ def _scenario_validate(config: dict) -> tuple[dict, dict]:
     return {"validation.csv": table}, {k: bool(v) for k, v in checks.items()}
 
 
+# (scenario, its table) per kind
 _SCENARIOS = {
-    "pulse": _scenario_pulse,
-    "store": _scenario_store,
-    "breed": _scenario_breed,
-    "wigner": _scenario_wigner,
-    "tomo": _scenario_tomo,
-    "rates": _scenario_rates,
-    "validate": _scenario_validate,
+    "pulse": (_scenario_pulse, {
+        "wavepacket": ((lambda v: v in ("exp_rising", "exp_decaying", "time_bin"),
+                        "'exp_rising', 'exp_decaying' or 'time_bin'"), "exp_rising"),
+        "gamma0": (_POSITIVE, MemoryHardware().gamma0),
+        # t0 and span in units of 1/gamma0
+        "t0": ((lambda v: v is None or _POSITIVE[0](v), "null or a finite number > 0"), 1.0,
+               "wavepacket", ("time_bin",)),
+        "Tf": ((lambda v: v is None or (_is_number(v) and 0 < v < 1), "null or a number in (0, 1)"), None,
+               "wavepacket", ("exp_decaying", "time_bin")),
+        "span": (_POSITIVE, 20.0, "wavepacket", ("exp_rising", "exp_decaying")),
+        "points": (_integer(3), 200001),  # a TemporalMode needs 3 samples
+        "dt_factor": (_POSITIVE, 1e-3),
+    }),
+    "store": (_scenario_store, {
+        **_NOISE,
+        "times": (_numbers(1, _NONNEGATIVE[0], "finite numbers >= 0"), [0, 0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6]),
+        "state": (_STATE, {"type": "fock", "n": 1, "dim": 20}),
+    }),
+    "breed": (_scenario_breed, {
+        "protocol": (_PROTOCOL, "cat"),
+        "steps": (_integer(1), 1),
+        "alpha": (_NONNEGATIVE, 1.0),
+        "s": (_PARITY, -1),
+        "dim": _DIM,
+        "window": ((lambda v: v is None or (_numbers(2)[0](v) and len(v) == 2 and v[0] < v[1]),
+                    "null or a list [lo, hi] of finite numbers with lo < hi"), None),
+    }),
+    "wigner": (_scenario_wigner, {
+        "state": (_STATE, {"type": "cat", "alpha": 1.0, "s": -1, "dim": 40}),
+        "xs": (_AXIS, DEFAULT_GRID),
+        "ps": (_AXIS, DEFAULT_GRID),
+    }),
+    "tomo": (_scenario_tomo, {
+        "state": (_STATE, {"type": "vacuum", "dim": 20}),
+        "phases_deg": (_numbers(1), DEFAULT_PHASES_DEG),
+        "n_frames": (_integer(MLE_MIN_FRAMES), 20000),
+        "dim": (_integer(2, MLE_MAX_DIM), 20),
+        "iterations": (_integer(1), 300),
+        "seed": (_integer(0), 0),
+    }),
+    "rates": (_scenario_rates, {
+        "sources": ((lambda v: isinstance(v, list) and all(map(_is_source, v)),
+                     "a list of objects with numeric r0, delta and r_bs"),
+                    [{"r0": 2e5, "delta": 1.2e8, "r_bs": 10.0}, {"r0": 4e3, "delta": 3e6, "r_bs": 20.0}]),
+        "k_list": (_numbers(1, _NONNEGATIVE[0], "finite numbers >= 0"), [0.03, 1.0, 3.8, 10.0, 100.0]),
+        "p1": ((lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"), 0.25),
+        "n_max": (_integer(1, 64), 20),  # as rates.scaling_curve
+    }),
+    "validate": (_scenario_validate, {}),
 }
 
 
 def run_scenario(config: dict, outdir: str | Path) -> Path:
-    """Execute one scenario; returns the manifest path."""
-    config = validate_config(config)
-    tables, results = _SCENARIOS[config["kind"]](config)
+    """Execute one scenario; returns the manifest path. The manifest records
+    `config` as given."""
+    c = validate_config(config)
+    tables, results = _SCENARIOS[c["kind"]][0](c)
     return _write_outputs(Path(outdir), config, tables, results)
 
 
@@ -640,23 +632,22 @@ def run_scenario(config: dict, outdir: str | Path) -> Path:
 
 def emit_figure_data(kind: str, outdir: str | Path, params: dict | None = None) -> Path:
     """Emit the CSVs underlying one figure panel family."""
-    params = dict(params or {})
-    if kind == "edfig_rates":
-        return run_scenario({"kind": "rates", **params}, outdir)
-    if kind == "edfig_fidelity":
-        return run_scenario({"kind": "store", **params}, outdir)
+    params = params or {}
+    if kind in _SCENARIO_FIGURES:
+        if "kind" in params:  # the figure names its scenario
+            raise ConfigError(f"unknown keys for {kind}: ['kind']")
+        return run_scenario({"kind": _SCENARIO_FIGURES[kind], **params}, outdir)
     if kind not in _FIGURES:
         raise ConfigError(f"unknown figure kind {kind!r}")
-    tables, results = _FIGURES[kind](params)
+    figure, table = _FIGURES[kind]
+    tables, results = figure(_resolve(kind, params, table))
     return _write_outputs(Path(outdir), {"figure": kind, **params}, tables, results)
 
 
-def _fig_decay(params: dict) -> tuple[dict, dict]:
+def _fig_decay(c: dict) -> tuple[dict, dict]:
     """Energy-relaxation and coherence decay curves with fitted T1, Tphi."""
-    T1 = float(params.get("T1", 2.3e-6))
-    Tphi = float(params.get("Tphi", 0.96e-6))
     times = np.linspace(0, 2e-6, 11)
-    noise = NoiseParams(T1, Tphi)
+    noise = NoiseParams(float(c["T1"]), float(c["Tphi"]))
     one = fock_basis_state(1, 12).to_density_matrix()
     from .fock import squeezed_vacuum
 
@@ -677,12 +668,10 @@ def _fig_decay(params: dict) -> tuple[dict, dict]:
     return tables, fits
 
 
-def _fig_wigner_panels(params: dict) -> tuple[dict, dict]:
+def _fig_wigner_panels(c: dict) -> tuple[dict, dict]:
     """Input / bred / bred-after-storage Wigner grids per protocol."""
-    alpha = float(params.get("alpha", 1.0))
-    dim = int(params.get("dim", 40))
-    t2 = float(params.get("t2", 40e-9))
-    noise = NoiseParams(float(params.get("T1", 2.3e-6)), float(params.get("Tphi", 0.96e-6)))
+    alpha, dim, t2 = float(c["alpha"]), c["dim"], float(c["t2"])
+    noise = NoiseParams(float(c["T1"]), float(c["Tphi"]))
     inp = wigner_grid(cat_state(alpha, -1, dim))  # both protocols breed the same input cat
     tables = {}
     for protocol in ("cat", "gkp"):
@@ -693,7 +682,16 @@ def _fig_wigner_panels(params: dict) -> tuple[dict, dict]:
     return tables, {}
 
 
-_FIGURES = {"fig3e": _fig_decay, "fig4d": _fig_wigner_panels}
+_SCENARIO_FIGURES = {"edfig_rates": "rates", "edfig_fidelity": "store"}
+_FIGURES = {
+    "fig3e": (_fig_decay, _NOISE),
+    "fig4d": (_fig_wigner_panels, {
+        "alpha": (_NONNEGATIVE, 1.0),
+        "dim": (_integer(2), 40),
+        "t2": (_NONNEGATIVE, 40e-9),  # storage time of the stored panels, s
+        **_NOISE,
+    }),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +713,9 @@ def main(argv=None) -> int:
         if args.figure is not None:
             emit_figure_data(args.figure, args.out)
         else:
-            config = validate_config(json.loads(Path(args.config).read_text()))
-            if args.seed is not None:
-                config["seed"] = args.seed
+            config = json.loads(Path(args.config).read_text())
+            if args.seed is not None and isinstance(config, dict):
+                config["seed"] = args.seed  # allowed where the kind's table reads seed (tomo)
             run_scenario(config, args.out)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ evaluated in the log domain so that p_20 ~ 1e-20 .. 1e-30 does not underflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,13 @@ def k_from_rates(r0: float, delta: float, r_bs: float) -> float:
     """Invert interference_rate for the mode-match parameter k_match."""
     if r0 <= 0 or delta <= 0:
         raise DomainError("r0 and delta must be positive")
-    return r_bs * delta / r0**2
+    try:
+        k = r_bs * delta / r0**2
+    except (OverflowError, ZeroDivisionError):  # r0**2 beyond the float range
+        k = math.inf
+    if not math.isfinite(k):
+        raise DomainError(f"k_match = r_bs delta / r0^2 leaves the float range for r0={r0}, delta={delta}")
+    return k
 
 
 def heralding_probability(r0: float, delta: float) -> float:

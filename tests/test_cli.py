@@ -126,12 +126,89 @@ def test_main_exit_codes(tmp_path):
         {"kind": "wigner", "state": {"type": "fock", "n": -1}},
         {"kind": "tomo", "state": {"type": "squeezed_single_photon", "dim": 20}},
         {"kind": "tomo", "state": {"type": "bred", "protocol": "gkp", "alpha": 1.0}},
+        {"kind": [1]},
+        {"kind": {}},
+        {"kind": "wigner", "state": {"type": [1]}},
+        {"kind": "wigner", "state": None},
+        {"kind": "wigner", "state": {"type": "fock", "n": 1}, "xs": [5, 0, -5]},
+        {"kind": "wigner", "state": {"type": "fock", "n": 1}, "xs": [-5, -4.9, 5]},
+        {"kind": "wigner", "ps": [-5, -5, 5]},
+        {"kind": "pulse", "wavepacket": "exp_rising", "Tf": 0.5},
+        {"kind": "pulse", "Tf": 0.5},
+        {"kind": "pulse", "wavepacket": "exp_decaying", "t0": 1.0},
+        {"kind": "pulse", "wavepacket": "time_bin", "span": 10.0},
+        {"kind": "breed", "seed": [1]},
     ]
     for i, bad_config in enumerate(config_errors):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(bad_config))
         assert cli.main(["--config", str(path), "--out", str(tmp_path / f"bad{i}")]) == 2, bad_config
         assert not (tmp_path / f"bad{i}").exists()
+    # r0**2 underflows to 0, and overflows
+    out_of_range = [{"r0": 1e-200, "delta": 1, "r_bs": 1}, {"r0": 1e200, "delta": 1e300, "r_bs": 1}]
+    for i, source in enumerate(out_of_range):
+        path = tmp_path / f"range{i}.json"
+        path.write_text(json.dumps({"kind": "rates", "sources": [source]}))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / f"range{i}")]) == 3, source
+        assert not (tmp_path / f"range{i}").exists()
+
+
+def test_seed_is_a_tomo_key(tmp_path, capsys):
+    for kind in ("pulse", "store", "breed", "wigner", "rates", "validate"):
+        assert "seed" not in cli._SCENARIOS[kind][1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "validate", "seed": 1}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o1")]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"kind": "validate"}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o2"), "--seed", "3"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("fig4d", {"dim": "x"}, "dim"),
+    ("fig4d", {"t2": -1e-9}, "t2"),
+    ("fig4d", {"alpha": None}, "alpha"),
+    ("fig3e", {"T1": 0}, "T1"),
+    ("fig3e", {"alpha": 1.0}, "alpha"),
+    ("edfig_rates", {"p1": 2}, "p1"),
+    ("edfig_fidelity", {"seed": 1}, "seed"),
+    ("edfig_rates", {"kind": "store"}, "kind"),
+])
+def test_figure_params_checked(tmp_path, kind, params, key):
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.emit_figure_data(kind, tmp_path / "out", params)
+    assert not (tmp_path / "out").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_TABLES = [table for _, table in cli._SCENARIOS.values()] + list(cli._STATES.values())
+_KEYS = st.sampled_from(sorted({key for table in _TABLES for key in table})) | st.text(max_size=4)
+_VALUES = (_JSON | st.integers(-2, 40) | st.floats(-6, 6) | st.sampled_from(["cat", "gkp", "time_bin", "exp_rising"])
+           | st.lists(st.integers(-6, 6) | st.floats(-6, 6), max_size=5))
+
+
+def _tagged(tag, names, values):
+    return st.builds(lambda rest, name: {**rest, tag: name}, st.dictionaries(_KEYS, values, max_size=5),
+                     st.sampled_from(sorted(names)) | _JSON)
+
+
+_CONFIGS = _tagged("kind", cli._SCENARIOS, _VALUES | _tagged("type", cli._STATES, _VALUES))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_CONFIGS)
+def test_validate_config_returns_settings_or_config_error(config):
+    try:
+        settings = cli.validate_config(config)
+    except cli.ConfigError:
+        return
+    assert settings.keys() == {"kind", *cli._SCENARIOS[config["kind"]][1]}
 
 
 def test_rates_sources_schema(tmp_path, capsys):
@@ -284,7 +361,7 @@ def test_csv_kernel_edge_values():
 def test_csv_kernel_pulse_tables(tmp_path):
     """Every table of the default (200 001-point) write pulse, against the
     per-row formatter."""
-    tables, _ = cli._scenario_pulse({"kind": "pulse"})
+    tables, _ = cli._scenario_pulse(cli.validate_config({"kind": "pulse"}))
     assert len(tables["mode.csv"]["t"]) == 200001
     for name, table in tables.items():
         digest = cli.write_csv(tmp_path / name, list(table), list(table.values()))

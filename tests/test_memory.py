@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,14 +210,21 @@ def test_cumulative_trapezoid_bit_equal_to_scipy(n):
         assert np.array_equal(_cumulative_trapezoid(y, t), cumulative_trapezoid(y, t, initial=0.0))
 
 
+def fresh_interpreter(code: str) -> str:
+    """stdout of `code` run by a new interpreter that imports the resomem
+    this process imported."""
+    src = str(Path(rm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return out.stdout
+
+
 def test_cli_import_skips_scipy_integrate_and_optimize():
     code = "import sys, resomem.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_interpreter(code).strip() == "[]"
 
 
 def test_cli_import_skips_scipy_ndimage():
     # wigner.negative_region_count imports scipy.ndimage when it is called
     code = "import sys, resomem.cli; print('scipy.ndimage' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh_interpreter(code).strip() == "False"

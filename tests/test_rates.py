@@ -22,6 +22,13 @@ def test_heralding_probability():
         rm.heralding_probability(2e6, 1e6)
 
 
+@pytest.mark.parametrize("r0, delta, r_bs", [(1e-200, 1.0, 1.0), (1e200, 1e300, 1.0), (1.0, 1e300, 1e300)])
+def test_k_from_rates_outside_float_range(r0, delta, r_bs):
+    # r0**2 underflows to 0, r0**2 overflows, and k itself overflows
+    with pytest.raises(DomainError, match="float range"):
+        rm.k_from_rates(r0, delta, r_bs)
+
+
 def test_rate_and_k_are_inverse():
     r0, delta, k = 2e5, 1.2e8, 0.03
     assert rm.k_from_rates(r0, delta, rm.interference_rate(r0, delta, k)) == pytest.approx(k, rel=1e-12)
