@@ -582,7 +582,7 @@ _SCENARIOS = {
     }),
     "store": (_scenario_store, {
         **_NOISE,
-        "times": (_numbers(1, _NONNEGATIVE[0], "finite numbers >= 0"), [0, 0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6]),
+        "times": (_numbers(1, _NONNEGATIVE[0], "finite numbers >= 0"), (0, 0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6)),
         "state": (_STATE, {"type": "fock", "n": 1, "dim": 20}),
     }),
     "breed": (_scenario_breed, {
@@ -610,8 +610,8 @@ _SCENARIOS = {
     "rates": (_scenario_rates, {
         "sources": ((lambda v: isinstance(v, list) and all(map(_is_source, v)),
                      "a list of objects with numeric r0, delta and r_bs"),
-                    [{"r0": 2e5, "delta": 1.2e8, "r_bs": 10.0}, {"r0": 4e3, "delta": 3e6, "r_bs": 20.0}]),
-        "k_list": (_numbers(1, _NONNEGATIVE[0], "finite numbers >= 0"), [0.03, 1.0, 3.8, 10.0, 100.0]),
+                    ({"r0": 2e5, "delta": 1.2e8, "r_bs": 10.0}, {"r0": 4e3, "delta": 3e6, "r_bs": 20.0})),
+        "k_list": (_numbers(1, _NONNEGATIVE[0], "finite numbers >= 0"), (0.03, 1.0, 3.8, 10.0, 100.0)),
         "p1": ((lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"), 0.25),
         "n_max": (_integer(1, 64), 20),  # as rates.scaling_curve
     }),
