@@ -65,11 +65,9 @@ from .noise import (
     lindblad_oracle,
 )
 from .rates import (
-    RateModel,
     heralding_probability,
     interference_rate,
     k_from_rates,
-    scaling_curve,
     success_probability,
 )
 from .tomo import (

@@ -31,7 +31,6 @@ from .fock import (
     cat_state,
     coherent_amplitudes,
     guard_dim,
-    number_parity,
 )
 from .gates import (
     condition_on_quadrature,
@@ -46,6 +45,7 @@ from .gates import beamsplitter_apply, homodyne_project, window_condition  # noq
 
 CAT_PROJECTION_THETA = np.pi / 2  # condition on p
 GKP_PROJECTION_THETA = 0.0  # condition on x
+STABILIZER_G = 2.46  # lattice constant g of the reported GKP stabilizers
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class BreedingPlan:
     s: int = -1
     dim: int = DEFAULT_DIM
     window: tuple[float, float] | None = None  # None = ideal value-0 projection
-    stabilizer_g: float = 2.46
 
     def __post_init__(self):
         if self.protocol not in ("cat", "gkp"):
@@ -71,10 +70,8 @@ class BreedingPlan:
 
 @dataclass(frozen=True)
 class BreedingTrajectory:
-    plan: BreedingPlan
     states: list = field(repr=False)  # DensityMatrix, length steps+1
-    success_densities: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
+    success_densities: list  # length steps
 
 
 def _projection_theta(protocol: str) -> float:
@@ -105,28 +102,16 @@ def breed_step(memory, input_state: FockVector, k: int, protocol: str, window=No
 
 def run_breeding(plan: BreedingPlan) -> BreedingTrajectory:
     """Run the staircase with a fresh input cat each step, recording the
-    memory state, success density, and quality metrics after every step."""
+    memory state and the success density after every step."""
     inp = cat_state(plan.alpha, plan.s, plan.dim)
     state = inp.to_density_matrix()
     states = [state]
     densities = []
-    metrics = [_metrics(state, plan.stabilizer_g)]
     for k in range(1, plan.steps + 1):
         state, dens = breed_step(state, inp, k, plan.protocol, plan.window)
         states.append(state)
         densities.append(dens)
-        metrics.append(_metrics(state, plan.stabilizer_g))
-    return BreedingTrajectory(plan, states, densities, metrics)
-
-
-def _metrics(state: DensityMatrix, g: float) -> dict:
-    sx, sp = gkp_stabilizer_expectation(state, g)
-    return {
-        "parity": number_parity(state),
-        "mean_photon": state.mean_photon_number(),
-        "stab_x": sx,
-        "stab_p": sp,
-    }
+    return BreedingTrajectory(states, densities)
 
 
 def theoretical_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int) -> FockVector:

@@ -46,8 +46,8 @@ class FockVector:
             raise DomainError("cannot normalize the zero vector")
         return FockVector(self.dim, self.amp / n)
 
-    def require_normalized(self, tol: float = NORM_TOL):
-        if abs(self.norm - 1.0) > tol:
+    def require_normalized(self):
+        if abs(self.norm - 1.0) > NORM_TOL:
             raise ContractError(f"state not normalized: |amp|={self.norm}")
 
     def to_density_matrix(self) -> "DensityMatrix":
@@ -87,8 +87,8 @@ class DensityMatrix:
             raise DomainError("cannot normalize: nonpositive trace")
         return DensityMatrix(self.dim, self.rho / t)
 
-    def require_normalized(self, tol: float = NORM_TOL):
-        if abs(self.trace - 1.0) > tol:
+    def require_normalized(self):
+        if abs(self.trace - 1.0) > NORM_TOL:
             raise ContractError(f"density matrix not normalized: tr={self.trace}")
 
     def check_physical(self, herm_tol: float = 1e-10, eig_floor: float = -1e-8):

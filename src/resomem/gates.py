@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ContractError, DimensionError, DomainError
-from .fock import DensityMatrix, FockVector
+from .fock import NORM_TOL, DensityMatrix, FockVector
 
 PROJECTION_GRID_BOUND = 12.0
 PROJECTION_GRID_STEP = 1e-3
@@ -50,8 +49,8 @@ class JointState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
 
-    def require_normalized(self, tol: float = 1e-9):
-        if abs(self.norm - 1.0) > tol:
+    def require_normalized(self):
+        if abs(self.norm - 1.0) > NORM_TOL:
             raise ContractError(f"joint state not normalized: |amp|={self.norm}")
 
     def total_photon_distribution(self) -> np.ndarray:
@@ -65,6 +64,8 @@ class JointState:
 
 def _bs_block(N: int, dimA: int, dimB: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Rotation on the fixed-N subspace; returns (valid nA indices, block unitary)."""
+    from scipy.linalg import expm  # imported here: only the Fock oracles use it
+
     na = np.arange(max(0, N - dimB + 1), min(N, dimA - 1) + 1)
     size = len(na)
     gen = np.zeros((size, size))
@@ -157,16 +158,16 @@ def gauss_hermite(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 1.0 / (n * hermite_functions(x, n)[-1] ** 2)
 
 
-def projection_rule(window: tuple[float, float] | None = None, step: float = PROJECTION_GRID_STEP):
+def projection_rule(window: tuple[float, float] | None = None):
     """Outcome nodes and weights that conditioning sums over: the ideal
     value-0 projection is the one-node rule (x = 0, w = 1); a window
-    [lo, hi] is the trapezoid rule at `step`."""
+    [lo, hi] is the trapezoid rule at PROJECTION_GRID_STEP."""
     if window is None:
         return np.zeros(1), np.ones(1)
     lo, hi = window
     if not lo < hi:
         raise DomainError("empty window: need lo < hi")
-    npts = max(3, int(round((hi - lo) / step)) + 1)
+    npts = max(3, int(round((hi - lo) / PROJECTION_GRID_STEP)) + 1)
     grid = np.linspace(lo, hi, npts)
     w = np.full(npts, grid[1] - grid[0])
     w[0] *= 0.5
@@ -250,20 +251,13 @@ def homodyne_density_grid(j: JointState, mode: str, theta: float, grid: np.ndarr
     return proj, density
 
 
-def window_condition(
-    j: JointState,
-    mode: str,
-    theta: float,
-    lo: float,
-    hi: float,
-    step: float = PROJECTION_GRID_STEP,
-):
+def window_condition(j: JointState, mode: str, theta: float, lo: float, hi: float):
     """Condition on the quadrature outcome falling in [lo, hi].
 
     Integrates the projected states over the window by the trapezoid rule and
     returns (normalized DensityMatrix of the survivor, acceptance probability).
     """
-    grid, w = projection_rule((lo, hi), step)
+    grid, w = projection_rule((lo, hi))
     j.require_normalized()
     proj, density = homodyne_density_grid(j, mode, theta, grid)
     rho = (proj.T * w) @ proj.conj()
@@ -273,7 +267,7 @@ def window_condition(
     return DensityMatrix(sdim, rho), acceptance
 
 
-def full_line_window(j: JointState, mode: str, theta: float, step: float = PROJECTION_GRID_STEP):
+def full_line_window(j: JointState, mode: str, theta: float):
     """Window over the full projection grid [-bound, bound]; the survivor is
     the reduced state of the remaining mode."""
-    return window_condition(j, mode, theta, -PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND, step)
+    return window_condition(j, mode, theta, -PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND)

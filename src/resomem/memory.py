@@ -91,7 +91,6 @@ class MemoryHardware:
     L: float = 4.35
     V_pi: float = 1.8e3
     gamma0: float = 2 * np.pi * 1.5e6
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.L <= 0 or self.V_pi <= 0:
@@ -135,16 +134,17 @@ def standard_wavepacket(kind: str, gamma0: float, grid, t0: float | None = None)
     return TemporalMode(t, g / norm)
 
 
-def _default_cap(g2: np.ndarray) -> float:
+def _cap(g2: np.ndarray) -> float:
+    """The largest gamma a schedule may take: GAMMA_CAP_FACTOR times the peak of g^2."""
     return GAMMA_CAP_FACTOR * float(np.max(g2))
 
 
-def write_pulse(g_in: TemporalMode, gamma_cap: float | None = None) -> CouplingSchedule:
+def write_pulse(g_in: TemporalMode) -> CouplingSchedule:
     """gamma(t) = g_in^2 / int_{-inf}^t g_in^2; absorbs the wavepacket fully."""
     g2 = g_in.g**2
     if not np.any(g2 > 0):
         raise DomainError("all-zero input mode")
-    cap = _default_cap(g2) if gamma_cap is None else gamma_cap
+    cap = _cap(g2)
     G = _cumulative_trapezoid(g2, g_in.t)
     with np.errstate(divide="ignore", invalid="ignore"):
         gam = np.where(g2 > 0, g2 / np.maximum(G, 1e-300), 0.0)
@@ -154,14 +154,14 @@ def write_pulse(g_in: TemporalMode, gamma_cap: float | None = None) -> CouplingS
     return CouplingSchedule(g_in.t, gam, cap)
 
 
-def read_pulse(g_out: TemporalMode, gamma_cap: float | None = None) -> CouplingSchedule:
+def read_pulse(g_out: TemporalMode) -> CouplingSchedule:
     """gamma(t) = g_out^2 / int_t^inf g_out^2; releases the stored state into
     g_out.  The tail where the remaining norm is below the truncation
     threshold is zeroed."""
     g2 = g_out.g**2
     if not np.any(g2 > 0):
         raise DomainError("all-zero output mode")
-    cap = _default_cap(g2) if gamma_cap is None else gamma_cap
+    cap = _cap(g2)
     G = _cumulative_trapezoid(g2, g_out.t)
     remaining = G[-1] - G
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,7 +174,7 @@ def read_pulse(g_out: TemporalMode, gamma_cap: float | None = None) -> CouplingS
     return CouplingSchedule(g_out.t, gam, cap)
 
 
-def entangle_pulse(g_in: TemporalMode, Tf: float, gamma_cap: float | None = None) -> CouplingSchedule:
+def entangle_pulse(g_in: TemporalMode, Tf: float) -> CouplingSchedule:
     """gamma(t) = g_in^2 / (Tf/(1-Tf) + int_{-inf}^t g_in^2): leaves survival
     probability Tf in the resonator, realizing a beamsplitter of
     transmittance Tf between the stored mode and the wavepacket."""
@@ -185,13 +185,9 @@ def entangle_pulse(g_in: TemporalMode, Tf: float, gamma_cap: float | None = None
         raise DomainError("all-zero input mode")
     G = _cumulative_trapezoid(g2, g_in.t)
     gam = g2 / (Tf / (1 - Tf) + G)
-    if gamma_cap is None:
-        # the schedule is finite for Tf > 0 (peak g(0)^2 (1-Tf)/Tf), so the
-        # default cap never clips it
-        cap = max(_default_cap(g2), float(np.max(gam)))
-    else:
-        cap = gamma_cap
-    return CouplingSchedule(g_in.t, gam, cap)
+    # the schedule is finite for Tf > 0 (peak g(0)^2 (1-Tf)/Tf), so the cap
+    # never clips it
+    return CouplingSchedule(g_in.t, gam, max(_cap(g2), float(np.max(gam))))
 
 
 def output_mode_from_schedule(sched: CouplingSchedule, Tf: float) -> TemporalMode:
@@ -291,7 +287,7 @@ def voltage_gamma(hardware: MemoryHardware, value: float, direction: str = "forw
     direction 'forward' maps a voltage to gamma; 'inverse' maps gamma back to
     the principal-branch voltage V in [0, V_pi].
     """
-    full = 2.0 * hardware.c / hardware.L
+    full = 2.0 * SPEED_OF_LIGHT / hardware.L
     if direction == "forward":
         return float(full / 2 * (1.0 - np.cos(np.pi * value / hardware.V_pi)))
     if direction == "inverse":

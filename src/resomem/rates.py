@@ -14,35 +14,28 @@ evaluated in the log domain so that p_20 ~ 1e-20 .. 1e-30 does not underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import gammainc
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class RateModel:
-    r0: float  # heralding rate, 1/s
-    delta: float  # wavepacket FWHM bandwidth, 1/s
-    k_match: float  # dimensionless
-    p1: float  # dimensionless, r0/delta
-
-    def __post_init__(self):
-        if min(self.r0, self.delta, self.k_match, self.p1) < 0:
-            raise DomainError("all rate-model parameters must be nonnegative")
-        if self.p1 > 1:
-            raise DomainError(f"p1={self.p1} > 1 is unphysical")
-
-
 def interference_rate(r0: float, delta: float, k_match: float) -> float:
-    """r_BS = k_match r0^2 / delta, in 1/s."""
+    """r_BS = k_match r0^2 / delta, in 1/s, with mantissas and binary exponents
+    taken apart (math.frexp): no partial product leaves the float range unless
+    r_BS does, and where none did, this is k_match * (r0 * r0) / delta bit for bit."""
     if delta <= 0:
         raise DomainError("delta must be positive")
     if r0 < 0 or k_match < 0:
         raise DomainError("r0 and k_match must be nonnegative")
-    return k_match * r0**2 / delta
+    (mr, er), (mk, ek), (md, ed) = map(math.frexp, (r0, k_match, delta))
+    try:
+        rate = math.ldexp(mk * (mr * mr) / md, 2 * er + ek - ed)
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise DomainError(f"r_BS = k_match r0^2 / delta leaves the float range for r0={r0}, delta={delta}")
+    return rate
 
 
 def k_from_rates(r0: float, delta: float, r_bs: float) -> float:
@@ -68,11 +61,6 @@ def heralding_probability(r0: float, delta: float) -> float:
     return p1
 
 
-def fwhm_from_hwhm(hwhm: float) -> float:
-    """Bandwidth convention helper: Delta is a full width at half maximum."""
-    return 2.0 * hwhm
-
-
 def success_probability(n: int, k_match: float, p1: float) -> float:
     """p_n = P(Poisson(k_match p1) >= n) / max(k_match, 1).
 
@@ -86,14 +74,3 @@ def success_probability(n: int, k_match: float, p1: float) -> float:
     mu = k_match * p1
     tail = float(gammainc(n, mu))  # P(N >= n) for N ~ Poisson(mu)
     return tail / max(k_match, 1.0)
-
-
-def scaling_curve(n_max: int, k_list, p1: float) -> dict:
-    """p_n for n in [1, n_max] per k_match value; feeds the CLI table."""
-    if n_max < 1 or n_max > 64:
-        raise DomainError("n_max must be in [1, 64]")
-    ns = np.arange(1, n_max + 1)
-    table = {"n": ns}
-    for k in k_list:
-        table[float(k)] = np.array([success_probability(int(n), k, p1) for n in ns])
-    return table

@@ -93,21 +93,18 @@ class MLEstimate(DensityMatrix):
     likelihood_gap: float
 
 
-def _sampling_grid(step: float = PROJECTION_GRID_STEP) -> np.ndarray:
-    npts = int(round(2 * PROJECTION_GRID_BOUND / step)) + 1
-    return np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND, npts)
-
-
 def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     """Draw n_frames quadrature samples, cycling round-robin through `phases`
     (radians), each drawn from marginal(rho, theta) by inverse CDF on the
-    cached projection grid."""
+    projection grid, [-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND] at
+    PROJECTION_GRID_STEP."""
     rho = as_density_matrix(rho)
     rho.require_normalized()
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or len(phases) == 0:
         raise DomainError("phases must be a nonempty 1d array")
-    grid = _sampling_grid()
+    grid = np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND,
+                       int(round(2 * PROJECTION_GRID_BOUND / PROJECTION_GRID_STEP)) + 1)
     rng = np.random.default_rng(seed)
     psi = hermite_functions(grid, rho.dim)  # one table for every phase
     frame_phase = np.resize(phases, n_frames)
@@ -122,16 +119,17 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     return HomodyneDataset(frame_phase, xs, seed)
 
 
-def _binned_projectors(data: HomodyneDataset, dim: int, step: float) -> list:
-    """Bin samples onto the projection grid per phase; returns one
+def _binned_projectors(data: HomodyneDataset, dim: int) -> list:
+    """Bin samples onto the projection grid (bin width PROJECTION_GRID_STEP,
+    far below the sampling noise) per phase; returns one
     (theta, psi, counts) per phase, psi the real Hermite functions of the
     occupied bins, shape (dim, n_bins)."""
     bins = []
     for theta in data.phase_set:
         x = data.xs[data.thetas == theta]
-        idx = np.round(x / step).astype(np.int64)
+        idx = np.round(x / PROJECTION_GRID_STEP).astype(np.int64)
         uniq, cnt = np.unique(idx, return_counts=True)
-        bins.append((theta, hermite_functions(uniq * step, dim), cnt.astype(float)))
+        bins.append((theta, hermite_functions(uniq * PROJECTION_GRID_STEP, dim), cnt.astype(float)))
     return bins
 
 
@@ -183,18 +181,13 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
-def mle_reconstruct(
-    data: HomodyneDataset,
-    dim: int,
-    iterations: int = 300,
-    step: float = PROJECTION_GRID_STEP,
-) -> DensityMatrix:
+def mle_reconstruct(data: HomodyneDataset, dim: int, iterations: int = 300) -> DensityMatrix:
     """Maximum-likelihood tomography: maximize L(rho) = sum c log pr over
     rho = A A^dag / Tr(A A^dag) by L-BFGS on the factor A, from A = I / sqrt(dim).
 
-    Samples are binned onto the projection grid (bin width `step`, far below
-    the sampling noise). The gradient of -L/N with respect to A is
-    -2 (R - N) A / (N Tr A A^dag), R the ML operator (`_ml_operator`). The loop
+    Samples are binned onto the projection grid (`_binned_projectors`). The
+    gradient of -L/N with respect to A is -2 (R - N) A / (N Tr A A^dag), R the
+    ML operator (`_ml_operator`). The loop
     stops once the certificate lambda_max(R) - N, an upper bound on
     L_max - L(rho) by concavity (Glancy, Knill & Girard, NJP 14, 095017
     (2012)), is <= MLE_GAP nats; `iterations` caps the accepted steps, and
@@ -212,7 +205,7 @@ def mle_reconstruct(
         raise DimensionError("dim must be >= 2")
     if len(data.phase_set) < 2:
         warnings.warn("single measurement phase: reconstruction is ill-conditioned")
-    bins = _binned_projectors(data, dim, step)
+    bins = _binned_projectors(data, dim)
     n = len(data)
 
     def gradient(A, prs):
@@ -254,17 +247,17 @@ def mle_reconstruct(
     return MLEstimate(dim, rho, ll, gap)
 
 
-def log_likelihood(data: HomodyneDataset, rho: DensityMatrix, step: float = PROJECTION_GRID_STEP) -> float:
+def log_likelihood(data: HomodyneDataset, rho: DensityMatrix) -> float:
     """Binned log-likelihood of `data` under `rho` (same binning as the MLE)."""
     rho = as_density_matrix(rho)
-    return _log_likelihood(_binned_projectors(data, rho.dim, step), rho.rho)[0]
+    return _log_likelihood(_binned_projectors(data, rho.dim), rho.rho)[0]
 
 
-def likelihood_gap(data: HomodyneDataset, rho: DensityMatrix, step: float = PROJECTION_GRID_STEP) -> float:
+def likelihood_gap(data: HomodyneDataset, rho: DensityMatrix) -> float:
     """Certified upper bound on L_max - L(rho) in nats, lambda_max(R) - N, from
     the evaluation `mle_reconstruct` stops on (same binning)."""
     rho = as_density_matrix(rho)
-    bins = _binned_projectors(data, rho.dim, step)
+    bins = _binned_projectors(data, rho.dim)
     return _gap(_ml_operator(bins, _log_likelihood(bins, rho.rho)[1]), len(data))
 
 

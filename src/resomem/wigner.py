@@ -89,6 +89,8 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
                 acc = acc + coeffs[n] * pref[n] * Lcur
         term = phase * acc[to_grid].reshape(r2.shape)  # numpy < 2 returns to_grid flat
         W += (2.0 if d else 1.0) * term.real
+    if not np.all(np.isfinite(W)):
+        raise DomainError("Wigner function not finite on the grid (grid too far out for the float range)")
     return WignerGrid(xs, ps, W / np.pi)
 
 
@@ -97,11 +99,11 @@ def negativity_volume(grid: WignerGrid) -> float:
     return float(np.sum(np.clip(-grid.w, 0, None)) * grid.dx * grid.dp)
 
 
-def negative_region_count(grid: WignerGrid, threshold: float = NEGATIVE_REGION_THRESHOLD) -> int:
-    """Count 4-connected regions where W < threshold."""
+def negative_region_count(grid: WignerGrid) -> int:
+    """Count 4-connected regions where W < NEGATIVE_REGION_THRESHOLD."""
     from scipy import ndimage  # imported here: it adds ~0.08 s to `import resomem.cli`
 
-    _, n = ndimage.label(grid.w < threshold)
+    _, n = ndimage.label(grid.w < NEGATIVE_REGION_THRESHOLD)
     return int(n)
 
 

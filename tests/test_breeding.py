@@ -126,7 +126,6 @@ def test_run_breeding_gkp_matches_closed_forms():
         assert rm.fidelity(target, state) >= 0.999
     assert len(traj.states) == 3
     assert len(traj.success_densities) == 2
-    assert len(traj.metrics) == 3
 
 
 def test_window_conditioning_converges_to_ideal():

@@ -151,6 +151,13 @@ def test_main_exit_codes(tmp_path):
         path.write_text(json.dumps({"kind": "rates", "sources": [source]}))
         assert cli.main(["--config", str(path), "--out", str(tmp_path / f"range{i}")]) == 3, source
         assert not (tmp_path / f"range{i}").exists()
+    # the axes pass their check, but W leaves the float range on them
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps({"kind": "wigner", "state": {"type": "fock", "n": 1, "dim": 12},
+                               "xs": [-1e300, 0, 1e300], "ps": [-1e300, 0, 1e300]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["--config", str(far), "--out", str(tmp_path / "far")]) == 3
+    assert not (tmp_path / "far").exists()
 
 
 def test_seed_is_a_tomo_key(tmp_path, capsys):
@@ -413,3 +420,21 @@ def test_perfbench_trace_targets_resolve():
     spec.loader.exec_module(tracing)
     for module, attr, *_ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_breed_stabilizers_looked_up_on_breeding(tmp_path, monkeypatch):
+    """The traced benchmark counts the stabilizer calls by patching
+    `breeding.gkp_stabilizer_expectation`; `cli` must look it up there when
+    it runs, not bind it at import."""
+    import resomem.breeding as breeding
+
+    calls = []
+    original = breeding.gkp_stabilizer_expectation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(breeding, "gkp_stabilizer_expectation", counting)
+    cli.run_scenario({"kind": "breed", "steps": 2}, tmp_path)
+    assert len(calls) == 3  # one per row of breeding.csv

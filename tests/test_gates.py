@@ -153,7 +153,7 @@ def test_full_line_window_is_reduced_state():
     a = rm.cat_state(0.8, -1, 30)
     b = rm.vacuum(30)
     j = rm.JointState(30, 30, np.outer(a.amp, b.amp))
-    rho, acc = full_line_window(j, "B", 0.3, step=5e-3)
+    rho, acc = full_line_window(j, "B", 0.3)
     assert acc == pytest.approx(1.0, abs=1e-4)
     assert rm.fidelity(a, rho) >= 1 - 1e-6
 

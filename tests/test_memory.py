@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 import resomem as rm
-from resomem.errors import DomainError
-from resomem.memory import MemoryHardware, _cumulative_trapezoid, staircase_overlap_oracle
+from resomem.errors import DomainError, NumericalAccuracyWarning
+from resomem.memory import SPEED_OF_LIGHT, MemoryHardware, _cumulative_trapezoid, staircase_overlap_oracle
 
 GAMMA0 = 2 * np.pi * 1.5e6
 
@@ -56,7 +56,8 @@ def test_write_pulse_rectangular_oracle():
     t = np.linspace(0, 1, 100001)
     g = np.ones_like(t)
     mode = rm.TemporalMode(t, g / np.sqrt(np.trapezoid(g * g, t)))
-    sched = rm.write_pulse(mode, gamma_cap=1e6)
+    with pytest.warns(NumericalAccuracyWarning, match="capped at support onset"):  # at t = 0 only
+        sched = rm.write_pulse(mode)
     mid = (t > 0.01) & (t < 1.0)
     assert np.max(np.abs(sched.gamma[mid] * t[mid] - 1)) < 1e-4
 
@@ -194,12 +195,12 @@ def test_multimode_vs_staircase_oracle():
 def test_voltage_gamma_roundtrip():
     hw = MemoryHardware()
     assert rm.voltage_gamma(hw, 0.0) == 0.0
-    assert rm.voltage_gamma(hw, hw.V_pi) == pytest.approx(2 * hw.c / hw.L, rel=1e-12)
+    assert rm.voltage_gamma(hw, hw.V_pi) == pytest.approx(2 * SPEED_OF_LIGHT / hw.L, rel=1e-12)
     v = rm.voltage_gamma(hw, hw.gamma0, "inverse")
     assert 0 <= v <= hw.V_pi
     assert rm.voltage_gamma(hw, v) == pytest.approx(hw.gamma0, rel=1e-9)
     with pytest.raises(DomainError):
-        rm.voltage_gamma(hw, 3 * hw.c / hw.L, "inverse")
+        rm.voltage_gamma(hw, 3 * SPEED_OF_LIGHT / hw.L, "inverse")
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 1001, 200_001])
@@ -227,4 +228,10 @@ def test_cli_import_skips_scipy_integrate_and_optimize():
 def test_cli_import_skips_scipy_ndimage():
     # wigner.negative_region_count imports scipy.ndimage when it is called
     code = "import sys, resomem.cli; print('scipy.ndimage' in sys.modules)"
+    assert fresh_interpreter(code).strip() == "False"
+
+
+def test_cli_import_skips_scipy_linalg():
+    # gates._bs_block, a Fock oracle, imports scipy.linalg when it is called
+    code = "import sys, resomem.cli; print('scipy.linalg' in sys.modules)"
     assert fresh_interpreter(code).strip() == "False"

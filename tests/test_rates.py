@@ -6,7 +6,6 @@ from scipy.stats import poisson
 
 import resomem as rm
 from resomem.errors import DomainError
-from resomem.rates import fwhm_from_hwhm, scaling_curve
 
 
 def test_reference_k_values():
@@ -33,6 +32,14 @@ def test_rate_and_k_are_inverse():
     r0, delta, k = 2e5, 1.2e8, 0.03
     assert rm.k_from_rates(r0, delta, rm.interference_rate(r0, delta, k)) == pytest.approx(k, rel=1e-12)
     assert rm.interference_rate(r0, delta, 0.0) == 0.0
+
+
+def test_interference_rate_float_range():
+    # r0**2 underflows, but k_match r0^2 / delta = 1e-100 is a float
+    assert rm.interference_rate(1e-200, 1.0, 1e300) == pytest.approx(1e-100, rel=1e-12)
+    # r0**2 overflows, and so does the rate itself
+    with pytest.raises(DomainError, match="float range"):
+        rm.interference_rate(1e200, 1.0, 1.0)
 
 
 def test_success_probability_basics():
@@ -69,24 +76,3 @@ def test_monotonicity(k, p1, n):
     assert 0 <= pn <= 1
     assert rm.success_probability(n + 1, k, p1) <= pn + 1e-15
     assert rm.success_probability(n, k * 1.5, p1) * max(k * 1.5, 1) >= pn * max(k, 1) - 1e-15
-
-
-def test_scaling_curve():
-    table = scaling_curve(10, [0.03, 1.0, 3.8], 0.25)
-    assert np.all(table["n"] == np.arange(1, 11))
-    assert table[1.0][0] == rm.success_probability(1, 1.0, 0.25)
-    # curves ordered in k at fixed n (tail nondecreasing in k p1)
-    tails = np.array([table[k] * max(k, 1.0) for k in (0.03, 1.0, 3.8)])
-    assert np.all(np.diff(tails, axis=0) >= -1e-15)
-    with pytest.raises(DomainError):
-        scaling_curve(100, [1.0], 0.25)
-
-
-def test_rate_model_validation():
-    rm.RateModel(4e3, 3e6, 3.75, 1.33e-3)
-    with pytest.raises(DomainError):
-        rm.RateModel(4e3, 3e6, 3.75, 1.5)
-
-
-def test_fwhm_helper():
-    assert fwhm_from_hwhm(1.5e6) == 3e6

@@ -115,7 +115,7 @@ def test_mle_matches_complex_em_oracle():
     data = rm.sample_homodyne(st, PHASES, 6000, seed=11)
     rho = rm.mle_reconstruct(data, 20)
     B, counts = complex_bins(data, 20)
-    bins = _binned_projectors(data, 20, PROJECTION_GRID_STEP)
+    bins = _binned_projectors(data, 20)
     # (a) the loop's log-likelihood and R are the eigenbra evaluation, at a
     # random complex mixed rho and at the returned rho
     rng = np.random.default_rng(3)
