@@ -17,10 +17,10 @@ follows the coherent-state superposition through each step in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import comb
 
 from .errors import DomainError
 from .fock import (
@@ -133,7 +133,7 @@ def theoretical_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int
         guard_dim(np.sqrt(k) * alpha, dim)
         amp = np.zeros(dim, dtype=complex)
         for m in range(k + 1):
-            amp += comb(k, m) * s**m * coherent_amplitudes(1j * (-k + 2 * m) * alpha / np.sqrt(k), dim)
+            amp += math.comb(k, m) * s**m * coherent_amplitudes(1j * (-k + 2 * m) * alpha / np.sqrt(k), dim)
         return FockVector(dim, amp).normalized()
     raise DomainError(f"unknown protocol {protocol!r}")
 

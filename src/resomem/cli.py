@@ -18,15 +18,16 @@ it wrote, and the manifest records those digests.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import shutil
 import sys
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .breeding import STABILIZER_G, BreedingPlan, run_breeding, theoretical_bred_state
@@ -266,6 +267,15 @@ def write_wigner_csv(path: Path, grid) -> str:
     return _write_rows(path, head, [grid.ps, *grid.w.T])
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """The installed scipy's version, read from its package metadata:
+    importing scipy would add its start-up cost to every run."""
+    from importlib.metadata import version
+
+    return version("scipy")
+
+
 def write_manifest(outdir: Path, config: dict, files: dict, extra: dict | None = None) -> Path:
     """Write manifest.json; `files` maps each written file's name to its
     sha256 hex digest."""
@@ -274,7 +284,7 @@ def write_manifest(outdir: Path, config: dict, files: dict, extra: dict | None =
         "versions": {
             "package": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
         "files": files,
     }
@@ -287,11 +297,18 @@ def write_manifest(outdir: Path, config: dict, files: dict, extra: dict | None =
 
 def _write_outputs(outdir: Path, config: dict, tables: dict, results: dict) -> Path:
     """Write each table (a Wigner grid, or column name -> column) to
-    outdir/<file name>, then the manifest; returns the manifest path."""
+    outdir/<file name>, then the manifest; returns the manifest path. A table
+    object listed under several names is formatted once, and its bytes are
+    copied to the other names."""
     outdir.mkdir(parents=True, exist_ok=True)
     files = {}
+    first_name = {}  # id of a table -> the name it was first written under
     for name, table in tables.items():
-        if isinstance(table, WignerGrid):
+        first = first_name.setdefault(id(table), name)
+        if first != name:
+            shutil.copyfile(outdir / first, outdir / name)
+            files[name] = files[first]
+        elif isinstance(table, WignerGrid):
             files[name] = write_wigner_csv(outdir / name, table)
         else:
             files[name] = write_csv(outdir / name, list(table), list(table.values()))

@@ -9,16 +9,19 @@ along the p quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import ContractError, DimensionError, DomainError
 
 DEFAULT_DIM = 60
 
 NORM_TOL = 1e-9
+
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+_LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,75 @@ def as_density_matrix(state) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
+# special functions at integer arguments
+
+def log_factorial(n) -> np.ndarray:
+    """log(n!) of each integer in n, as a float array (0-d for a scalar):
+    math.lgamma(n + 1), within 4 ulp of the exact value for n <= 1000."""
+    return np.asarray(_lgamma(np.asarray(n) + 1.0), dtype=float)
+
+
+def _log_poisson_term(k: int, mu: float) -> float:
+    """log(e^-mu mu^k / k!) as -bd0(k, mu) - log sqrt(2 pi k) - stirlerr(k),
+    with bd0 = k log(k/mu) + mu - k and stirlerr(k) = log k! - log(sqrt(2 pi k)
+    (k/e)^k) (C. Loader, "Fast and accurate computation of binomial
+    probabilities", 2000). Summed directly, k log mu and log k! (~2 000 each at
+    k = 400) cost the result ~1e-12 relative; this form costs it ~1e-13.
+    """
+    if k == 0:
+        return -mu
+    if k <= 15:
+        stirlerr = float(log_factorial(k)) - (k + 0.5) * math.log(k) + k - _LOG_SQRT_2PI
+    else:
+        k2 = 1.0 / (k * k)
+        stirlerr = (1 / 12 - k2 * (1 / 360 - k2 * (1 / 1260 - k2 * (1 / 1680 - k2 / 1188)))) / k
+    v = (k - mu) / (k + mu)
+    if abs(v) < 0.1:  # bd0 as a series in v, whose terms are all positive
+        bd0, term, j = (k - mu) * v, 2 * k * v, 1
+        while True:
+            term *= v * v
+            j += 2
+            bd0, last = bd0 + term / j, bd0
+            if bd0 == last:
+                break
+    else:
+        bd0 = k * math.log(k / mu) + mu - k
+    return -bd0 - _LOG_SQRT_2PI - 0.5 * math.log(k) - stirlerr
+
+
+def poisson_tail(n: int, mu: float) -> float:
+    """P(N >= n) for N ~ Poisson(mu), which is the regularized lower
+    incomplete gamma function P(n, mu) for n >= 1.
+
+    For n > mu the terms k >= n are summed, scaled by the first one, whose
+    logarithm comes from `_log_poisson_term`, so a tail down to the float
+    range keeps its relative accuracy. Otherwise the result is 1 - P(N < n),
+    where P(N < n) sums the terms below n the same way (the result is then
+    >= ~1/2 and nothing cancels).
+    """
+    if n <= 0:
+        return 1.0
+    if mu <= 0 or mu == math.inf:
+        return float(mu > 0)
+    upper = n > mu
+    k = n if upper else n - 1  # the term the sum starts from
+    log_first = _log_poisson_term(k, mu)
+    total, term = 1.0, 1.0
+    while term > total * 2.0**-60:
+        if upper:
+            k += 1
+            term *= mu / k
+        elif k == 0:
+            break
+        else:
+            term *= k / mu
+            k -= 1
+        total += term
+    part = math.exp(log_first + math.log(total))
+    return part if upper else 1.0 - part
+
+
+# ---------------------------------------------------------------------------
 # operators
 
 def annihilation_operator(dim: int) -> np.ndarray:
@@ -146,7 +218,7 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
         amp = np.zeros(dim, dtype=complex)
         amp[0] = 1.0
         return amp
-    logmag = n * np.log(mag) - 0.5 * gammaln(n + 1) - mag**2 / 2
+    logmag = n * np.log(mag) - 0.5 * log_factorial(n) - mag**2 / 2
     return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
 
 
@@ -161,7 +233,7 @@ def guard_dim(alpha_mag: float, dim: int):
     Poisson tail beyond the truncation is negligible (e.g. alpha ~ 0)."""
     if alpha_mag**2 + 6 * alpha_mag + 10 <= dim:
         return
-    if gammainc(dim, alpha_mag**2) < 1e-12:  # P(N >= dim), N ~ Poisson(|alpha|^2)
+    if poisson_tail(dim, alpha_mag**2) < 1e-12:  # P(N >= dim), N ~ Poisson(|alpha|^2)
         return
     raise DimensionError(
         f"dim={dim} too small for amplitude {alpha_mag:.3f} "
@@ -194,9 +266,9 @@ def _squeezed_fock_amps(r: float, n0: int, dim: int) -> np.ndarray:
         return amp
     m = np.arange((dim - n0 - 1) // 2 + 1)
     logc = (
-        0.5 * gammaln(2 * m + n0 + 1)
+        0.5 * log_factorial(2 * m + n0)
         - m * np.log(2.0)
-        - gammaln(m + 1)
+        - log_factorial(m)
         + m * np.log(abs(np.tanh(r)))
         - (n0 + 0.5) * np.log(np.cosh(r))
     )

@@ -18,10 +18,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, NumericalAccuracyWarning
-from .fock import DensityMatrix, annihilation_operator, as_density_matrix
+from .fock import DensityMatrix, annihilation_operator, as_density_matrix, log_factorial
 
 EDGE_WEIGHT_TOL = 1e-6
 
@@ -57,10 +56,6 @@ class CoherenceSeries:
         object.__setattr__(self, "value", v)
 
 
-def _log_binom(n, k):
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-
-
 def evolve_closed_form(rho: DensityMatrix, t: float, params: NoiseParams) -> DensityMatrix:
     """Evolve `rho` for time t under amplitude damping (T1) and dephasing (Tphi)."""
     if t < 0:
@@ -86,14 +81,14 @@ def evolve_closed_form(rho: DensityMatrix, t: float, params: NoiseParams) -> Den
         deph = np.ones((dim, dim))
     else:
         deph = np.exp(-np.subtract.outer(n, n) ** 2 * t / params.Tphi)
+    log_fact = log_factorial(n)
     out = np.zeros((dim, dim), dtype=complex)
     kmax = dim - 1
     for k in range(kmax + 1):
         if k > 0 and loss == 0.0:
             break
         sub = rho.rho[k:, k:]  # rho_{n+k, m+k}
-        nn = np.arange(dim - k)
-        w = np.exp(0.5 * _log_binom(nn + k, k))
+        w = np.exp(0.5 * (log_fact[k:] - log_fact[k] - log_fact[: dim - k]))  # sqrt C(n + k, k)
         fac = loss**k if k else 1.0
         out[: dim - k, : dim - k] += fac * (w[:, None] * w[None, :]) * sub
     out *= np.outer(damp, damp) * deph

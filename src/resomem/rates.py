@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammainc
-
 from .errors import DomainError
+from .fock import poisson_tail
 
 
 def interference_rate(r0: float, delta: float, k_match: float) -> float:
@@ -64,13 +63,13 @@ def heralding_probability(r0: float, delta: float) -> float:
 def success_probability(n: int, k_match: float, p1: float) -> float:
     """p_n = P(Poisson(k_match p1) >= n) / max(k_match, 1).
 
-    The Poisson tail equals the regularized lower incomplete gamma function
-    gammainc(n, k_match p1), which is accurate down to ~1e-300.
+    The Poisson tail is `fock.poisson_tail(n, k_match p1)`, which keeps its
+    relative accuracy down to ~1e-300.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if k_match < 0 or not 0 <= p1 <= 1:
         raise DomainError("invalid (k_match, p1)")
     mu = k_match * p1
-    tail = float(gammainc(n, mu))  # P(N >= n) for N ~ Poisson(mu)
+    tail = poisson_tail(n, mu)
     return tail / max(k_match, 1.0)

@@ -9,13 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionError, DomainError
-from .fock import as_density_matrix
+from .fock import as_density_matrix, log_factorial
 from .gates import hermite_functions, quadrature_density
 
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 201)
+DEFAULT_GRID.flags.writeable = False  # the shared default of every wigner grid and config
 NEGATIVE_REGION_THRESHOLD = -1e-3
 
 
@@ -62,6 +62,7 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     dim = rho.dim
     n_arr = np.arange(dim)
     signs = (-1.0) ** n_arr
+    log_fact = log_factorial(n_arr)
     W = np.zeros_like(r2)
     # sum over diagonals d = m - n >= 0; the d > 0 terms appear twice as
     # conjugate pairs, so only their doubled real part is accumulated.
@@ -71,9 +72,7 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
             continue
         phase = env * B**d if d else env
         # sqrt(n!/m!) prefactor folded into the recurrence start
-        pref = np.exp(
-            0.5 * (gammaln(np.arange(dim - d) + 1) - gammaln(np.arange(dim - d) + d + 1))
-        )
+        pref = np.exp(0.5 * (log_fact[: dim - d] - log_fact[d:]))
         # Laguerre recurrence in n at fixed order d, accumulated on the fly
         Lprev = None
         Lcur = np.ones_like(radii)  # L_0^{(d)}
@@ -100,11 +99,39 @@ def negativity_volume(grid: WignerGrid) -> float:
 
 
 def negative_region_count(grid: WignerGrid) -> int:
-    """Count 4-connected regions where W < NEGATIVE_REGION_THRESHOLD."""
-    from scipy import ndimage  # imported here: it adds ~0.08 s to `import resomem.cli`
+    """Count 4-connected regions where W < NEGATIVE_REGION_THRESHOLD.
 
-    _, n = ndimage.label(grid.w < NEGATIVE_REGION_THRESHOLD)
-    return int(n)
+    Each row's runs of negative cells are the nodes; a run joins every run of
+    the row above whose columns overlap its own, and union-find counts the
+    components."""
+    mask = grid.w < NEGATIVE_REGION_THRESHOLD
+    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    row, start = np.nonzero(edges == 1)  # row-major: runs sorted by row, then column
+    end = np.nonzero(edges == -1)[1]  # one past each run's last column
+    # keys that sort every run by (row, column); a run in row r + 1 overlaps
+    # the runs of row r from the first ending after its start to the last
+    # starting before its end
+    width = mask.shape[1] + 2
+    start_key, end_key = row * width + start, row * width + end
+    below = row > 0
+    first = np.searchsorted(end_key, start_key[below] - width, side="right")
+    last = np.searchsorted(start_key, end_key[below] - width, side="left")
+    parent = list(range(len(row)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    merged = 0
+    for b, lo, hi in zip(np.flatnonzero(below).tolist(), first.tolist(), last.tolist()):
+        for a in range(lo, hi):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                merged += 1
+    return len(row) - merged
 
 
 def marginal(state, theta: float, grid: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
@@ -121,7 +148,7 @@ def count_peaks(density: np.ndarray, prominence: float = 0.05) -> int:
     """Number of peaks with relative prominence above `prominence` * max."""
     if prominence <= 0:
         raise DomainError("prominence must be positive")
-    from scipy.signal import find_peaks  # imported here: only tests count peaks, and it loads scipy.stats
+    from scipy.signal import find_peaks  # imported here: only tests count peaks, and every run path stays numpy-only
 
     peaks, _ = find_peaks(np.asarray(density), prominence=prominence * np.max(density))
     return int(len(peaks))

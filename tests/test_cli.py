@@ -290,6 +290,31 @@ def test_fig4d_panels(tmp_path):
             assert f"{proto}_{tag}.csv" in files
 
 
+def test_fig4d_input_grid_formatted_once(tmp_path, monkeypatch):
+    calls = []
+    write = cli.write_wigner_csv
+    monkeypatch.setattr(cli, "write_wigner_csv", lambda path, grid: calls.append(path.name) or write(path, grid))
+    m = cli.emit_figure_data("fig4d", tmp_path, {"dim": 30, "alpha": 0.8})
+    assert len(calls) == 5 and "gkp_input.csv" not in calls
+    files = read_manifest(m)["files"]
+    body = (tmp_path / "cat_input.csv").read_bytes()
+    assert (tmp_path / "gkp_input.csv").read_bytes() == body
+    assert files["cat_input.csv"] == files["gkp_input.csv"] == hashlib.sha256(body).hexdigest()
+
+
+def test_default_wigner_grid_is_read_only():
+    xs = cli.validate_config({"kind": "wigner"})["xs"]
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
+
+
+def test_manifest_records_scipy_version(tmp_path):
+    import scipy
+
+    m = cli.run_scenario({"kind": "rates"}, tmp_path)
+    assert read_manifest(m)["versions"]["scipy"] == scipy.__version__
+
+
 def test_float_format_roundtrip(tmp_path):
     cli.run_scenario({"kind": "rates"}, tmp_path)
     rows = (tmp_path / "k_values.csv").read_text().splitlines()[1:]

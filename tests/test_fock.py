@@ -1,14 +1,23 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammainc
 
 import resomem as rm
 from resomem.errors import DimensionError, DomainError
-from resomem.fock import annihilation_operator, coherent_amplitudes, p_operator, x_operator
+from resomem.fock import (
+    annihilation_operator,
+    coherent_amplitudes,
+    log_factorial,
+    p_operator,
+    poisson_tail,
+    x_operator,
+)
 
 
 def brute_coherent(alpha, dim):
@@ -172,3 +181,41 @@ def test_number_parity():
 def test_coherent_amplitudes_zero():
     amp = coherent_amplitudes(0.0, 5)
     assert amp[0] == 1.0 and np.allclose(amp[1:], 0)
+
+
+def test_log_factorial_within_4_ulp():
+    got = log_factorial(np.arange(1001))
+    assert got.dtype == np.float64
+    assert log_factorial(7).dtype == np.float64 and log_factorial(7).shape == ()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for n, value in enumerate(got.tolist()):
+            exact = Decimal(math.factorial(n)).ln()
+            assert abs(Decimal(value) - exact) <= 4 * Decimal(math.ulp(float(exact))), n
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_poisson_tail_matches_gammainc(upper):
+    # the branch summing the terms k >= n (n > mu), and 1 - the lower sum
+    grid = np.linspace(0.0, 400.0, 161)
+    checked, worst = 0, 0.0
+    for n in range(1, 401):
+        near = [n - 1.0, n - 0.5, n - 1e-9, n + 1e-9, n + 0.5, n + 1.0, 1e-300 * n]
+        for mu in [*grid, *near]:
+            if not 0 <= mu <= 400 or (n > mu) != upper:
+                continue
+            ref = gammainc(n, mu)
+            if ref < 1e-300:
+                continue
+            worst = max(worst, abs(poisson_tail(n, float(mu)) - ref) / ref)
+            checked += 1
+    assert checked > 10_000
+    assert worst <= 1e-12
+
+
+def test_poisson_tail_edges():
+    assert poisson_tail(0, 3.0) == 1.0
+    assert poisson_tail(5, 0.0) == 0.0
+    assert poisson_tail(5, math.inf) == 1.0
+    assert poisson_tail(1, 0.25) == pytest.approx(-math.expm1(-0.25), rel=1e-15)
+    assert poisson_tail(400, 1.0) == 0.0  # e^-1 / 400! ~ 1e-869

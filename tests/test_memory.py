@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,25 @@ def test_write_pulse_rectangular_oracle():
         sched = rm.write_pulse(mode)
     mid = (t > 0.01) & (t < 1.0)
     assert np.max(np.abs(sched.gamma[mid] * t[mid] - 1)) < 1e-4
+
+
+@pytest.mark.parametrize("points", [2001, 200001])
+def test_write_pulse_default_pulse_is_silent(points):
+    # the `pulse` scenario's default exp_rising mode: only samples at the
+    # support onset cap, and they carry ~1e-11 of int g^2
+    rise = make_mode("exp_rising", points=points, span=20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericalAccuracyWarning)
+        sched = rm.write_pulse(rise)
+    assert sched.gamma[0] == sched.gamma_cap  # the first sample is still capped
+
+
+def test_write_pulse_warns_when_clipping_is_material():
+    # a time bin starts at its full amplitude: gamma ~ 1/t caps over the
+    # first ~1% of the bin, which carries far more than NORM_TRUNCATION
+    tb = make_mode("time_bin", points=20001, t0=1.0 / GAMMA0)
+    with pytest.warns(NumericalAccuracyWarning, match="capped at support onset"):
+        rm.write_pulse(tb)
 
 
 def test_read_pulse_constant_for_exp_decaying():
@@ -225,8 +246,36 @@ def test_cli_import_skips_scipy_integrate_and_optimize():
     assert fresh_interpreter(code).strip() == "[]"
 
 
+def test_cli_import_loads_no_scipy():
+    code = "import sys, resomem.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert fresh_interpreter(code).strip() == "[]"
+
+
+def test_scenarios_load_no_scipy(tmp_path):
+    # one small run of every scenario kind and figure, as the CLI makes them
+    configs = [
+        {"kind": "pulse", "points": 2001},
+        {"kind": "pulse", "wavepacket": "exp_decaying", "Tf": 0.5, "points": 2001},
+        {"kind": "store"},
+        {"kind": "breed", "protocol": "gkp", "steps": 2, "dim": 40, "window": [-0.1, 0.1]},
+        {"kind": "wigner", "state": {"type": "bred", "protocol": "gkp", "steps": 1, "alpha": 1.0, "dim": 40}},
+        {"kind": "tomo", "state": {"type": "fock", "n": 1, "dim": 8}, "dim": 8, "n_frames": 2000},
+        {"kind": "rates"},
+        {"kind": "validate"},
+    ]
+    code = (
+        "import json, sys, warnings; from pathlib import Path; import resomem.cli as cli\n"
+        "warnings.simplefilter('ignore')\n"
+        f"out = Path({str(tmp_path)!r})\n"
+        f"for i, c in enumerate(json.loads({json.dumps(configs)!r})): cli.run_scenario(c, out / str(i))\n"
+        "for kind in ('fig3e', 'fig4d', 'edfig_rates', 'edfig_fidelity'): cli.emit_figure_data(kind, out / kind)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert fresh_interpreter(code).strip() == "[]"
+
+
 def test_cli_import_skips_scipy_ndimage():
-    # wigner.negative_region_count imports scipy.ndimage when it is called
+    # no library module imports scipy.ndimage (negative_region_count counts regions itself)
     code = "import sys, resomem.cli; print('scipy.ndimage' in sys.modules)"
     assert fresh_interpreter(code).strip() == "False"
 

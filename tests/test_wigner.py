@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 import resomem as rm
 from resomem.errors import DimensionError
-from resomem.fock import as_density_matrix
-from resomem.wigner import DEFAULT_GRID
+from resomem.fock import as_density_matrix, log_factorial
+from resomem.wigner import DEFAULT_GRID, NEGATIVE_REGION_THRESHOLD, WignerGrid
 
 
 def analytic_odd_cat_wigner(alpha, x, p):
@@ -124,7 +123,7 @@ def per_point_wigner(rho, xs, ps):
         if not np.any(np.abs(coeffs) > 1e-16):
             continue
         phase = env * B**d if d else env
-        pref = np.exp(0.5 * (gammaln(np.arange(dim - d) + 1) - gammaln(np.arange(dim - d) + d + 1)))
+        pref = np.exp(0.5 * (log_factorial(np.arange(dim - d)) - log_factorial(np.arange(dim - d) + d)))
         Lprev = None
         Lcur = np.ones_like(r2)
         acc = coeffs[0] * pref[0] * Lcur.astype(complex)
@@ -196,3 +195,22 @@ def test_squeezed_single_photon_matches_closed_form():
     u, v = X * np.exp(r), P * np.exp(-r)
     g = rm.wigner_grid(rm.squeezed_single_photon(r, 80), xs, xs)
     assert np.max(np.abs(g.w - (2 * (u**2 + v**2) - 1) * np.exp(-(u**2) - v**2) / np.pi)) <= 1e-12
+
+
+def test_negative_region_count_matches_ndimage_label():
+    from scipy import ndimage
+
+    rng = np.random.default_rng(7)
+    masks = [np.zeros((3, 4), bool), np.ones((5, 2), bool)]
+    for _ in range(1200):  # densities around the site-percolation threshold give tangled shapes
+        rows, cols = rng.integers(1, 41, 2)
+        masks.append(rng.random((rows, cols)) < rng.uniform(0.1, 0.9))
+    for mask in masks:
+        grid = WignerGrid(np.arange(mask.shape[1]), np.arange(mask.shape[0]), np.where(mask, -1.0, 0.0))
+        assert rm.negative_region_count(grid) == ndimage.label(mask)[1]
+    for steps in (1, 2, 3):
+        bred = rm.run_breeding(rm.BreedingPlan("gkp", steps, 1.0, -1, 60)).states[-1]
+        for state in (bred, rm.evolve_closed_form(bred, 40e-9, rm.NoiseParams(2.3e-6, 0.96e-6))):
+            grid = rm.wigner_grid(state)
+            n = ndimage.label(grid.w < NEGATIVE_REGION_THRESHOLD)[1]
+            assert n >= 2 and rm.negative_region_count(grid) == n
