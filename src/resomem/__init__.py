@@ -25,18 +25,11 @@ from .fock import (
     squeezed_vacuum,
     vacuum,
 )
-from .gates import (
-    JointState,
-    beamsplitter_apply,
-    homodyne_project,
-    quadrature_eigenbra,
-    window_condition,
-)
+from .gates import quadrature_eigenbra
 from .breeding import (
     BreedingPlan,
     BreedingTrajectory,
     breed_step,
-    exact_bred_state,
     gkp_stabilizer_expectation,
     run_breeding,
     theoretical_bred_state,
@@ -62,11 +55,9 @@ from .noise import (
     evolve_closed_form,
     fit_T1,
     fit_Tphi,
-    lindblad_oracle,
 )
 from .rates import (
     heralding_probability,
-    interference_rate,
     k_from_rates,
     success_probability,
 )
@@ -80,9 +71,7 @@ from .tomo import (
 )
 from .wigner import (
     WignerGrid,
-    count_peaks,
     marginal,
     negative_region_count,
-    negativity_volume,
     wigner_grid,
 )

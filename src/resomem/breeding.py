@@ -11,8 +11,8 @@ states (<x=0|i gamma> = pi^{-1/4} for every real gamma), so the GKP closed
 forms are reproduced to machine precision. The cat closed form is only the
 large-alpha limit: the p = 0 projection also keeps lower-amplitude terms
 (after one step a vacuum-like term of relative weight ~2s e^{-2 alpha^2}).
-`exact_bred_state` is the finite-alpha reference for both protocols; it
-follows the coherent-state superposition through each step in closed form.
+The tests' finite-alpha reference for both protocols follows the
+coherent-state superposition through each step in closed form.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def theoretical_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int
     gkp: sum_{m=0}^{k} binom(k, m) s^m |i(-k+2m) alpha/sqrt(k)>, normalized
 
     The gkp form is exact; the cat form is the large-alpha limit of cat
-    breeding. `exact_bred_state` gives the finite-alpha state for both.
+    breeding.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -136,39 +136,6 @@ def theoretical_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int
             amp += math.comb(k, m) * s**m * coherent_amplitudes(1j * (-k + 2 * m) * alpha / np.sqrt(k), dim)
         return FockVector(dim, amp).normalized()
     raise DomainError(f"unknown protocol {protocol!r}")
-
-
-def _quadrature_zero_overlap(gamma: complex, theta: float) -> complex:
-    """<x_theta = 0|gamma> = pi^{-1/4} exp(-|gamma|^2/2 - gamma^2 e^{2i theta}/2)."""
-    return np.pi**-0.25 * np.exp(-abs(gamma) ** 2 / 2 - gamma**2 * np.exp(2j * theta) / 2)
-
-
-def exact_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int) -> FockVector:
-    """Exact state after breeding k input cats of amplitude alpha, at any alpha.
-
-    The state is tracked as a superposition sum_n c_n |i alpha n / sqrt(j)>
-    over the integer lattice n after j cats, with no Fock truncation until the
-    end. Step j (T = j/(j+1)) maps |i m>|i eps alpha> to
-    |i(sqrt(T) m + sqrt(1-T) eps alpha)> |i(-sqrt(1-T) m + sqrt(T) eps alpha)>,
-    so n -> n + eps, and the ancilla is projected with the closed-form
-    <x_theta = 0|gamma> (theta = pi/2 for cat, 0 for gkp).
-    """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if s not in (+1, -1):
-        raise DomainError("parity s must be +1 or -1")
-    theta = _projection_theta(protocol)
-    guard_dim(np.sqrt(k) * alpha, dim)
-    coeffs = {1: 1.0 + 0j, -1: complex(s)}
-    for j in range(1, k):
-        nxt: dict[int, complex] = {}
-        for n, c in coeffs.items():
-            for eps, w in ((1, 1), (-1, s)):
-                anc = 1j * alpha * (j * eps - n) / np.sqrt(j * (j + 1))
-                nxt[n + eps] = nxt.get(n + eps, 0j) + c * w * _quadrature_zero_overlap(anc, theta)
-        coeffs = nxt
-    amp = sum(c * coherent_amplitudes(1j * alpha * n / np.sqrt(k), dim) for n, c in coeffs.items())
-    return FockVector(dim, amp).normalized()
 
 
 def gkp_stabilizer_expectation(state, g: float) -> tuple[float, float]:

@@ -1,4 +1,5 @@
-"""Truncated Fock-space states and basic operators.
+"""Truncated Fock-space states, their observables and fidelity, and the
+special functions they need at integer arguments.
 
 Conventions (hbar = 1 throughout):
     x = (a + a^dag)/sqrt(2),  p = (a - a^dag)/(i sqrt(2)),  [x, p] = i.
@@ -49,10 +50,6 @@ class FockVector:
             raise DomainError("cannot normalize the zero vector")
         return FockVector(self.dim, self.amp / n)
 
-    def require_normalized(self):
-        if abs(self.norm - 1.0) > NORM_TOL:
-            raise ContractError(f"state not normalized: |amp|={self.norm}")
-
     def to_density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(self.dim, np.outer(self.amp, self.amp.conj()))
 
@@ -84,22 +81,9 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.rho).real)
 
-    def normalized(self) -> "DensityMatrix":
-        t = self.trace
-        if t <= 0:
-            raise DomainError("cannot normalize: nonpositive trace")
-        return DensityMatrix(self.dim, self.rho / t)
-
     def require_normalized(self):
         if abs(self.trace - 1.0) > NORM_TOL:
             raise ContractError(f"density matrix not normalized: tr={self.trace}")
-
-    def check_physical(self, herm_tol: float = 1e-10, eig_floor: float = -1e-8):
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > herm_tol:
-            raise ContractError("density matrix not Hermitian")
-        w = np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2)
-        if w.min() < eig_floor:
-            raise ContractError(f"density matrix not positive semidefinite: min eig {w.min()}")
 
     def mean_photon_number(self) -> float:
         return float(np.sum(np.arange(self.dim) * np.diag(self.rho).real))
@@ -184,21 +168,7 @@ def poisson_tail(n: int, mu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operators
-
-def annihilation_operator(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-
-
-def x_operator(dim: int) -> np.ndarray:
-    a = annihilation_operator(dim)
-    return (a + a.conj().T) / np.sqrt(2)
-
-
-def p_operator(dim: int) -> np.ndarray:
-    a = annihilation_operator(dim)
-    return (a - a.conj().T) / (1j * np.sqrt(2))
-
+# observables
 
 def number_parity(state) -> float:
     """Expectation of the photon-number parity (-1)^n."""

@@ -6,9 +6,11 @@ Beamsplitter convention (matching the effective resonator relations):
     b_out = -sqrt(1-T) a + sqrt(T) b,
 realized by U = exp[theta (a^dag b - a b^dag)] with cos(theta) = sqrt(T).
 `condition_on_quadrature` works with wavefunctions, on which U only rotates
-the arguments. The Fock oracles (`beamsplitter_apply`, `homodyne_project`,
-`window_condition`) apply U block by block on the fixed-N subspaces, since it
-conserves total photon number.
+the arguments. The Fock oracles (`JointState`, `beamsplitter_apply`,
+`homodyne_project`, `window_condition`) apply U block by block on the fixed-N
+subspaces, since it conserves total photon number. Only tests call them, and
+`_bs_block` imports `scipy.linalg`, which the `test` extra installs; no
+scenario or figure needs scipy.
 
 Quadrature convention: <x_theta| = <x| e^{i theta n}, so
 x_theta = x cos(theta) - p sin(theta) and theta = pi/2 measures -p.
@@ -52,14 +54,6 @@ class JointState:
     def require_normalized(self):
         if abs(self.norm - 1.0) > NORM_TOL:
             raise ContractError(f"joint state not normalized: |amp|={self.norm}")
-
-    def total_photon_distribution(self) -> np.ndarray:
-        """Probability of total photon number N = nA + nB."""
-        p2 = np.abs(self.amp) ** 2
-        out = np.zeros(self.dimA + self.dimB - 1)
-        for na in range(self.dimA):
-            out[na : na + self.dimB] += p2[na]
-        return out
 
 
 def _bs_block(N: int, dimA: int, dimB: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -265,9 +259,3 @@ def window_condition(j: JointState, mode: str, theta: float, lo: float, hi: floa
     rho = rho / np.trace(rho).real
     sdim = j.dimA if mode == "B" else j.dimB
     return DensityMatrix(sdim, rho), acceptance
-
-
-def full_line_window(j: JointState, mode: str, theta: float):
-    """Window over the full projection grid [-bound, bound]; the survivor is
-    the reduced state of the remaining mode."""
-    return window_condition(j, mode, theta, -PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND)

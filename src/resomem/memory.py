@@ -21,6 +21,7 @@ from .errors import DomainError, NumericalAccuracyWarning
 SPEED_OF_LIGHT = 299792458.0
 NORM_TRUNCATION = 1e-6  # residual-norm threshold at support edges
 GAMMA_CAP_FACTOR = 100.0
+STAIRCASE_TAIL = 1e-14  # residual weight at which staircase_overlap_oracle stops summing
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -267,7 +268,7 @@ def multimode_overlap(T0: float) -> float:
     return float(sqrtM**2)
 
 
-def staircase_overlap_oracle(T0: float, tail: float = 1e-14) -> float:
+def staircase_overlap_oracle(T0: float) -> float:
     """Independent check of multimode_overlap: overlap of the per-round-trip
     staircase g(t) = sqrt((1-R0)/tau) sqrt(R0)^floor(t/tau) with the ideal
     exponential sqrt(gamma) e^{-gamma t/2}, gamma = -ln(R0)/tau, summed
@@ -275,8 +276,8 @@ def staircase_overlap_oracle(T0: float, tail: float = 1e-14) -> float:
     if not 0 < T0 < 1:
         raise DomainError(f"T0={T0} outside (0, 1)")
     R0 = 1.0 - T0
-    # number of round trips until the residual weight drops below `tail`
-    n = int(np.ceil(np.log(tail) / np.log(R0))) + 2
+    # number of round trips until the residual weight drops below STAIRCASE_TAIL
+    n = int(np.ceil(np.log(STAIRCASE_TAIL) / np.log(R0))) + 2
     j = np.arange(n)
     gamma_tau = -np.log(R0)
     # int_{j tau}^{(j+1) tau} sqrt((1-R0)/tau) R0^{j/2} sqrt(gamma) e^{-gamma t/2} dt

@@ -1,5 +1,5 @@
 """Storage decoherence: closed-form amplitude-damping + dephasing evolution,
-an independent Runge-Kutta Lindblad oracle, and T1/Tphi extraction.
+linear loss, and T1/Tphi extraction.
 
 Closed form in the Fock basis:
     rho_{n,m}(t) = sum_k rho_{n+k,m+k}(0) sqrt(C(n+k,k) C(m+k,k))
@@ -8,8 +8,8 @@ Closed form in the Fock basis:
 which solves d rho/dt = (1/T1) D[a] rho + (2/Tphi) D[a^dag a] rho.  Note the
 factor 2 on the dephasing dissipator: with rate 1/Tphi the (0,2) coherence
 would decay as e^{-2t/Tphi}, not the e^{-4t/Tphi} the closed form (and the
-R(t) = R(0) e^{-t/Tphi} coherence observable) requires.  Verified against the
-RK4 oracle below.
+R(t) = R(0) e^{-t/Tphi} coherence observable) requires.  The tests check it
+against an independent RK4 integration of that equation.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalAccuracyWarning
-from .fock import DensityMatrix, annihilation_operator, as_density_matrix, log_factorial
+from .fock import DensityMatrix, as_density_matrix, log_factorial
 
 EDGE_WEIGHT_TOL = 1e-6
 
@@ -92,50 +92,6 @@ def evolve_closed_form(rho: DensityMatrix, t: float, params: NoiseParams) -> Den
         fac = loss**k if k else 1.0
         out[: dim - k, : dim - k] += fac * (w[:, None] * w[None, :]) * sub
     out *= np.outer(damp, damp) * deph
-    return DensityMatrix(dim, out)
-
-
-def _dissipator_superop(L: np.ndarray) -> np.ndarray:
-    """Row-major-vectorized D[L]: rho -> L rho L^dag - {L^dag L, rho}/2."""
-    dim = L.shape[0]
-    eye = np.eye(dim)
-    LdL = L.conj().T @ L
-    return np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
-
-
-def lindblad_oracle(
-    rho: DensityMatrix, t: float, params: NoiseParams, steps: int | None = None
-) -> DensityMatrix:
-    """Fixed-step RK4 integration of
-    d rho/dt = (1/T1) D[a] rho + (2/Tphi) D[a^dag a] rho.
-
-    The equation is linear and autonomous, so the RK4 update is one matrix
-    acting on vec(rho); applying it `steps` times is done by matrix powers,
-    which is bitwise equivalent in exact arithmetic to explicit stepping.
-    By default `steps` is chosen so that max_rate * h <= 1e-3.  Exists solely
-    as an independent check of evolve_closed_form.
-    """
-    rho.require_normalized()
-    if t == 0:
-        return rho
-    dim = rho.dim
-    a = annihilation_operator(dim)
-    nop = a.conj().T @ a
-    g1 = 0.0 if np.isinf(params.T1) else 1.0 / params.T1
-    g2 = 0.0 if np.isinf(params.Tphi) else 2.0 / params.Tphi
-    max_rate = g1 * (dim - 1) + g2 * (dim - 1) ** 2
-    if steps is None:
-        steps = max(100, int(np.ceil(max_rate * t / 1e-3)))
-    h = t / steps
-    if max_rate * h > 1e-3 * (1 + 1e-9):
-        raise DomainError(f"step size too large: max rate * h = {max_rate * h:.2e}")
-    lv = g1 * _dissipator_superop(a) + g2 * _dissipator_superop(nop.astype(complex))
-    eye = np.eye(dim * dim)
-    # one RK4 step: I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24
-    hl = h * lv
-    step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4) / 3) / 2)
-    prop = np.linalg.matrix_power(step, steps)
-    out = (prop @ rho.rho.reshape(-1)).reshape(dim, dim)
     return DensityMatrix(dim, out)
 
 

@@ -3,8 +3,9 @@
 Two heralded sources with rate r0 and wavepacket FWHM bandwidth Delta
 interfere successfully at rate r_BS = k_match r0^2 / Delta, where k_match is
 a dimensionless storage/mode-match parameter (k_match = Delta t_storage
-in the memory-assisted scheme, ~p1-independent).  The n-input success
-probability per wavepacket width is the Poisson tail
+in the memory-assisted scheme, ~p1-independent); `k_from_rates` reads
+k_match off a measured (r0, Delta, r_BS).  The n-input success probability
+per wavepacket width is the Poisson tail
 
     p_n = (1 / max(k_match, 1)) * P(N >= n),  N ~ Poisson(k_match p1),
 
@@ -19,26 +20,9 @@ from .errors import DomainError
 from .fock import poisson_tail
 
 
-def interference_rate(r0: float, delta: float, k_match: float) -> float:
-    """r_BS = k_match r0^2 / delta, in 1/s, with mantissas and binary exponents
-    taken apart (math.frexp): no partial product leaves the float range unless
-    r_BS does, and where none did, this is k_match * (r0 * r0) / delta bit for bit."""
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    if r0 < 0 or k_match < 0:
-        raise DomainError("r0 and k_match must be nonnegative")
-    (mr, er), (mk, ek), (md, ed) = map(math.frexp, (r0, k_match, delta))
-    try:
-        rate = math.ldexp(mk * (mr * mr) / md, 2 * er + ek - ed)
-    except OverflowError:
-        rate = math.inf
-    if not math.isfinite(rate):
-        raise DomainError(f"r_BS = k_match r0^2 / delta leaves the float range for r0={r0}, delta={delta}")
-    return rate
-
-
 def k_from_rates(r0: float, delta: float, r_bs: float) -> float:
-    """Invert interference_rate for the mode-match parameter k_match."""
+    """The mode-match parameter k_match = r_bs delta / r0^2 of a source pair
+    whose interference rate is r_bs."""
     if r0 <= 0 or delta <= 0:
         raise DomainError("r0 and delta must be positive")
     try:

@@ -50,7 +50,6 @@ class HomodyneDataset:
 
     thetas: np.ndarray
     xs: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         th = np.asarray(self.thetas, dtype=float)
@@ -116,7 +115,7 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
         cdf = cdf / cdf[-1]
         u = rng.random(int(np.sum(sel)))
         xs[sel] = np.interp(u, cdf, grid)
-    return HomodyneDataset(frame_phase, xs, seed)
+    return HomodyneDataset(frame_phase, xs)
 
 
 def _binned_projectors(data: HomodyneDataset, dim: int) -> list:

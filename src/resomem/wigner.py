@@ -1,4 +1,5 @@
-"""Wigner function grids, negativity measures, and quadrature marginals.
+"""Wigner function grids, counting of their negative regions, and quadrature
+marginals.
 
 Convention: W(x, p) = (1/pi) Tr[rho D(2 beta) Pi] with beta = (x + i p)/sqrt(2)
 and Pi the photon-number parity, so the vacuum has W(0, 0) = 1/pi.
@@ -93,11 +94,6 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     return WignerGrid(xs, ps, W / np.pi)
 
 
-def negativity_volume(grid: WignerGrid) -> float:
-    """Integral of max(0, -W) over the grid."""
-    return float(np.sum(np.clip(-grid.w, 0, None)) * grid.dx * grid.dp)
-
-
 def negative_region_count(grid: WignerGrid) -> int:
     """Count 4-connected regions where W < NEGATIVE_REGION_THRESHOLD.
 
@@ -143,12 +139,3 @@ def marginal(state, theta: float, grid: np.ndarray, psi: np.ndarray | None = Non
         psi = hermite_functions(grid, rho.dim)
     return quadrature_density(rho.rho, theta, psi)
 
-
-def count_peaks(density: np.ndarray, prominence: float = 0.05) -> int:
-    """Number of peaks with relative prominence above `prominence` * max."""
-    if prominence <= 0:
-        raise DomainError("prominence must be positive")
-    from scipy.signal import find_peaks  # imported here: only tests count peaks, and every run path stays numpy-only
-
-    peaks, _ = find_peaks(np.asarray(density), prominence=prominence * np.max(density))
-    return int(len(peaks))

@@ -17,6 +17,7 @@ import pytest
 
 import resomem as rm
 import resomem.cli as cli
+from oracles import count_peaks, exact_bred_state, lindblad_oracle
 from resomem.memory import staircase_overlap_oracle
 from resomem.tomo import log_likelihood
 
@@ -101,7 +102,7 @@ def test_criterion_04_input_output_equivalence():
 def test_criterion_05a_one_step_cat_breeding():
     cat = rm.cat_state(1.0, -1, 60)
     out, _ = rm.breed_step(cat.to_density_matrix(), cat, 1, "cat")
-    f = rm.fidelity(rm.exact_bred_state(2, 1.0, -1, "cat", 60), out)
+    f = rm.fidelity(exact_bred_state(2, 1.0, -1, "cat", 60), out)
     f_paper = rm.fidelity(rm.theoretical_bred_state(2, 1.0, -1, "cat", 60), out)
     report(
         f"criterion 5a: one-step cat breeding fidelity >= 0.999 (got {f:.4f}; "
@@ -119,7 +120,7 @@ def test_criterion_05b_one_step_gkp_breeding():
 
 def test_criterion_05c_three_step_cat_breeding():
     traj = rm.run_breeding(rm.BreedingPlan("cat", 3, 1.0, -1, 80))
-    f = rm.fidelity(rm.exact_bred_state(4, 1.0, -1, "cat", 80), traj.states[-1])
+    f = rm.fidelity(exact_bred_state(4, 1.0, -1, "cat", 80), traj.states[-1])
     f_paper = rm.fidelity(rm.theoretical_bred_state(4, 1.0, -1, "cat", 80), traj.states[-1])
     report(
         f"criterion 5c: three-step cat breeding fidelity >= 0.995 (got {f:.4f}; "
@@ -132,7 +133,7 @@ def test_criterion_06_wigner_structure():
     st = rm.theoretical_bred_state(2, 1.0, -1, "gkp", 40)
     grid = rm.wigner_grid(st)
     regions = rm.negative_region_count(grid)
-    peaks = rm.count_peaks(rm.marginal(st, np.pi / 2, np.linspace(-5, 5, 1001)))
+    peaks = count_peaks(rm.marginal(st, np.pi / 2, np.linspace(-5, 5, 1001)))
     ok = regions == 2 and peaks == 3
     report(f"criterion 6: GKP-bred Wigner structure ({regions} negative regions, {peaks} peaks)", ok)
 
@@ -146,7 +147,7 @@ def test_criterion_07_noise_model():
         rho = A @ A.conj().T
         dm = rm.DensityMatrix(8, rho / np.trace(rho).real)
         for t in (0.1 * 2.3e-6, 2.3e-6, 3 * 2.3e-6):
-            diff = np.max(np.abs(rm.evolve_closed_form(dm, t, params).rho - rm.lindblad_oracle(dm, t, params).rho))
+            diff = np.max(np.abs(rm.evolve_closed_form(dm, t, params).rho - lindblad_oracle(dm, t, params).rho))
             ok &= diff <= 1e-6
     # exact fits from closed-form-generated series: |1> decay for T1, and a
     # dephasing-only squeezed-state series for Tphi (the R(t) construction

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import resomem as rm
+from oracles import count_peaks, exact_bred_state
 from resomem.breeding import CAT_PROJECTION_THETA, GKP_PROJECTION_THETA
 from resomem.errors import DomainError
 from resomem.fock import coherent_amplitudes
+from resomem.gates import beamsplitter_apply, homodyne_project, window_condition
 
 
 def test_theoretical_k1_is_input_cat():
@@ -43,7 +45,7 @@ def test_run_breeding_matches_exact_bred_state(protocol, s):
     for alpha in (0.5, 1.0, 1.5):
         traj = rm.run_breeding(rm.BreedingPlan(protocol, 3, alpha, s, 40))
         for j, state in enumerate(traj.states):
-            exact = rm.exact_bred_state(j + 1, alpha, s, protocol, 40)
+            exact = exact_bred_state(j + 1, alpha, s, protocol, 40)
             assert 1 - rm.fidelity(exact, state) <= 1e-10
 
 
@@ -52,7 +54,7 @@ def test_exact_gkp_equals_closed_form():
     for alpha in (0.5, 1.0, 1.5):
         for s in (+1, -1):
             for k in (1, 2, 3, 4):
-                exact = rm.exact_bred_state(k, alpha, s, "gkp", 40)
+                exact = exact_bred_state(k, alpha, s, "gkp", 40)
                 closed = rm.theoretical_bred_state(k, alpha, s, "gkp", 40)
                 assert 1 - rm.fidelity(exact, closed) <= 1e-10
 
@@ -60,18 +62,18 @@ def test_exact_gkp_equals_closed_form():
 def test_exact_cat_approaches_closed_form_at_large_alpha():
     for s in (+1, -1):
         for k in (2, 3, 4):
-            exact = rm.exact_bred_state(k, 2.5, s, "cat", 120)
+            exact = exact_bred_state(k, 2.5, s, "cat", 120)
             closed = rm.theoretical_bred_state(k, 2.5, s, "cat", 120)
             assert 1 - rm.fidelity(exact, closed) <= 1e-8
 
 
 def test_exact_bred_state_errors():
     with pytest.raises(DomainError):
-        rm.exact_bred_state(0, 1.0, -1, "cat", 40)
+        exact_bred_state(0, 1.0, -1, "cat", 40)
     with pytest.raises(DomainError):
-        rm.exact_bred_state(2, 1.0, 2, "cat", 40)
+        exact_bred_state(2, 1.0, 2, "cat", 40)
     with pytest.raises(DomainError):
-        rm.exact_bred_state(2, 1.0, -1, "foo", 40)
+        exact_bred_state(2, 1.0, -1, "foo", 40)
 
 
 def test_breed_step_vacua_fixed_point():
@@ -104,12 +106,12 @@ def test_breed_step_mixed_memory_matches_pure():
 def test_gkp_peak_recursion():
     grid = np.linspace(-7, 7, 1401)
     traj = rm.run_breeding(rm.BreedingPlan("gkp", 3, 1.0, -1, 60))
-    counts = [rm.count_peaks(rm.marginal(s, np.pi / 2, grid)) for s in traj.states]
+    counts = [count_peaks(rm.marginal(s, np.pi / 2, grid)) for s in traj.states]
     # k+1 peaks after the k-th step at the default 5% prominence; the outer
     # peaks of the k=4 state carry binomial weight (1/6)^2 ~ 2.8% and need a
     # lower prominence to resolve
     assert counts[:3] == [2, 3, 4]
-    assert rm.count_peaks(rm.marginal(traj.states[3], np.pi / 2, grid), prominence=0.01) == 5
+    assert count_peaks(rm.marginal(traj.states[3], np.pi / 2, grid), prominence=0.01) == 5
 
 
 def test_cat_parity_alternation():
@@ -148,12 +150,12 @@ def fock_oracle_step(memory, inp, k, protocol, window):
     for wi, vi in zip(w, v.T):
         if wi < 1e-12:
             continue
-        joint = rm.beamsplitter_apply(rm.FockVector(memory.dim, vi), inp, k / (k + 1))
+        joint = beamsplitter_apply(rm.FockVector(memory.dim, vi), inp, k / (k + 1))
         if window is None:
-            surv, dens = rm.homodyne_project(joint, "B", theta, 0.0)
+            surv, dens = homodyne_project(joint, "B", theta, 0.0)
             out += wi * np.outer(surv.amp, surv.amp.conj())
         else:
-            rho, dens = rm.window_condition(joint, "B", theta, *window)
+            rho, dens = window_condition(joint, "B", theta, *window)
             out += wi * dens * rho.rho
         total += wi * dens
     return rm.DensityMatrix(memory.dim, out / total), total

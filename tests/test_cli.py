@@ -160,6 +160,31 @@ def test_main_exit_codes(tmp_path):
     assert not (tmp_path / "far").exists()
 
 
+def test_main_rejects_unread_flags_and_non_utf8_config(tmp_path, capsys):
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"kind": "rates"}))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    cases = [
+        (["--config", str(binary)], "UTF-8"),
+        (["--figure", "edfig_rates", "--seed", "3"], "--seed"),
+        (["--figure", "fig3e", "--config", str(rates)], "--config"),
+    ]
+    for i, (args, message) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert cli.main([*args, "--out", str(out)]) == 2, args
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_validate_counts_gkp_peaks(tmp_path, monkeypatch):
+    # an odd cat's p marginal integrates to 1 but has two peaks, not three
+    monkeypatch.setattr(cli, "theoretical_bred_state", lambda k, alpha, s, protocol, dim: cli.cat_state(alpha, -1, dim))
+    with pytest.raises(cli.ResomemError, match="gkp_three_peaks"):
+        cli.run_scenario({"kind": "validate"}, tmp_path)
+    assert not (tmp_path / "validation.csv").exists()
+
+
 def test_seed_is_a_tomo_key(tmp_path, capsys):
     for kind in ("pulse", "store", "breed", "wigner", "rates", "validate"):
         assert "seed" not in cli._SCENARIOS[kind][1]
@@ -308,11 +333,9 @@ def test_default_wigner_grid_is_read_only():
         xs[0] = 0.0
 
 
-def test_manifest_records_scipy_version(tmp_path):
-    import scipy
-
+def test_manifest_versions_are_package_and_numpy(tmp_path):
     m = cli.run_scenario({"kind": "rates"}, tmp_path)
-    assert read_manifest(m)["versions"]["scipy"] == scipy.__version__
+    assert read_manifest(m)["versions"] == {"package": cli.__version__, "numpy": np.__version__}
 
 
 def test_float_format_roundtrip(tmp_path):

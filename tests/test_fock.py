@@ -9,15 +9,9 @@ from scipy.linalg import expm
 from scipy.special import gammainc
 
 import resomem as rm
+from oracles import annihilation_operator, p_operator, x_operator
 from resomem.errors import DimensionError, DomainError
-from resomem.fock import (
-    annihilation_operator,
-    coherent_amplitudes,
-    log_factorial,
-    p_operator,
-    poisson_tail,
-    x_operator,
-)
+from resomem.fock import coherent_amplitudes, log_factorial, poisson_tail
 
 
 def brute_coherent(alpha, dim):

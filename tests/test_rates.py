@@ -29,17 +29,10 @@ def test_k_from_rates_outside_float_range(r0, delta, r_bs):
 
 
 def test_rate_and_k_are_inverse():
+    # k = r_bs delta / r0^2 for the rate r_bs = k r0^2 / delta
     r0, delta, k = 2e5, 1.2e8, 0.03
-    assert rm.k_from_rates(r0, delta, rm.interference_rate(r0, delta, k)) == pytest.approx(k, rel=1e-12)
-    assert rm.interference_rate(r0, delta, 0.0) == 0.0
-
-
-def test_interference_rate_float_range():
-    # r0**2 underflows, but k_match r0^2 / delta = 1e-100 is a float
-    assert rm.interference_rate(1e-200, 1.0, 1e300) == pytest.approx(1e-100, rel=1e-12)
-    # r0**2 overflows, and so does the rate itself
-    with pytest.raises(DomainError, match="float range"):
-        rm.interference_rate(1e200, 1.0, 1.0)
+    assert rm.k_from_rates(r0, delta, k * r0**2 / delta) == pytest.approx(k, rel=1e-12)
+    assert rm.k_from_rates(r0, delta, 0.0) == 0.0
 
 
 def test_success_probability_basics():
