@@ -266,9 +266,21 @@ def write_wigner_csv(path: Path, grid) -> str:
     return _write_rows(path, head, [grid.ps, *grid.w.T])
 
 
+def _strict_json(value):
+    """`value` with each non-finite float replaced by the string json.dumps
+    gives it ("Infinity", "-Infinity" or "NaN"), which strict JSON lacks."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def write_manifest(outdir: Path, config: dict, files: dict, extra: dict | None = None) -> Path:
-    """Write manifest.json; `files` maps each written file's name to its
-    sha256 hex digest."""
+    """Write manifest.json, strict JSON; `files` maps each written file's
+    name to its sha256 hex digest."""
     manifest = {
         "config": config,
         "versions": {"package": __version__, "numpy": np.__version__},
@@ -277,7 +289,7 @@ def write_manifest(outdir: Path, config: dict, files: dict, extra: dict | None =
     if extra:
         manifest["results"] = extra
     path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_strict_json(manifest), indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 

@@ -2,7 +2,10 @@
 marginals.
 
 Convention: W(x, p) = (1/pi) Tr[rho D(2 beta) Pi] with beta = (x + i p)/sqrt(2)
-and Pi the photon-number parity, so the vacuum has W(0, 0) = 1/pi.
+and Pi the photon-number parity, so the vacuum has W(0, 0) = 1/pi. A grid sums
+the associated-Laguerre series of rho's diagonals by Horner's rule in 2 beta,
+one Laguerre recurrence per surviving diagonal over the distinct radii of the
+grid; one complex grid carries the sum, so memory is O(grid + radii).
 """
 
 from __future__ import annotations
@@ -35,16 +38,22 @@ class WignerGrid:
         return float(self.ps[1] - self.ps[0])
 
     def integral(self) -> float:
+        if len(self.xs) < 2 or len(self.ps) < 2:
+            raise DomainError("the integral of a Wigner grid needs at least two points on each axis")
         return float(self.w.sum() * self.dx * self.dp)
 
 
 def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     """Evaluate the Wigner function of `state` on the (xs, ps) grid.
 
-    Uses the associated-Laguerre series for the displacement-parity matrix
-    elements. The radial part depends on r^2 = |2 beta|^2 alone, so its
-    recurrences run over the distinct radii of the grid and are scattered back
-    to the points (each point sees the same floating-point operations as a
+    W = e^{-r^2/2}/pi Re sum_d B^d a_d(r^2), with B = 2 beta, r^2 = |B|^2 and
+    a_d = (2 if d else 1) sum_n (-1)^n rho[n, n+d] sqrt(n!/(n+d)!) L_n^{(d)}(r^2),
+    the associated-Laguerre series of the displacement-parity matrix
+    elements. The sum over diagonals d runs by Horner's rule in B, from the
+    top surviving diagonal down. Each a_d depends on r^2 alone, so its
+    Laguerre recurrence runs over the distinct radii of the grid, stops at
+    the last coefficient that the skip rule keeps, and is scattered back to
+    the points (each point sees the same floating-point operations as a
     per-point recurrence); stable to dim ~ 100 for |x|, |p| <= 6.
     """
     rho = as_density_matrix(state)
@@ -58,40 +67,47 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     X, P = np.meshgrid(xs, ps)
     B = np.sqrt(2.0) * (X + 1j * P)  # 2 beta
     r2 = (np.abs(B) ** 2).astype(float)
-    env = np.exp(-r2 / 2)
     radii, to_grid = np.unique(r2, return_inverse=True)  # distinct r^2, and each point's index
+    to_grid = to_grid.reshape(r2.shape)  # numpy < 2 returns it flat
     dim = rho.dim
-    n_arr = np.arange(dim)
-    signs = (-1.0) ** n_arr
-    log_fact = log_factorial(n_arr)
-    W = np.zeros_like(r2)
-    # sum over diagonals d = m - n >= 0; the d > 0 terms appear twice as
-    # conjugate pairs, so only their doubled real part is accumulated.
-    for d in range(dim):
-        coeffs = rho.rho[np.arange(dim - d), np.arange(d, dim)] * signs[: dim - d]
-        if not np.any(np.abs(coeffs) > 1e-16):
+    signs = (-1.0) ** np.arange(dim)
+    log_fact = log_factorial(np.arange(dim))
+    # coefficients of diagonal d = m - n >= 0; the d > 0 terms appear twice as
+    # conjugate pairs, so only their doubled real part is kept
+    coeffs = [rho.rho[np.arange(dim - d), np.arange(d, dim)] * signs[: dim - d] for d in range(dim)]
+    live = [np.any(np.abs(c) > 1e-16) for c in coeffs]
+    top = max((d for d in range(dim) if live[d]), default=0)
+    S = np.zeros(r2.shape, dtype=complex)
+    for d in range(top, -1, -1):
+        if d < top:
+            S *= B
+        if not live[d]:
             continue
-        phase = env * B**d if d else env
+        c = coeffs[d]
+        # rho[n, n+d] times an element of the unitary D(2 beta) Pi: skipping moves W <= 2e-18 / pi
+        kept = np.abs(c) > 1e-18
+        last = np.flatnonzero(kept)[-1]  # a live diagonal keeps at least one term
         # sqrt(n!/m!) prefactor folded into the recurrence start
         pref = np.exp(0.5 * (log_fact[: dim - d] - log_fact[d:]))
         # Laguerre recurrence in n at fixed order d, accumulated on the fly
         Lprev = None
         Lcur = np.ones_like(radii)  # L_0^{(d)}
-        acc = coeffs[0] * pref[0] * Lcur.astype(complex)
-        for n in range(1, dim - d):
+        acc = c[0] * pref[0] * Lcur.astype(complex)
+        for n in range(1, last + 1):
             if n == 1:
                 Lnew = (d + 1) - radii
             else:
                 Lnew = ((2 * n + d - 1 - radii) * Lcur - (n + d - 1) * Lprev) / n
             Lprev, Lcur = Lcur, Lnew
-            # rho[n, n+d] times an element of the unitary D(2 beta) Pi: skipping moves W <= 2e-18 / pi
-            if abs(coeffs[n]) > 1e-18:
-                acc = acc + coeffs[n] * pref[n] * Lcur
-        term = phase * acc[to_grid].reshape(r2.shape)  # numpy < 2 returns to_grid flat
-        W += (2.0 if d else 1.0) * term.real
+            if kept[n]:
+                acc += c[n] * pref[n] * Lcur
+        if d:
+            acc *= 2.0
+        S += acc[to_grid]
+    W = np.exp(-r2 / 2) * S.real / np.pi
     if not np.all(np.isfinite(W)):
         raise DomainError("Wigner function not finite on the grid (grid too far out for the float range)")
-    return WignerGrid(xs, ps, W / np.pi)
+    return WignerGrid(xs, ps, W)
 
 
 def negative_region_count(grid: WignerGrid) -> int:

@@ -2,11 +2,13 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resomem.cli as cli
@@ -486,3 +488,73 @@ def test_breed_stabilizers_looked_up_on_breeding(tmp_path, monkeypatch):
     monkeypatch.setattr(breeding, "gkp_stabilizer_expectation", counting)
     cli.run_scenario({"kind": "breed", "steps": 2}, tmp_path)
     assert len(calls) == 3  # one per row of breeding.csv
+
+
+_DIMS = st.integers(2, 12)
+_SMALL_STATES = st.one_of(
+    st.builds(lambda dim: {"type": "vacuum", "dim": dim}, _DIMS),
+    st.builds(lambda n, dim: {"type": "fock", "n": n, "dim": dim}, st.integers(0, 13), _DIMS),
+    st.builds(lambda alpha, s, dim: {"type": "cat", "alpha": alpha, "s": s, "dim": dim},
+              st.floats(0, 1.5), st.sampled_from([-1, 1]), _DIMS),
+    st.builds(lambda r, dim: {"type": "squeezed_single_photon", "r": r, "dim": dim}, st.floats(-1, 1), _DIMS),
+    st.builds(lambda protocol, steps, alpha, dim: {"type": "bred", "protocol": protocol, "steps": steps,
+                                                   "alpha": alpha, "dim": dim},
+              st.sampled_from(["cat", "gkp"]), st.integers(1, 2), st.floats(0, 1.2), _DIMS),
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LIFETIMES = st.floats(1e-9, 1e-4) | st.just(math.inf)
+_AXES = st.builds(lambda lo, hi, n: np.linspace(-lo, hi, n).tolist(),
+                  st.floats(0.1, 8) | st.floats(8, 1e300), st.floats(0.1, 8) | st.floats(8, 1e300), st.integers(2, 41))
+
+
+def _pulse(wavepacket, points, gamma0, dt_factor, span, t0, Tf):
+    """A pulse config with only the keys its wavepacket reads."""
+    config = {"kind": "pulse", "wavepacket": wavepacket, "points": points, "gamma0": gamma0, "dt_factor": dt_factor}
+    if wavepacket == "time_bin":
+        config["t0"] = t0
+    else:
+        config["span"] = span
+    if wavepacket != "exp_rising":
+        config["Tf"] = Tf
+    return config
+
+
+_RUNS = st.one_of(
+    st.builds(_pulse, st.sampled_from(["exp_rising", "exp_decaying", "time_bin"]), st.integers(3, 1001),
+              st.floats(1e5, 1e9), st.floats(1e-3, 1.0), st.floats(0.5, 20), st.floats(0.1, 5) | st.none(),
+              st.floats(0.01, 0.99) | st.none()),
+    st.fixed_dictionaries({"kind": st.just("store"), "T1": _LIFETIMES, "Tphi": _LIFETIMES, "state": _SMALL_STATES,
+                           "times": st.lists(st.floats(0, 5e-6), min_size=1, max_size=4)}),
+    st.fixed_dictionaries({"kind": st.just("breed"), "protocol": st.sampled_from(["cat", "gkp"]),
+                           "steps": st.integers(1, 2), "alpha": st.floats(0, 1.5), "s": st.sampled_from([-1, 1]),
+                           "dim": _DIMS, "window": st.none() | st.floats(0.01, 1).map(lambda h: [-h, h])}),
+    st.fixed_dictionaries({"kind": st.just("wigner"), "state": _SMALL_STATES, "xs": _AXES, "ps": _AXES}),
+    st.fixed_dictionaries({"kind": st.just("tomo"), "state": _SMALL_STATES, "dim": _DIMS,
+                           "n_frames": st.just(cli.MLE_MIN_FRAMES), "iterations": st.integers(1, 300),
+                           "seed": st.integers(0, 2**32), "phases_deg": st.lists(st.floats(-360, 360), min_size=1,
+                                                                                  max_size=4)}),
+    st.fixed_dictionaries({"kind": st.just("rates"), "k_list": st.lists(st.floats(0, 1e3), min_size=1, max_size=3),
+                           "p1": st.floats(0, 1), "n_max": st.integers(1, 64),
+                           "sources": st.lists(st.fixed_dictionaries({"r0": _FINITE, "delta": _FINITE,
+                                                                      "r_bs": _FINITE}), max_size=3)}),
+    st.just({"kind": "validate"}),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"manifest holds {name}, which is not JSON")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RUNS)
+@example({"kind": "store", "T1": math.inf, "Tphi": 1e-6, "state": {"type": "fock", "n": 1, "dim": 5}, "times": [0]})
+def test_small_runs_exit_cleanly_with_strict_json_manifests(config):
+    # exit 1 would be a traceback: a numeric guard the library lacks
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        with np.errstate(all="ignore"):
+            code = cli.main(["--config", str(path), "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), config
+        if (out / "manifest.json").exists():
+            json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
