@@ -41,7 +41,6 @@ from .memory import (
     TemporalMode,
     entangle_pulse,
     multimode_overlap,
-    output_mode_from_schedule,
     read_pulse,
     simulate_network,
     standard_wavepacket,

@@ -1,12 +1,14 @@
 """Dual-mode resonator memory: coupling-schedule design for arbitrary
-wavepackets, analytic input/output mode relations, and a discretized
-cascaded-network simulator that validates the effective-beamsplitter picture.
+wavepackets, and a discretized cascaded-network simulator that validates the
+effective-beamsplitter picture.
 
-Design relations (F(t) = exp(-1/2 int^t gamma)):
-    write:    gamma(t) = g_in^2 / int_{-inf}^t g_in^2
-    read:     gamma(t) = g_out^2 / int_t^inf g_out^2
-    entangle: gamma(t) = g_in^2 / (T_f/(1-T_f) + int_{-inf}^t g_in^2)
-with g_in  proportional to sqrt(gamma)/F and g_out = F sqrt(gamma)/sqrt(1-T_f).
+Every schedule comes from one relation, gamma(t) = g(t)^2 / D(t):
+    absorbing (entangle, survival T_f): D = T_f/(1-T_f) + int_{-inf}^t g_in^2
+    write = absorbing with T_f = 0:     D = int_{-inf}^t g_in^2
+    read = write run backwards in time: D = int_t^inf g_out^2
+With F(t) = exp(-1/2 int^t gamma), the input mode is g_in proportional to
+sqrt(gamma)/F and the output mode g_out = F sqrt(gamma)/sqrt(1-T_f);
+simulate_network computes both from a schedule.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class TemporalMode:
             raise DomainError("t and g must be matching 1d arrays, length >= 3")
         if not np.allclose(np.diff(t), t[1] - t[0], rtol=1e-9, atol=0):
             raise DomainError("time grid must be uniform")
+        if not np.all(np.isfinite(g)):
+            raise DomainError("mode not finite")
         if abs(np.trapezoid(g * g, t) - 1.0) > 1e-6:
             raise DomainError("mode not normalized: int g^2 dt != 1")
         object.__setattr__(self, "t", t)
@@ -135,47 +139,42 @@ def standard_wavepacket(kind: str, gamma0: float, grid, t0: float | None = None)
     return TemporalMode(t, g / norm)
 
 
-def _cap(g2: np.ndarray) -> float:
-    """The largest gamma a schedule may take: GAMMA_CAP_FACTOR times the peak of g^2."""
-    return GAMMA_CAP_FACTOR * float(np.max(g2))
+def _coupling(mode: TemporalMode, Tf: float | None, warning: str = "") -> CouplingSchedule:
+    """The one design relation gamma = g^2 / D.
+
+    Absorbing (Tf in [0, 1)): D = Tf/(1-Tf) + int_{t0}^t g^2.
+    Releasing (Tf None):      D = int_t^end g^2, and gamma = 0 where D < NORM_TRUNCATION.
+    D reaches 0 only when absorbing with Tf = 0 (at the support onset) or when
+    releasing (at the support end); there gamma is clipped at GAMMA_CAP_FACTOR
+    times the peak of g^2, and `warning` is raised when the clipped samples
+    carry more than NORM_TRUNCATION of int g^2 = 1.  With Tf > 0 the schedule
+    is finite (peak g(0)^2 (1-Tf)/Tf) and never clipped.
+    """
+    g2 = mode.g**2
+    G = _cumulative_trapezoid(g2, mode.t)
+    D = G[-1] - G if Tf is None else Tf / (1 - Tf) + G
+    with np.errstate(divide="ignore", invalid="ignore"):  # the floor keeps gamma finite where D = 0
+        gam = np.where(g2 > 0, g2 / np.maximum(D, 1e-300), 0.0)
+    if Tf is None:
+        gam[D < NORM_TRUNCATION] = 0.0
+    cap = GAMMA_CAP_FACTOR * float(np.max(g2))
+    if Tf:  # D >= Tf/(1-Tf) > 0
+        return CouplingSchedule(mode.t, gam, max(cap, float(np.max(gam))))
+    if np.sum(g2[gam > cap]) * mode.dt > NORM_TRUNCATION:
+        warnings.warn(warning, NumericalAccuracyWarning)
+    return CouplingSchedule(mode.t, np.minimum(gam, cap), cap)
 
 
 def write_pulse(g_in: TemporalMode) -> CouplingSchedule:
     """gamma(t) = g_in^2 / int_{-inf}^t g_in^2; absorbs the wavepacket fully."""
-    g2 = g_in.g**2
-    if not np.any(g2 > 0):
-        raise DomainError("all-zero input mode")
-    cap = _cap(g2)
-    G = _cumulative_trapezoid(g2, g_in.t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gam = np.where(g2 > 0, g2 / np.maximum(G, 1e-300), 0.0)
-    capped = gam > cap
-    # the first sample of the support always caps (int g^2 is 0 there); warn
-    # only when the capped samples carry a material share of int g^2 = 1
-    if np.sum(g2[capped]) * g_in.dt > NORM_TRUNCATION:
-        warnings.warn("write_pulse: gamma capped at support onset", NumericalAccuracyWarning)
-    gam = np.minimum(gam, cap)
-    return CouplingSchedule(g_in.t, gam, cap)
+    return _coupling(g_in, 0.0, "write_pulse: gamma capped at support onset")
 
 
 def read_pulse(g_out: TemporalMode) -> CouplingSchedule:
     """gamma(t) = g_out^2 / int_t^inf g_out^2; releases the stored state into
     g_out.  The tail where the remaining norm is below the truncation
     threshold is zeroed."""
-    g2 = g_out.g**2
-    if not np.any(g2 > 0):
-        raise DomainError("all-zero output mode")
-    cap = _cap(g2)
-    G = _cumulative_trapezoid(g2, g_out.t)
-    remaining = G[-1] - G
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gam = np.where(g2 > 0, g2 / np.maximum(remaining, 1e-300), 0.0)
-    gam[remaining < NORM_TRUNCATION] = 0.0
-    capped = gam > cap
-    if np.any(capped):
-        warnings.warn("read_pulse: gamma capped near support end", NumericalAccuracyWarning)
-        gam = np.minimum(gam, cap)
-    return CouplingSchedule(g_out.t, gam, cap)
+    return _coupling(g_out, None, "read_pulse: gamma capped near support end")
 
 
 def entangle_pulse(g_in: TemporalMode, Tf: float) -> CouplingSchedule:
@@ -184,34 +183,7 @@ def entangle_pulse(g_in: TemporalMode, Tf: float) -> CouplingSchedule:
     transmittance Tf between the stored mode and the wavepacket."""
     if not 0 < Tf < 1:
         raise DomainError(f"Tf={Tf} outside (0, 1)")
-    g2 = g_in.g**2
-    if not np.any(g2 > 0):
-        raise DomainError("all-zero input mode")
-    G = _cumulative_trapezoid(g2, g_in.t)
-    gam = g2 / (Tf / (1 - Tf) + G)
-    # the schedule is finite for Tf > 0 (peak g(0)^2 (1-Tf)/Tf), so the cap
-    # never clips it
-    return CouplingSchedule(g_in.t, gam, max(_cap(g2), float(np.max(gam))))
-
-
-def output_mode_from_schedule(sched: CouplingSchedule, Tf: float) -> TemporalMode:
-    """g_out(t) = F(t) sqrt(gamma(t)) / sqrt(1 - Tf), normalized.
-
-    Checks that the schedule is consistent with the claimed Tf, i.e. that the
-    final survival probability F(t_end)^2 matches Tf to 1e-4.
-    """
-    if not 0 <= Tf < 1:
-        raise DomainError(f"Tf={Tf} outside [0, 1)")
-    F = sched.survival_amplitude()
-    if abs(F[-1] ** 2 - Tf) > 1e-4:
-        raise DomainError(
-            f"schedule inconsistent with Tf: F(t_end)^2 = {F[-1]**2:.6f}, Tf = {Tf:.6f}"
-        )
-    g = F * np.sqrt(sched.gamma)
-    norm = np.sqrt(np.trapezoid(g * g, sched.t))
-    if norm == 0:
-        raise DomainError("schedule produces no output")
-    return TemporalMode(sched.t, g / norm)
+    return _coupling(g_in, Tf)
 
 
 def simulate_network(sched: CouplingSchedule, dt: float) -> NetworkResult:
@@ -227,11 +199,16 @@ def simulate_network(sched: CouplingSchedule, dt: float) -> NetworkResult:
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    t = np.arange(sched.t[0], sched.t[-1] + dt / 2, dt)
+    stop = sched.t[-1] + dt / 2
+    slices = np.ceil((stop - sched.t[0]) / dt)
+    if not slices <= np.iinfo(np.intp).max // 8:  # the longest float64 array numpy can describe
+        raise DomainError(f"dt gives {slices:.3g} slices, more than a float array can hold")
+    t = np.arange(sched.t[0], stop, dt)
     gam = np.interp(t, sched.t, sched.gamma)
     gdt = gam * dt
-    if np.any(gdt >= 1):
-        raise DomainError("unstable discretization: gamma*dt >= 1")
+    # a NaN or -inf slice comes from np.interp overflowing between huge rates
+    if not np.all((gdt >= 0) & (gdt < 1)):
+        raise DomainError("unstable discretization: gamma*dt outside [0, 1)")
     c = np.sqrt(1 - gdt)  # per-slice survival amplitudes
     s = np.sqrt(gdt)
     # cumulative survival: prod_{l<=i} c_l and prod_{l<i} c_l

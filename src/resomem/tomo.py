@@ -203,7 +203,7 @@ def mle_reconstruct(data: HomodyneDataset, dim: int, iterations: int = 300) -> D
     if dim < 2:
         raise DimensionError("dim must be >= 2")
     if len(data.phase_set) < 2:
-        warnings.warn("single measurement phase: reconstruction is ill-conditioned")
+        warnings.warn("single measurement phase: reconstruction is ill-conditioned", NumericalAccuracyWarning)
     bins = _binned_projectors(data, dim)
     n = len(data)
 

@@ -162,6 +162,22 @@ def test_main_exit_codes(tmp_path):
     assert not (tmp_path / "far").exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    # np.interp overflows resampling the schedule: gamma*dt is NaN or -inf
+    ({"kind": "pulse", "gamma0": 1e300}, "gamma*dt outside [0, 1)"),
+    # more slices than np.arange can make
+    ({"kind": "pulse", "wavepacket": "exp_decaying", "span": 1e300}, "slices"),
+    ({"kind": "pulse", "dt_factor": 1e-300, "points": 5}, "slices"),
+])
+def test_pulse_slices_out_of_float_range_exit_3(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_rejects_unread_flags_and_non_utf8_config(tmp_path, capsys):
     rates = tmp_path / "rates.json"
     rates.write_text(json.dumps({"kind": "rates"}))
@@ -470,6 +486,23 @@ def test_perfbench_trace_targets_resolve():
     spec.loader.exec_module(tracing)
     for module, attr, *_ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+@pytest.mark.parametrize("wavepacket", ["exp_rising", "exp_decaying", "time_bin"])
+def test_perfbench_tracer_spans_one_pulse(tmp_path, monkeypatch, wavepacket):
+    """The benchmark's tracer installs on every attribute it names (a missing
+    one raises) and sees one design and one network call per pulse run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        cli.run_scenario({"kind": "pulse", "wavepacket": wavepacket, "points": 1001}, tmp_path)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("memory.pulse_design") == 1
+    assert names.count("memory.simulate_network") == 1
 
 
 def test_breed_stabilizers_looked_up_on_breeding(tmp_path, monkeypatch):

@@ -83,6 +83,27 @@ def test_write_pulse_warns_when_clipping_is_material():
         rm.write_pulse(tb)
 
 
+def test_read_pulse_warns_only_when_clipping_is_material():
+    # span 9/gamma0 leaves ~1e-4 of the exponential past the grid: gamma caps
+    # in the last samples before the zeroed tail, which carry ~6e-7 of int g^2
+    short = make_mode("exp_decaying", points=2001, span=9.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericalAccuracyWarning)
+        sched = rm.read_pulse(short)
+    assert np.any(sched.gamma == sched.gamma_cap)
+    with pytest.warns(NumericalAccuracyWarning, match="capped near support end"):
+        rm.read_pulse(make_mode("exp_decaying", points=2001, span=8.0))
+
+
+def test_temporal_mode_rejects_non_finite_g():
+    t = np.linspace(0.0, 1.0, 11)
+    for bad in (np.nan, np.inf):
+        g = np.ones_like(t)
+        g[3] = bad
+        with pytest.raises(DomainError, match="finite"):
+            rm.TemporalMode(t, g)
+
+
 def test_read_pulse_constant_for_exp_decaying():
     dec = make_mode("exp_decaying")
     sched = rm.read_pulse(dec)
@@ -107,6 +128,11 @@ def test_entangle_pulse_constant_for_time_bin():
     tb = make_mode("time_bin", points=100001, t0=t0)
     sched = rm.entangle_pulse(tb, np.exp(-GAMMA0 * t0))
     assert np.max(np.abs(sched.gamma / GAMMA0 - 1)) < 1e-6
+    # and it releases the rest into the decaying exponential
+    out = rm.simulate_network(sched, 1e-4 / GAMMA0).out_mode
+    ideal = np.exp(-GAMMA0 * out.t / 2)
+    ideal /= np.sqrt(np.trapezoid(ideal**2, out.t))
+    assert np.trapezoid(out.g * ideal, out.t) ** 2 >= 1 - 1e-9
 
 
 def test_entangle_pulse_limits():
@@ -124,19 +150,6 @@ def test_entangle_pulse_limits():
     assert half.gamma[0] == pytest.approx(tb.g[0] ** 2, rel=1e-9)
     with pytest.raises(DomainError):
         rm.entangle_pulse(tb, 1.5)
-
-
-def test_output_mode_from_schedule():
-    t0 = 1.0 / GAMMA0
-    Tf = np.exp(-GAMMA0 * t0)
-    tb = make_mode("time_bin", points=100001, t0=t0)
-    sched = rm.entangle_pulse(tb, Tf)
-    out = rm.output_mode_from_schedule(sched, Tf)
-    ideal = np.exp(-GAMMA0 * out.t / 2)
-    ideal /= np.sqrt(np.trapezoid(ideal**2, out.t))
-    assert np.trapezoid(out.g * ideal, out.t) ** 2 >= 1 - 1e-9
-    with pytest.raises(DomainError):
-        rm.output_mode_from_schedule(sched, 0.7)
 
 
 def test_product_relation():

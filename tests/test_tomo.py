@@ -185,7 +185,7 @@ def test_mle_guards_and_warning():
     with pytest.raises(DomainError):
         rm.mle_reconstruct(small, 10)
     single = rm.sample_homodyne(rm.vacuum(10), np.array([0.0]), 2000, seed=8)
-    with pytest.warns(UserWarning):
+    with pytest.warns(NumericalAccuracyWarning, match="single measurement phase"):
         rm.mle_reconstruct(single, 6, 5)
 
 
