@@ -58,9 +58,6 @@ class FockVector:
             raise DimensionError("dimension mismatch")
         return complex(np.vdot(self.amp, other.amp))
 
-    def mean_photon_number(self) -> float:
-        return float(np.sum(np.arange(self.dim) * np.abs(self.amp) ** 2))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

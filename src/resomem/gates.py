@@ -206,22 +206,15 @@ def condition_on_quadrature(
 
 
 def homodyne_project(j: JointState, mode: str, theta: float, value: float):
-    """Project one mode onto the quadrature eigenvalue `value` at phase theta.
+    """Project one mode onto the quadrature eigenvalue `value` at phase theta:
+    `homodyne_density_grid` at that one value.
 
     Returns (unnormalized survivor FockVector, density). The density is the
     squared norm of the projected vector and integrates to 1 over value.
     """
     j.require_normalized()
-    dim = _mode_dim(j, mode)
-    bra = quadrature_eigenbra(value, theta, dim)
-    if mode == "B":
-        surv = j.amp @ bra
-        sdim = j.dimA
-    else:
-        surv = j.amp.T @ bra
-        sdim = j.dimB
-    density = float(np.linalg.norm(surv) ** 2)
-    return FockVector(sdim, surv), density
+    proj, density = homodyne_density_grid(j, mode, theta, [value])
+    return FockVector(proj.shape[1], proj[0]), float(density[0])
 
 
 def _mode_dim(j: JointState, mode: str) -> int:

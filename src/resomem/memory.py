@@ -79,10 +79,6 @@ class CouplingSchedule:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gamma", gam)
 
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
-
     def survival_amplitude(self) -> np.ndarray:
         """F(t) = exp(-1/2 int_{t0}^t gamma dt')."""
         integ = _cumulative_trapezoid(self.gamma, self.t)
@@ -153,7 +149,9 @@ def _coupling(mode: TemporalMode, Tf: float | None, warning: str = "") -> Coupli
     g2 = mode.g**2
     G = _cumulative_trapezoid(g2, mode.t)
     D = G[-1] - G if Tf is None else Tf / (1 - Tf) + G
-    with np.errstate(divide="ignore", invalid="ignore"):  # the floor keeps gamma finite where D = 0
+    # the floor keeps gamma finite where D = 0; a rate that overflows is left
+    # inf, for simulate_network's slice check
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gam = np.where(g2 > 0, g2 / np.maximum(D, 1e-300), 0.0)
     if Tf is None:
         gam[D < NORM_TRUNCATION] = 0.0

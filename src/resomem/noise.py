@@ -14,6 +14,7 @@ against an independent RK4 integration of that equation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -71,16 +72,17 @@ def evolve_closed_form(rho: DensityMatrix, t: float, params: NoiseParams) -> Den
             NumericalAccuracyWarning,
         )
     n = np.arange(dim)
-    if np.isinf(params.T1):
-        damp = np.ones(dim)
-        loss = 0.0
-    else:
-        damp = np.exp(-n * t / (2 * params.T1))
-        loss = -np.expm1(-t / params.T1)  # 1 - e^{-t/T1}
-    if np.isinf(params.Tphi):
-        deph = np.ones((dim, dim))
-    else:
-        deph = np.exp(-np.subtract.outer(n, n) ** 2 * t / params.Tphi)
+    with np.errstate(over="ignore"):  # an exponent beyond the float range sends its factor to 0
+        if np.isinf(params.T1):
+            damp = np.ones(dim)
+            loss = 0.0
+        else:
+            damp = np.exp(-n * t / (2 * params.T1))
+            loss = -np.expm1(-t / params.T1)  # 1 - e^{-t/T1}
+        if np.isinf(params.Tphi):
+            deph = np.ones((dim, dim))
+        else:
+            deph = np.exp(-np.subtract.outer(n, n) ** 2 * t / params.Tphi)
     log_fact = log_factorial(n)
     out = np.zeros((dim, dim), dtype=complex)
     kmax = dim - 1
@@ -106,16 +108,26 @@ def apply_loss(rho, eta: float) -> DensityMatrix:
     return evolve_closed_form(rho, -np.log(eta), NoiseParams(T1=1.0, Tphi=np.inf))
 
 
-def fit_T1(series: CoherenceSeries) -> float:
-    """Exponential fit rho11(t) ~ e^{-t/T1} by least squares on log-values."""
+def _decay_time(series: CoherenceSeries, name: str) -> float:
+    """tau of value ~ e^{-t/tau}: -1/slope of the least-squares line through
+    log-value against t, or math.inf when the log-values are constant to
+    within 1e-12."""
     if len(series.t) < 3:
         raise DomainError("need at least 3 points")
     if np.any(series.value <= 0):
         raise DomainError("values must be positive for the log fit")
-    slope, _ = np.polyfit(series.t, np.log(series.value), 1)
+    log_value = np.log(series.value)
+    if np.ptp(log_value) < 1e-12:
+        return math.inf
+    slope, _ = np.polyfit(series.t, log_value, 1)
     if slope >= 0:
-        raise DomainError("series does not decay; cannot extract T1")
+        raise DomainError(f"series does not decay; cannot extract {name}")
     return float(-1.0 / slope)
+
+
+def fit_T1(series: CoherenceSeries) -> float:
+    """T1 from rho11(t) ~ e^{-t/T1} (see _decay_time)."""
+    return _decay_time(series, "T1")
 
 
 def normalized_coherence(rho) -> float:
@@ -136,18 +148,6 @@ def normalized_coherence(rho) -> float:
 
 
 def fit_Tphi(rho_series, t) -> float:
-    """Fit R(t) = R(0) e^{-t/Tphi} over a list of density matrices.
-
-    Returns math.inf when R is constant to within 1e-12 relative.
-    """
-    t = np.asarray(t, dtype=float)
-    if len(rho_series) != len(t) or len(t) < 3:
-        raise DomainError("need >= 3 matched (rho, t) pairs")
-    R = np.array([normalized_coherence(r) for r in rho_series])
-    logR = np.log(R)
-    if np.ptp(logR) < 1e-12:
-        return float(np.inf)
-    slope, _ = np.polyfit(t, logR, 1)
-    if slope >= 0:
-        raise DomainError("coherence does not decay; cannot extract Tphi")
-    return float(-1.0 / slope)
+    """Tphi from R(t) = R(0) e^{-t/Tphi} over a list of density matrices (see
+    _decay_time)."""
+    return _decay_time(CoherenceSeries(t, [normalized_coherence(r) for r in rho_series]), "Tphi")

@@ -60,9 +60,9 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     xs = DEFAULT_GRID if xs is None else np.asarray(xs, dtype=float)
     ps = DEFAULT_GRID if ps is None else np.asarray(ps, dtype=float)
     radius = np.sqrt(2.0 * rho.mean_photon_number()) + 2.0
-    if max(np.max(np.abs(xs)), np.max(np.abs(ps))) < radius:
+    if not any(np.min(axis) <= -radius and np.max(axis) >= radius for axis in (xs, ps)):
         raise DimensionError(
-            f"grid does not cover the state support (need radius >= {radius:.1f})"
+            f"grid does not cover the state support (need an axis spanning [-{radius:.1f}, {radius:.1f}])"
         )
     X, P = np.meshgrid(xs, ps)
     B = np.sqrt(2.0) * (X + 1j * P)  # 2 beta

@@ -1,0 +1,25 @@
+"""One pass of each gated benchmark workload runs and passes its checks.
+
+Runs `perfbench/run.py` as the benchmark does, with `--seconds 0` (one pass).
+It writes only to the git-ignored `perfbench/out/`.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+@pytest.mark.parametrize("workload", ["tomo-roundtrip", "store-readout"])
+def test_one_pass_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]

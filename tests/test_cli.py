@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,13 @@ def test_main_exit_codes(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["--config", str(far), "--out", str(tmp_path / "far")]) == 3
     assert not (tmp_path / "far").exists()
+    # these axes reach past the state, but neither spans it: W would be ~3e-75 everywhere
+    miss = tmp_path / "miss.json"
+    axis = list(range(-60, -9))
+    miss.write_text(json.dumps({"kind": "wigner", "state": {"type": "cat", "alpha": 1.0, "dim": 40},
+                                "xs": axis, "ps": axis}))
+    assert cli.main(["--config", str(miss), "--out", str(tmp_path / "miss")]) == 3
+    assert not (tmp_path / "miss").exists()
 
 
 @pytest.mark.parametrize("config, message", [
@@ -176,6 +184,48 @@ def test_pulse_slices_out_of_float_range_exit_3(tmp_path, capsys, config, messag
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, code", [
+    ({"kind": "pulse", "gamma0": 1e300}, 3),  # the design relation's rates overflow
+    ({"kind": "store", "times": [0, 1e305]}, 0),  # the damping and dephasing exponents overflow
+], ids=["pulse", "store"])
+def test_overflow_prints_no_runtime_warning(tmp_path, config, code):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == code
+    if code == 0:  # the state has fully decayed: fidelity and rho11 are 0
+        assert (tmp_path / "out" / "storage_fidelity.csv").read_text().splitlines()[-1] == "9.9999999999999994e+304,0,0"
+
+
+def _same_files(a: Path, b: Path) -> bool:
+    names = sorted(p.name for p in a.iterdir())
+    return names == sorted(p.name for p in b.iterdir()) and all(
+        (a / n).read_bytes() == (b / n).read_bytes() for n in names)
+
+
+def test_store_manifest_with_infinite_T1_reruns_byte_identically(tmp_path):
+    config = read_manifest(cli.run_scenario({"kind": "store", "T1": math.inf}, tmp_path / "a"))["config"]
+    assert config["T1"] == "Infinity"
+    cli.run_scenario(config, tmp_path / "b")
+    assert _same_files(tmp_path / "a", tmp_path / "b")
+
+
+def test_fig3e_with_infinite_T1_fits_infinity_and_reruns_byte_identically(tmp_path):
+    manifest = read_manifest(cli.emit_figure_data("fig3e", tmp_path / "a", {"T1": math.inf}))
+    assert manifest["results"]["fit_T1"] == "Infinity"  # rho11 stays 1
+    config = manifest["config"]
+    assert config == {"figure": "fig3e", "T1": "Infinity"}
+    cli.emit_figure_data(config.pop("figure"), tmp_path / "b", config)
+    assert _same_files(tmp_path / "a", tmp_path / "b")
+
+
+def test_edfig_manifests_record_their_figure(tmp_path):
+    for kind, params in (("edfig_rates", {"p1": 0.5}), ("edfig_fidelity", {})):
+        m = cli.emit_figure_data(kind, tmp_path / kind, params)
+        assert read_manifest(m)["config"] == {"figure": kind, **params}
 
 
 def test_main_rejects_unread_flags_and_non_utf8_config(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,9 @@ def test_fit_T1_exact_and_errors():
     t = np.linspace(0, 2e-6, 5)
     series = rm.CoherenceSeries(t, np.exp(-t / T1))
     assert rm.fit_T1(series) == pytest.approx(T1, abs=1e-9 * T1)
-    with pytest.raises(DomainError):
-        rm.fit_T1(rm.CoherenceSeries(t, np.ones(5)))
+    assert rm.fit_T1(rm.CoherenceSeries(t, np.ones(5))) == math.inf  # no decay at all
+    with pytest.raises(DomainError, match="does not decay"):
+        rm.fit_T1(rm.CoherenceSeries(t, np.exp(t / T1)))
     with pytest.raises(DomainError):
         rm.fit_T1(rm.CoherenceSeries(t[:2], np.exp(-t[:2] / T1)))
 

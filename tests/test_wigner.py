@@ -54,6 +54,15 @@ def test_grid_guard():
         rm.wigner_grid(rm.coherent_state(3.0, 50), np.linspace(-2, 2, 21), np.linspace(-2, 2, 21))
 
 
+def test_grid_guard_rejects_axes_that_miss_the_state():
+    # |x|, |p| reach 60, but no axis spans [-r, r]: W would be ~3e-75 everywhere
+    far = np.linspace(-60, -10, 51)
+    with pytest.raises(DimensionError, match="spanning"):
+        rm.wigner_grid(rm.cat_state(1.0, -1, 40), far, far)
+    # one spanning axis is enough
+    assert rm.wigner_grid(rm.cat_state(1.0, -1, 40), np.linspace(-5, 5, 11), far).w.shape == (51, 11)
+
+
 def test_gkp_bred_state_structure():
     st = rm.theoretical_bred_state(2, 1.0, -1, "gkp", 40)
     g = rm.wigner_grid(st)
