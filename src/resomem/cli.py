@@ -482,7 +482,7 @@ def _scenario_pulse(c: dict) -> tuple[dict, dict]:
         "mode.csv": {"t": mode.t, "g": mode.g},
         "schedule.csv": {"t": sched.t, "gamma": sched.gamma},
     }
-    net = simulate_network(sched, float(c["dt_factor"]) / gamma0)
+    net = simulate_network(sched)
     results = {
         "effective_Tf": net.effective_Tf,
         "target_Tf": 0.0 if Tf is None else float(Tf),
@@ -606,8 +606,7 @@ _SCENARIOS = {
         "Tf": ((lambda v: v is None or (_is_number(v) and 0 < v < 1), "null or a number in (0, 1)"), None,
                "wavepacket", ("exp_decaying", "time_bin")),
         "span": (_POSITIVE, 20.0, "wavepacket", ("exp_rising", "exp_decaying")),
-        "points": (_integer(3), 200001),  # a TemporalMode needs 3 samples
-        "dt_factor": (_POSITIVE, 1e-3),
+        "points": (_integer(3), 20001),  # a TemporalMode needs 3 samples
     }),
     "store": (_scenario_store, {
         **_NOISE,

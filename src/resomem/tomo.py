@@ -199,7 +199,7 @@ def mle_reconstruct(data: HomodyneDataset, dim: int, iterations: int = 300) -> D
     if len(data) < MLE_MIN_FRAMES:
         raise DomainError(f"need >= {MLE_MIN_FRAMES} frames for a stable reconstruction")
     if dim > MLE_MAX_DIM:
-        raise DomainError(f"dim > {MLE_MAX_DIM} not supported by the reconstruction guard")
+        raise DomainError(f"dim must be <= MLE_MAX_DIM = {MLE_MAX_DIM}")
     if dim < 2:
         raise DimensionError("dim must be >= 2")
     if len(data.phase_set) < 2:

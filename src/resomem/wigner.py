@@ -43,6 +43,8 @@ class WignerGrid:
         return float(self.w.sum() * self.dx * self.dp)
 
 
+# a grid point beyond the float range makes r^2 or a Laguerre value inf or NaN: the last check refuses it
+@np.errstate(over="ignore", invalid="ignore")
 def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     """Evaluate the Wigner function of `state` on the (xs, ps) grid.
 

@@ -1,6 +1,7 @@
 """Independent references that only the tests call: the Fock-basis ladder
 operators, the RK4 Lindblad integrator, the exact finite-alpha bred state,
-peak counting, and checks on density matrices and two-mode Fock states.
+the first-order (Euler) memory network, peak counting, and checks on density
+matrices and two-mode Fock states.
 
 Each one is derived apart from the library kernel it checks, and some use
 scipy, a dependency of the tests alone.
@@ -15,6 +16,7 @@ from resomem.breeding import _projection_theta
 from resomem.errors import ContractError, DomainError
 from resomem.fock import DensityMatrix, FockVector, coherent_amplitudes, guard_dim
 from resomem.gates import PROJECTION_GRID_BOUND, JointState, window_condition
+from resomem.memory import CouplingSchedule, NetworkResult
 from resomem.noise import NoiseParams
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,37 @@ def exact_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int) -> F
         coeffs = nxt
     amp = sum(c * coherent_amplitudes(1j * alpha * n / np.sqrt(k), dim) for n, c in coeffs.items())
     return FockVector(dim, amp).normalized()
+
+
+# ---------------------------------------------------------------------------
+# memory network
+
+
+def euler_network(sched: CouplingSchedule, dt: float) -> NetworkResult:
+    """The cascaded beamsplitter chain on its own grid of step dt, with the
+    schedule resampled linearly onto it and first-order (Euler) slices:
+
+        a      <- sqrt(1 - gamma_i dt) a + sqrt(gamma_i dt) b_i
+        out_i  <- -sqrt(gamma_i dt) a + sqrt(1 - gamma_i dt) b_i
+
+    Its effective transmittance converges to exp(-int gamma) as dt -> 0,
+    with an error of order dt.  No output mode is returned.
+    """
+    t = np.arange(sched.t[0], sched.t[-1] + dt / 2, dt)
+    gdt = np.interp(t, sched.t, sched.gamma) * dt
+    if not np.all((gdt >= 0) & (gdt < 1)):
+        raise DomainError("unstable discretization: gamma*dt outside [0, 1)")
+    s = np.sqrt(gdt)
+    prod_upto = np.exp(np.cumsum(0.5 * np.log1p(-gdt)))  # prod_{l<=i} sqrt(1 - gamma_l dt)
+    prod_before = np.concatenate(([1.0], prod_upto[:-1]))
+    w_in = s * prod_upto[-1] / prod_upto  # b_i -> final a weight
+    v_out = -s * prod_before  # initial a -> out_i weight
+    # analytic modes: g_in ~ sqrt(gamma)/F, g_out ~ sqrt(gamma) F
+    F = np.exp(-np.concatenate(([0.0], np.cumsum(gdt)[:-1])) / 2 - gdt / 4)
+    u_in, u_out = s / F, s * F
+    in_overlap = np.dot(u_in, w_in) ** 2 / (np.dot(u_in, u_in) * np.dot(w_in, w_in))
+    out_overlap = np.dot(u_out, -v_out) ** 2 / (np.dot(u_out, u_out) * np.dot(v_out, v_out))
+    return NetworkResult(float(prod_upto[-1] ** 2), float(in_overlap), float(out_overlap))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 import resomem as rm
 import resomem.cli as cli
-from oracles import count_peaks, exact_bred_state, lindblad_oracle
+from oracles import count_peaks, euler_network, exact_bred_state, lindblad_oracle
 from resomem.memory import staircase_overlap_oracle
 from resomem.tomo import log_likelihood
 
@@ -91,11 +91,14 @@ def test_criterion_04_input_output_equivalence():
         Tf_cont = float(sched.survival_amplitude()[-1] ** 2)
         errs = []
         for dt in (1e-3 / GAMMA0, 0.5e-3 / GAMMA0):
-            net = rm.simulate_network(sched, dt)
+            net = euler_network(sched, dt)  # the independent first-order chain
             errs.append(abs(net.effective_Tf - Tf_cont))
             ok &= abs(net.effective_Tf - Tf) <= 1e-3
             ok &= net.in_overlap >= 0.999 and net.out_overlap >= 0.999
         ok &= errs[1] <= 0.75 * errs[0] + 1e-9  # error shrinks as dt halves
+        net = rm.simulate_network(sched)  # the library's exact chain
+        ok &= abs(net.effective_Tf - Tf) <= 1e-3
+        ok &= net.in_overlap >= 0.999 and net.out_overlap >= 0.999
     report("criterion 4: network simulation converges to the effective beamsplitter", ok)
 
 

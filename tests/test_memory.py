@@ -11,6 +11,7 @@ from scipy.integrate import cumulative_trapezoid
 
 import resomem as rm
 from resomem.errors import DomainError, NumericalAccuracyWarning
+from oracles import euler_network
 from resomem.memory import SPEED_OF_LIGHT, MemoryHardware, _cumulative_trapezoid, staircase_overlap_oracle
 
 GAMMA0 = 2 * np.pi * 1.5e6
@@ -129,7 +130,7 @@ def test_entangle_pulse_constant_for_time_bin():
     sched = rm.entangle_pulse(tb, np.exp(-GAMMA0 * t0))
     assert np.max(np.abs(sched.gamma / GAMMA0 - 1)) < 1e-6
     # and it releases the rest into the decaying exponential
-    out = rm.simulate_network(sched, 1e-4 / GAMMA0).out_mode
+    out = rm.simulate_network(sched).out_mode
     ideal = np.exp(-GAMMA0 * out.t / 2)
     ideal /= np.sqrt(np.trapezoid(ideal**2, out.t))
     assert np.trapezoid(out.g * ideal, out.t) ** 2 >= 1 - 1e-9
@@ -174,14 +175,14 @@ def test_product_relation():
 
 def test_network_write_absorbs():
     rise = make_mode("exp_rising", points=42001)
-    net = rm.simulate_network(rm.write_pulse(rise), 1e-3 / GAMMA0)
+    net = rm.simulate_network(rm.write_pulse(rise))
     assert net.effective_Tf <= 1e-4
     assert net.in_overlap >= 0.999
 
 
 def test_network_identity_when_uncoupled():
     sched = rm.CouplingSchedule(np.linspace(0, 1e-6, 101), np.zeros(101), 1.0)
-    net = rm.simulate_network(sched, 1e-8)
+    net = rm.simulate_network(sched)
     assert net.effective_Tf == 1.0
     assert net.out_mode is None
 
@@ -193,24 +194,81 @@ def test_network_entangle_converges():
     sched = rm.entangle_pulse(tb, Tf)
     errs = []
     for dt in (1e-3 / GAMMA0, 0.5e-3 / GAMMA0):
-        net = rm.simulate_network(sched, dt)
+        net = euler_network(sched, dt)
         errs.append(abs(net.effective_Tf - Tf))
         assert net.in_overlap >= 0.999 and net.out_overlap >= 0.999
     assert errs[0] <= 1e-3
     assert errs[1] <= 0.6 * errs[0]  # first-order convergence
 
 
-def test_network_instability_error():
-    sched = rm.CouplingSchedule(np.linspace(0, 1.0, 11), np.full(11, 10.0), 100.0)
-    with pytest.raises(DomainError):
-        rm.simulate_network(sched, 0.5)
+def test_network_effective_Tf_is_the_trapezoid_survival():
+    rise = make_mode("exp_rising", points=42001)
+    dec = make_mode("exp_decaying", points=20001, span=20.0)
+    for sched in (rm.write_pulse(rise), rm.read_pulse(dec), rm.entangle_pulse(dec, 0.3),
+                  rm.CouplingSchedule(np.linspace(0, 1.0, 11), np.full(11, 10.0), 100.0)):
+        net = rm.simulate_network(sched)
+        assert abs(net.effective_Tf - np.exp(-np.trapezoid(sched.gamma, sched.t))) <= 1e-12
+
+
+def test_network_is_the_product_of_its_slice_beamsplitters():
+    # modes (a, b_0, ..., b_4); slice i mixes a and b_i by [[c, s], [-s, c]],
+    # c = e^{-gamma w / 2} and s = sqrt(1 - c^2), at trapezoid widths w
+    t = np.linspace(0.0, 2.0, 5)
+    gamma = np.array([0.3, 2.0, 0.7, 1.5, 4.0])
+    w = np.array([0.25, 0.5, 0.5, 0.5, 0.25])
+    U = np.eye(6)
+    for i, x in enumerate(gamma * w):
+        c, s = np.exp(-x / 2), np.sqrt(1 - np.exp(-x))
+        B = np.eye(6)
+        B[np.ix_([0, i + 1], [0, i + 1])] = [[c, s], [-s, c]]
+        U = B @ U
+    net = rm.simulate_network(rm.CouplingSchedule(t, gamma, 4.0))
+    assert net.effective_Tf == pytest.approx(U[0, 0] ** 2, abs=1e-15)
+    # no later slice touches b_i, so row i + 1 is out_i; its weight on the first a is v_out_i
+    v_out = U[1:, 0]
+    assert np.allclose(net.out_mode.g**2 * w * (1 - net.effective_Tf), v_out**2, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["time_bin", "exp_decaying"])
+@pytest.mark.parametrize("Tf", [0.5, 2 / 3, 0.75])
+def test_network_meets_Tf_at_default_points(kind, Tf):
+    # the pulse scenario's grid: 20001 points over t0 = 1/gamma0 or span = 20/gamma0
+    t0 = 1.0 / GAMMA0
+    mode = make_mode("time_bin", points=20001, t0=t0) if kind == "time_bin" else make_mode(kind, 20001, 20.0)
+    net = rm.simulate_network(rm.entangle_pulse(mode, Tf))
+    assert abs(net.effective_Tf - Tf) <= 1e-7
+    assert net.in_overlap >= 0.999 and net.out_overlap >= 0.999
+
+
+def test_network_converges_second_order():
+    t0 = 1.0 / GAMMA0
+    errs = [abs(rm.simulate_network(rm.entangle_pulse(make_mode("time_bin", points, t0=t0), 0.5)).effective_Tf - 0.5)
+            for points in (2001, 4001)]
+    assert errs[1] <= errs[0] / 3
+
+
+def test_network_rejects_infinite_rate():
+    sched = rm.CouplingSchedule(np.linspace(0, 1.0, 11), np.r_[np.full(10, 1.0), np.inf], np.inf)
+    with pytest.raises(DomainError, match="not finite"):
+        rm.simulate_network(sched)
+
+
+def test_schedule_times_must_increase():
+    with pytest.raises(DomainError, match="increasing"):
+        rm.CouplingSchedule(np.array([0.0, 1.0, 1.0]), np.zeros(3), 1.0)
+
+
+def test_wavepacket_grid_step_at_most_one_over_gamma0():
+    rm.standard_wavepacket("exp_decaying", GAMMA0, np.linspace(0, 8 / GAMMA0, 10))
+    with pytest.raises(DomainError, match="grid step 1.21e-07 s is longer than 1/gamma0"):
+        rm.standard_wavepacket("exp_decaying", GAMMA0, np.linspace(0, 8 / GAMMA0, 8))
 
 
 def test_round_trip_storage():
     rise = make_mode("exp_rising", points=42001)
     dec = make_mode("exp_decaying", points=42001)
-    wnet = rm.simulate_network(rm.write_pulse(rise), 1e-3 / GAMMA0)
-    rnet = rm.simulate_network(rm.read_pulse(dec), 1e-3 / GAMMA0)
+    wnet = rm.simulate_network(rm.write_pulse(rise))
+    rnet = rm.simulate_network(rm.read_pulse(dec))
     out_overlap = np.trapezoid(rnet.out_mode.g * np.interp(rnet.out_mode.t, dec.t, dec.g), rnet.out_mode.t) ** 2
     assert wnet.in_overlap * out_overlap >= 0.999
 
