@@ -23,6 +23,7 @@ import json
 import math
 import shutil
 import sys
+import warnings
 from itertools import groupby
 from pathlib import Path
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .breeding import STABILIZER_G, BreedingPlan, run_breeding, theoretical_bred_state
-from .errors import ResomemError
+from .errors import NumericalAccuracyWarning, ResomemError
 from .fock import (
     DEFAULT_DIM,
     as_density_matrix,
@@ -62,6 +63,8 @@ FLOAT_FMT = "%.17g"
 # rows formatted and written per file write; bounds the memory a long table
 # takes while it is written
 _BLOCK_ROWS = 4096
+
+PULSE_TF_TOL = 1e-3  # the largest |effective_Tf - target_Tf| a pulse leaves without a warning
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -489,6 +492,10 @@ def _scenario_pulse(c: dict) -> tuple[dict, dict]:
         "in_overlap": net.in_overlap,
         "out_overlap": net.out_overlap,
     }
+    if abs(net.effective_Tf - results["target_Tf"]) > PULSE_TF_TOL:
+        warnings.warn(f"pulse: effective_Tf {net.effective_Tf:.4g} misses target_Tf {results['target_Tf']:g} at grid "
+                      f"step {mode.dt:.3g} s = {mode.dt * gamma0:.3g}/gamma0; where gamma is not capped, the error "
+                      "falls as the square of the step", NumericalAccuracyWarning)
     if net.out_mode is not None:
         tables["out_mode.csv"] = {"t": net.out_mode.t, "g": net.out_mode.g}
     return tables, results

@@ -2,10 +2,9 @@
 marginals.
 
 Convention: W(x, p) = (1/pi) Tr[rho D(2 beta) Pi] with beta = (x + i p)/sqrt(2)
-and Pi the photon-number parity, so the vacuum has W(0, 0) = 1/pi. A grid sums
-the associated-Laguerre series of rho's diagonals by Horner's rule in 2 beta,
-one Laguerre recurrence per surviving diagonal over the distinct radii of the
-grid; one complex grid carries the sum, so memory is O(grid + radii).
+and Pi the photon-number parity, so the vacuum has W(0, 0) = 1/pi. A grid is
+separable in the Hermite functions of `gates`, the quadrature picture of the
+marginals and the tomography: see `wigner_grid`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .fock import as_density_matrix, log_factorial
+from .fock import as_density_matrix
 from .gates import hermite_functions, quadrature_density
 
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 201)
@@ -43,20 +42,45 @@ class WignerGrid:
         return float(self.w.sum() * self.dx * self.dp)
 
 
-# a grid point beyond the float range makes r^2 or a Laguerre value inf or NaN: the last check refuses it
-@np.errstate(over="ignore", invalid="ignore")
-def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
-    """Evaluate the Wigner function of `state` on the (xs, ps) grid.
+def _fifty_fifty_blocks(dim: int):
+    """Yield, for N = 0 .. 2 dim - 2, C^N[k, m] = <k, N-k|U|m, N-m> for the 50:50
+    beamsplitter U a^dag U^dag = (a^dag + b^dag)/sqrt2, U b^dag U^dag = (a^dag - b^dag)/sqrt2:
+    every row k, and the columns with m, N - m < dim.  A whole block (N < dim) is
+    `gates._bs_block(N, N + 1, N + 1, pi/4)` with its columns reversed (U = U_{pi/4} SWAP).
+    Each block comes from the one before by both creation paths,
+    U|m, n> = (sqrt m U a^dag|m-1, n> + sqrt n U b^dag|m, n-1>)/N, which keeps
+    ||C C^T - I||_2 at 4.4e-14 up to N = 298; the a^dag path alone,
+    U a^dag|m-1, n>/sqrt m, lets rounding grow to 2e-5 at N = 78 and 1e56 at N = 298.
+    """
+    root = np.sqrt(np.arange(2 * dim))
+    C, lo = np.ones((1, 1)), 0  # lo: the m of C's first column
+    yield C
+    for N in range(1, 2 * dim - 1):
+        prev_lo, lo = lo, max(0, N - dim + 1)
+        m = np.arange(lo, min(N, dim - 1) + 1)
+        padded = np.zeros((N, C.shape[1] + 2))  # C^{N-1}, column i holding m = prev_lo - 1 + i
+        padded[:, 1:-1] = C
+        a = padded[:, lo - prev_lo:][:, :len(m)] * root[m]  # sqrt m U|m-1, n>
+        b = padded[:, lo - prev_lo + 1:][:, :len(m)] * root[N - m]  # sqrt n U|m, n-1>
+        C = np.zeros((N + 1, len(m)))
+        C[1:] = root[1:N + 1, None] * (a + b)  # a^dag: output k - 1 -> k, times sqrt k
+        C[:-1] += root[N:0:-1, None] * (a - b)  # b^dag: output k stays, times sqrt(N - k)
+        C /= N * np.sqrt(2.0)
+        yield C
 
-    W = e^{-r^2/2}/pi Re sum_d B^d a_d(r^2), with B = 2 beta, r^2 = |B|^2 and
-    a_d = (2 if d else 1) sum_n (-1)^n rho[n, n+d] sqrt(n!/(n+d)!) L_n^{(d)}(r^2),
-    the associated-Laguerre series of the displacement-parity matrix
-    elements. The sum over diagonals d runs by Horner's rule in B, from the
-    top surviving diagonal down. Each a_d depends on r^2 alone, so its
-    Laguerre recurrence runs over the distinct radii of the grid, stops at
-    the last coefficient that the skip rule keeps, and is scattered back to
-    the points (each point sees the same floating-point operations as a
-    per-point recurrence); stable to dim ~ 100 for |x|, |p| <= 6.
+
+def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
+    """Evaluate the Wigner function of `state` on the (xs, ps) grid:
+
+        W(x, p) = sum_{k, j < M} G_kj psi_k(sqrt2 x) psi_j(sqrt2 p),  M = 2 dim - 1,
+        G_kj = pi^{-1/2} Re[(-i)^j <k, j|U|rho>>],
+
+    rho_mn read as the amplitude of |m, n> and U the 50:50 beamsplitter of `_fifty_fifty_blocks`.
+    Exact: in W = (1/pi) int <x+y|rho|x-y> e^{-2ipy} dy, psi_m(x+y) psi_n(x-y) is the |m, n>
+    wavefunction, which U rotates by 45 degrees onto (sqrt2 x, sqrt2 y), and psi_j has Fourier
+    eigenvalue (-i)^j.  G costs O(dim^3), one block of U per N = k + j; the grid, two real
+    matrix products, O(M |xs| |ps|).  Measured against closed forms: <= 1.3e-15 for Fock,
+    coherent and squeezed states to dim 80, 3.9e-15 for alpha = 4 - 3i at dim 150.
     """
     rho = as_density_matrix(state)
     xs = DEFAULT_GRID if xs is None else np.asarray(xs, dtype=float)
@@ -66,49 +90,17 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
         raise DimensionError(
             f"grid does not cover the state support (need an axis spanning [-{radius:.1f}, {radius:.1f}])"
         )
-    X, P = np.meshgrid(xs, ps)
-    B = np.sqrt(2.0) * (X + 1j * P)  # 2 beta
-    r2 = (np.abs(B) ** 2).astype(float)
-    radii, to_grid = np.unique(r2, return_inverse=True)  # distinct r^2, and each point's index
-    to_grid = to_grid.reshape(r2.shape)  # numpy < 2 returns it flat
-    dim = rho.dim
-    signs = (-1.0) ** np.arange(dim)
-    log_fact = log_factorial(np.arange(dim))
-    # coefficients of diagonal d = m - n >= 0; the d > 0 terms appear twice as
-    # conjugate pairs, so only their doubled real part is kept
-    coeffs = [rho.rho[np.arange(dim - d), np.arange(d, dim)] * signs[: dim - d] for d in range(dim)]
-    live = [np.any(np.abs(c) > 1e-16) for c in coeffs]
-    top = max((d for d in range(dim) if live[d]), default=0)
-    S = np.zeros(r2.shape, dtype=complex)
-    for d in range(top, -1, -1):
-        if d < top:
-            S *= B
-        if not live[d]:
-            continue
-        c = coeffs[d]
-        # rho[n, n+d] times an element of the unitary D(2 beta) Pi: skipping moves W <= 2e-18 / pi
-        kept = np.abs(c) > 1e-18
-        last = np.flatnonzero(kept)[-1]  # a live diagonal keeps at least one term
-        # sqrt(n!/m!) prefactor folded into the recurrence start
-        pref = np.exp(0.5 * (log_fact[: dim - d] - log_fact[d:]))
-        # Laguerre recurrence in n at fixed order d, accumulated on the fly
-        Lprev = None
-        Lcur = np.ones_like(radii)  # L_0^{(d)}
-        acc = c[0] * pref[0] * Lcur.astype(complex)
-        for n in range(1, last + 1):
-            if n == 1:
-                Lnew = (d + 1) - radii
-            else:
-                Lnew = ((2 * n + d - 1 - radii) * Lcur - (n + d - 1) * Lprev) / n
-            Lprev, Lcur = Lcur, Lnew
-            if kept[n]:
-                acc += c[n] * pref[n] * Lcur
-        if d:
-            acc *= 2.0
-        S += acc[to_grid]
-    W = np.exp(-r2 / 2) * S.real / np.pi
-    if not np.all(np.isfinite(W)):
-        raise DomainError("Wigner function not finite on the grid (grid too far out for the float range)")
+    u, v = np.sqrt(2.0) * xs, np.sqrt(2.0) * ps
+    with np.errstate(over="ignore"):  # an axis beyond the float range is refused without a warning
+        if not np.all(np.isfinite(np.concatenate((u, v)) ** 2)):
+            raise DomainError("Wigner function not finite on the grid (grid too far out for the float range)")
+    dim, M = rho.dim, 2 * rho.dim - 1
+    flipped = rho.rho[:, ::-1]  # anti-diagonal N of rho is diagonal dim - 1 - N of this
+    G = np.zeros((M, M))
+    for N, C in enumerate(_fifty_fifty_blocks(dim)):
+        j = np.arange(N, -1, -1)  # the b photons of output row k = N - j; (-1j) ** j would round
+        G[N - j, j] = ((-1j) ** (j % 4) * (C @ flipped.diagonal(dim - 1 - N))).real
+    W = hermite_functions(v, M).T @ (G.T @ hermite_functions(u, M)) / np.sqrt(np.pi)
     return WignerGrid(xs, ps, W)
 
 

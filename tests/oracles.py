@@ -1,7 +1,7 @@
 """Independent references that only the tests call: the Fock-basis ladder
 operators, the RK4 Lindblad integrator, the exact finite-alpha bred state,
-the first-order (Euler) memory network, peak counting, and checks on density
-matrices and two-mode Fock states.
+the first-order (Euler) memory network, the Laguerre-series Wigner function,
+peak counting, and checks on density matrices and two-mode Fock states.
 
 Each one is derived apart from the library kernel it checks, and some use
 scipy, a dependency of the tests alone.
@@ -14,7 +14,7 @@ from scipy.signal import find_peaks
 
 from resomem.breeding import _projection_theta
 from resomem.errors import ContractError, DomainError
-from resomem.fock import DensityMatrix, FockVector, coherent_amplitudes, guard_dim
+from resomem.fock import DensityMatrix, FockVector, coherent_amplitudes, guard_dim, log_factorial
 from resomem.gates import PROJECTION_GRID_BOUND, JointState, window_condition
 from resomem.memory import CouplingSchedule, NetworkResult
 from resomem.noise import NoiseParams
@@ -179,6 +179,46 @@ def euler_network(sched: CouplingSchedule, dt: float) -> NetworkResult:
     in_overlap = np.dot(u_in, w_in) ** 2 / (np.dot(u_in, u_in) * np.dot(w_in, w_in))
     out_overlap = np.dot(u_out, -v_out) ** 2 / (np.dot(u_out, u_out) * np.dot(v_out, v_out))
     return NetworkResult(float(prod_upto[-1] ** 2), float(in_overlap), float(out_overlap))
+
+
+# ---------------------------------------------------------------------------
+# Wigner functions
+
+
+def direct_sum_wigner(rho, xs, ps):
+    """W(x, p) on the (xs, ps) grid from the associated-Laguerre series of
+    the displacement-parity matrix elements, summed directly over diagonals d:
+
+        W = (1/pi) sum_d Re(e^{-r^2/2} B^d a_d),  B = sqrt2 (x + i p), r^2 = |B|^2,
+        a_d = (2 if d else 1) sum_n (-1)^n rho[n, n+d] sqrt(n!/(n+d)!) L_n^{(d)}(r^2),
+
+    every Laguerre recurrence run to n = dim - d - 1."""
+    X, P = np.meshgrid(xs, ps)
+    B = np.sqrt(2.0) * (X + 1j * P)
+    r2 = (np.abs(B) ** 2).astype(float)
+    env = np.exp(-r2 / 2)
+    dim = rho.shape[0]
+    signs = (-1.0) ** np.arange(dim)
+    W = np.zeros_like(r2)
+    for d in range(dim):
+        coeffs = rho[np.arange(dim - d), np.arange(d, dim)] * signs[: dim - d]
+        if not np.any(np.abs(coeffs) > 1e-16):
+            continue
+        phase = env * B**d if d else env
+        pref = np.exp(0.5 * (log_factorial(np.arange(dim - d)) - log_factorial(np.arange(dim - d) + d)))
+        Lprev = None
+        Lcur = np.ones_like(r2)
+        acc = coeffs[0] * pref[0] * Lcur.astype(complex)
+        for n in range(1, dim - d):
+            if n == 1:
+                Lnew = (d + 1) - r2
+            else:
+                Lnew = ((2 * n + d - 1 - r2) * Lcur - (n + d - 1) * Lprev) / n
+            Lprev, Lcur = Lcur, Lnew
+            if abs(coeffs[n]) > 1e-18:
+                acc = acc + coeffs[n] * pref[n] * Lcur
+        W += (2.0 if d else 1.0) * (phase * acc).real
+    return W / np.pi
 
 
 # ---------------------------------------------------------------------------

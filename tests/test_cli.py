@@ -199,6 +199,35 @@ def test_pulse_at_huge_gamma0_matches_nominal(tmp_path):
         assert abs(huge[key] - nominal[key]) <= 1e-9, key
 
 
+@pytest.mark.parametrize("config, effective", [
+    # the entangle design's trapezoid error at step 0.05/gamma0, where the peak rate is 99 gamma0
+    ({"kind": "pulse", "wavepacket": "exp_decaying", "Tf": 0.01, "points": 401}, 0.0031),
+    # a long bin's read pulse stops short where gamma ~ 1/(t0 - t) meets the grid step
+    ({"kind": "pulse", "wavepacket": "time_bin", "t0": 1000}, 0.0277),
+], ids=["entangle_coarse", "read_long_time_bin"])
+def test_pulse_target_miss_warns(tmp_path, config, effective):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.warns(cli.NumericalAccuracyWarning, match=r"misses target_Tf .* grid step 5\.31e-09 s = 0\.05/gamma0"):
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    results = read_manifest(tmp_path / "out" / "manifest.json")["results"]
+    assert results["effective_Tf"] == pytest.approx(effective, abs=1e-4)
+    assert abs(results["effective_Tf"] - results["target_Tf"]) > cli.PULSE_TF_TOL
+
+
+@pytest.mark.parametrize("Tf", [0.3, 0.5, 0.7])
+def test_store_readout_pulses_do_not_warn(tmp_path, Tf):
+    # the benchmark's write, read and entangle pulses (T_f drawn from [0.3, 0.7]); the read pulse
+    # leaves the NORM_TRUNCATION tail (1e-6) by design, the others meet their targets to 1e-7
+    configs = [{"kind": "pulse", "wavepacket": "exp_rising"}, {"kind": "pulse", "wavepacket": "exp_decaying"},
+               {"kind": "pulse", "wavepacket": "time_bin", "Tf": Tf}]
+    for i, config in enumerate(configs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", cli.NumericalAccuracyWarning)
+            results = read_manifest(cli.run_scenario(config, tmp_path / str(i)))["results"]
+        assert abs(results["effective_Tf"] - results["target_Tf"]) <= (1.01e-6 if i == 1 else 1e-7), config
+
+
 @pytest.mark.parametrize("config, code", [
     ({"kind": "pulse", "gamma0": 1e300}, 0),  # rates near 1e302 and a time step near 1e-303 s
     ({"kind": "pulse", "wavepacket": "time_bin", "t0": 1000, "Tf": 0.5}, 0),  # e^{gamma0 t / 2} reaches e^500

@@ -1,12 +1,15 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from numpy.polynomial.laguerre import lagval
 
 import resomem as rm
-from oracles import count_peaks
+from oracles import count_peaks, direct_sum_wigner
 from resomem.errors import DimensionError, DomainError
-from resomem.fock import as_density_matrix, log_factorial
-from resomem.wigner import DEFAULT_GRID, NEGATIVE_REGION_THRESHOLD, WignerGrid
+from resomem.fock import as_density_matrix
+from resomem.gates import _bs_block
+from resomem.wigner import DEFAULT_GRID, NEGATIVE_REGION_THRESHOLD, WignerGrid, _fifty_fifty_blocks
 
 
 def analytic_odd_cat_wigner(alpha, x, p):
@@ -118,76 +121,6 @@ def test_mixed_state_grid():
     assert np.max(np.abs(g.w.imag if np.iscomplexobj(g.w) else 0)) == 0
 
 
-def per_point_wigner(rho, xs, ps):
-    """`wigner_grid`'s kernel run over every grid point rather than over the
-    distinct radii only: Horner's rule in B = 2 beta from the top surviving
-    diagonal down, each Laguerre recurrence stopped at its last kept term."""
-    X, P = np.meshgrid(xs, ps)
-    B = np.sqrt(2.0) * (X + 1j * P)
-    r2 = (np.abs(B) ** 2).astype(float)
-    dim = rho.shape[0]
-    signs = (-1.0) ** np.arange(dim)
-    coeffs = [rho[np.arange(dim - d), np.arange(d, dim)] * signs[: dim - d] for d in range(dim)]
-    live = [np.any(np.abs(c) > 1e-16) for c in coeffs]
-    top = max((d for d in range(dim) if live[d]), default=0)
-    S = np.zeros(r2.shape, dtype=complex)
-    for d in range(top, -1, -1):
-        if d < top:
-            S *= B
-        if not live[d]:
-            continue
-        c = coeffs[d]
-        kept = np.abs(c) > 1e-18
-        last = np.flatnonzero(kept)[-1]
-        pref = np.exp(0.5 * (log_factorial(np.arange(dim - d)) - log_factorial(np.arange(dim - d) + d)))
-        Lprev = None
-        Lcur = np.ones_like(r2)
-        acc = c[0] * pref[0] * Lcur.astype(complex)
-        for n in range(1, last + 1):
-            if n == 1:
-                Lnew = (d + 1) - r2
-            else:
-                Lnew = ((2 * n + d - 1 - r2) * Lcur - (n + d - 1) * Lprev) / n
-            Lprev, Lcur = Lcur, Lnew
-            if kept[n]:
-                acc += c[n] * pref[n] * Lcur
-        if d:
-            acc *= 2.0
-        S += acc
-    return np.exp(-r2 / 2) * S.real / np.pi
-
-
-def direct_sum_wigner(rho, xs, ps):
-    """The same series summed directly, sum_d Re(e^{-r^2/2} B^d a_d), with
-    every Laguerre recurrence run to n = dim - d - 1."""
-    X, P = np.meshgrid(xs, ps)
-    B = np.sqrt(2.0) * (X + 1j * P)
-    r2 = (np.abs(B) ** 2).astype(float)
-    env = np.exp(-r2 / 2)
-    dim = rho.shape[0]
-    signs = (-1.0) ** np.arange(dim)
-    W = np.zeros_like(r2)
-    for d in range(dim):
-        coeffs = rho[np.arange(dim - d), np.arange(d, dim)] * signs[: dim - d]
-        if not np.any(np.abs(coeffs) > 1e-16):
-            continue
-        phase = env * B**d if d else env
-        pref = np.exp(0.5 * (log_factorial(np.arange(dim - d)) - log_factorial(np.arange(dim - d) + d)))
-        Lprev = None
-        Lcur = np.ones_like(r2)
-        acc = coeffs[0] * pref[0] * Lcur.astype(complex)
-        for n in range(1, dim - d):
-            if n == 1:
-                Lnew = (d + 1) - r2
-            else:
-                Lnew = ((2 * n + d - 1 - r2) * Lcur - (n + d - 1) * Lprev) / n
-            Lprev, Lcur = Lcur, Lnew
-            if abs(coeffs[n]) > 1e-18:
-                acc = acc + coeffs[n] * pref[n] * Lcur
-        W += (2.0 if d else 1.0) * (phase * acc).real
-    return W / np.pi
-
-
 @pytest.fixture(scope="module")
 def kernel_states():
     rng = np.random.default_rng(11)
@@ -214,20 +147,11 @@ def kernel_grids():
 
 
 @pytest.mark.parametrize("name", ["coherent", "mixed", "bred_gkp", "stored_gkp"])
-def test_distinct_radii_kernel_bit_equal_to_per_point(kernel_states, name):
-    state = kernel_states[name]
-    rho = as_density_matrix(state).rho
+def test_horner_kernel_matches_direct_sum(kernel_states, name):
+    # two exact forms of W, summed in different orders: 5.6e-16 measured
+    rho = as_density_matrix(kernel_states[name]).rho
     odd_diagonals = any(np.abs(np.diag(rho, d)).max() > 1e-3 for d in (1, 3))
     assert odd_diagonals == (name in ("coherent", "mixed"))  # the GKP states have even ones only
-    for xs, ps in kernel_grids().values():
-        g = rm.wigner_grid(state, xs, ps)
-        assert np.array_equal(g.w, per_point_wigner(rho, xs, ps))
-
-
-@pytest.mark.parametrize("name", ["coherent", "mixed", "bred_gkp", "stored_gkp"])
-def test_horner_kernel_matches_direct_sum(kernel_states, name):
-    # Horner's rule and the early stop only reorder the rounding; 2e-16 measured
-    rho = as_density_matrix(kernel_states[name]).rho
     for xs, ps in kernel_grids().values():
         g = rm.wigner_grid(kernel_states[name], xs, ps)
         assert np.max(np.abs(g.w - direct_sum_wigner(rho, xs, ps))) <= 1e-15
@@ -235,8 +159,7 @@ def test_horner_kernel_matches_direct_sum(kernel_states, name):
 
 @pytest.mark.parametrize("n", [0, 1, 4, 12])
 def test_fock_state_matches_closed_form(n):
-    # W = (-1)^n e^{-r^2} L_n(2 r^2) / pi, r^2 = x^2 + p^2. The one live
-    # coefficient sits at n, so the recurrence stops there; 1.3e-15 measured.
+    # W = (-1)^n e^{-r^2} L_n(2 r^2) / pi, r^2 = x^2 + p^2; 1.3e-15 measured
     xs = np.linspace(-7, 7, 141)
     X, P = np.meshgrid(xs, xs)
     r2 = X**2 + P**2
@@ -255,7 +178,7 @@ def test_integral_needs_two_points_per_axis():
 
 def test_coherent_state_matches_closed_form():
     # W = exp(-(x - x0)^2 - (p - p0)^2) / pi, (x0, p0) = sqrt(2) (Re alpha, Im alpha).
-    # At dim 30 the neglected amplitudes are ~1e-17; the kernel measured 3.3e-16 here.
+    # At dim 30 the neglected amplitudes are ~1e-17; the kernel measured 3.9e-16 here.
     alpha = 0.8 + 0.5j
     x0, p0 = np.sqrt(2) * alpha.real, np.sqrt(2) * alpha.imag
     for xs, ps in [(DEFAULT_GRID, DEFAULT_GRID), (np.linspace(-6, 6, 97), np.linspace(-4, 6.5, 61))]:
@@ -265,8 +188,7 @@ def test_coherent_state_matches_closed_form():
 
 
 def test_far_coherent_state_matches_closed_form():
-    # 44 live diagonals of complex coefficients through the Horner loop;
-    # 5.0e-16 measured at dim 60
+    # complex coefficients on every diagonal; 5.0e-16 measured at dim 60
     alpha = 1.5 - 1.2j
     x0, p0 = np.sqrt(2) * alpha.real, np.sqrt(2) * alpha.imag
     xs = np.linspace(-8, 8, 161)
@@ -275,9 +197,38 @@ def test_far_coherent_state_matches_closed_form():
     assert np.max(np.abs(g.w - np.exp(-(X - x0) ** 2 - (P - p0) ** 2) / np.pi)) <= 1e-12
 
 
+def test_large_dim_coherent_state_matches_closed_form():
+    # every block of the 50:50 beamsplitter up to N = 298 enters G; 3.9e-15 measured
+    alpha = 4 - 3j
+    x0, p0 = np.sqrt(2) * alpha.real, np.sqrt(2) * alpha.imag
+    xs = np.linspace(-12, 12, 201)
+    X, P = np.meshgrid(xs, xs)
+    g = rm.wigner_grid(rm.coherent_state(alpha, 150), xs, xs)
+    assert np.max(np.abs(g.w - np.exp(-(X - x0) ** 2 - (P - p0) ** 2) / np.pi)) <= 1e-14
+
+
+def test_fifty_fifty_blocks_are_orthogonal():
+    # the first 299 blocks at dim 299 are whole: N <= 298 = 2 * 150 - 2, the largest N at dim 150
+    full = list(islice(_fifty_fifty_blocks(299), 299))
+    for N, C in enumerate(full):
+        assert C.shape == (N + 1, N + 1)
+        assert np.linalg.norm(C @ C.T - np.eye(N + 1), 2) <= 1e-13, N  # 4.4e-14 measured at N = 298
+    # at dim 150 each block keeps the columns m, N - m < 150 of the whole one, bit for bit
+    for N, C in enumerate(_fifty_fifty_blocks(150)):
+        assert np.array_equal(C, full[N][:, max(0, N - 149):min(N, 149) + 1]), N
+
+
+def test_fifty_fifty_blocks_match_fock_oracle():
+    # U = U_{pi/4} SWAP in the gates convention, so the columns of the oracle block come reversed
+    for N, C in enumerate(islice(_fifty_fifty_blocks(61), 61)):
+        na, block = _bs_block(N, N + 1, N + 1, np.pi / 4)
+        assert np.array_equal(na, np.arange(N + 1))
+        assert np.max(np.abs(C - block[:, ::-1])) <= 1e-12, N  # 1.1e-13 measured
+
+
 def test_squeezed_single_photon_matches_closed_form():
     # S(r)|1> with S^dag x S = x e^{-r}: W = (2 (u^2 + v^2) - 1) exp(-u^2 - v^2) / pi,
-    # u = x e^r, v = p e^{-r}. Truncation at dim 80 is far below 1e-12 (1.8e-16 measured).
+    # u = x e^r, v = p e^{-r}. Truncation at dim 80 is far below 1e-12 (2.8e-16 measured).
     r = 0.4
     xs = np.linspace(-6, 6, 121)
     X, P = np.meshgrid(xs, xs)
