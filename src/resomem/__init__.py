@@ -25,7 +25,6 @@ from .fock import (
     squeezed_vacuum,
     vacuum,
 )
-from .gates import quadrature_eigenbra
 from .breeding import (
     BreedingPlan,
     BreedingTrajectory,

@@ -8,7 +8,9 @@ the one place that writes them, then the manifest.
 Exit codes: 0 ok, 2 config/schema violation, 3 numeric guard violation,
 4 I/O failure.  CSV format: '.' decimal, LF line endings and a trailing
 newline; str values printed as is, numbers with 17 significant digits
-(FLOAT_FMT), so outputs are byte-identical across platforms. One vectorized
+(FLOAT_FMT), so the same numbers print to the same bytes on every platform;
+the same config and seed give the same numbers at a fixed BLAS thread count
+(the last bits of a windowed `breeding.csv` move with it). One vectorized
 kernel (`_format_rows`) prints every cell of every CSV, a block of rows at a
 time, and equals FLOAT_FMT % x byte for byte: values it cannot decide exactly
 are printed by FLOAT_FMT itself. Each writer returns the sha256 of the bytes
@@ -32,6 +34,7 @@ import numpy as np
 from . import __version__
 from .breeding import STABILIZER_G, BreedingPlan, run_breeding, theoretical_bred_state
 from .errors import NumericalAccuracyWarning, ResomemError
+from .gates import PROJECTION_GRID_BOUND
 from .fock import (
     DEFAULT_DIM,
     as_density_matrix,
@@ -504,11 +507,12 @@ def _scenario_pulse(c: dict) -> tuple[dict, dict]:
 def _scenario_store(c: dict) -> tuple[dict, dict]:
     params = NoiseParams(float(c["T1"]), float(c["Tphi"]))
     times = np.asarray(c["times"], dtype=float)
-    rho0 = as_density_matrix(build_state(c["state"]))
+    state = build_state(c["state"])
+    rho0 = as_density_matrix(state)
     rhos = [evolve_closed_form(rho0, float(t), params) for t in times]
     table = {
         "t": times,
-        "fidelity": [fidelity(rho0, rho_t) for rho_t in rhos],
+        "fidelity": [fidelity(state, rho_t) for rho_t in rhos],  # <psi|rho_t|psi> for a pure state
         "rho11": [rho_t.rho[1, 1].real for rho_t in rhos],
     }
     return {"storage_fidelity.csv": table}, {"T1": params.T1, "Tphi": params.Tphi}
@@ -626,8 +630,10 @@ _SCENARIOS = {
         "alpha": (_NONNEGATIVE, 1.0),
         "s": (_PARITY, -1),
         "dim": _DIM,
-        "window": ((lambda v: v is None or (_numbers(2)[0](v) and len(v) == 2 and v[0] < v[1]),
-                    "null or a list [lo, hi] of finite numbers with lo < hi"), None),
+        "window": ((lambda v: v is None or (_numbers(2)[0](v) and len(v) == 2
+                                             and -PROJECTION_GRID_BOUND <= v[0] < v[1] <= PROJECTION_GRID_BOUND),
+                    f"null or a list [lo, hi] with -{PROJECTION_GRID_BOUND:g} <= lo < hi <= {PROJECTION_GRID_BOUND:g}"),
+                   None),
     }),
     "wigner": (_scenario_wigner, {
         "state": (_STATE, {"type": "cat", "alpha": 1.0, "s": -1, "dim": 40}),

@@ -12,12 +12,14 @@ subspaces, since it conserves total photon number. Only tests call them, and
 `_bs_block` imports `scipy.linalg`, which the `test` extra installs; no
 scenario or figure needs scipy.
 
-Quadrature convention: <x_theta| = <x| e^{i theta n}, so
-x_theta = x cos(theta) - p sin(theta) and theta = pi/2 measures -p.
-Component n of that bra is e^{i n theta} psi_n(x) with psi_n a real Hermite
-function, so `quadrature_density` rotates rho instead of the bras:
-<x_theta|rho|x'_theta> = psi(x)^T (rho o F_theta) psi(x'), F_theta[m, n] =
-e^{i (m - n) theta}, and every contraction over the grid is real.
+Quadrature convention (Lvovsky & Raymer, Rev. Mod. Phys. 81, 299 (2009)):
+<x_theta| = <x| e^{i theta n}, so x_theta = x cos(theta) - p sin(theta) and
+theta = pi/2 measures -p. Component n of that bra is e^{i n theta} psi_n(x)
+with psi_n a real Hermite function, so every kernel puts the phase on the
+state and reads real `hermite_functions` tables: `quadrature_density`
+rotates rho, <x_theta|rho|x'_theta> = psi(x)^T (rho o F_theta) psi(x') with
+F_theta[m, n] = e^{i (m - n) theta}, and `condition_on_quadrature` and
+`homodyne_density_grid` multiply the amplitudes by e^{i n theta}.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .fock import NORM_TOL, DensityMatrix, FockVector
 
 PROJECTION_GRID_BOUND = 12.0
 PROJECTION_GRID_STEP = 1e-3
+NODE_BLOCK = 256  # outcome nodes conditioned at once; a 201-node +-0.1 window is one block
 
 
 @dataclass(frozen=True)
@@ -107,17 +110,6 @@ def hermite_functions(x: float | np.ndarray, dim: int) -> np.ndarray:
     return psi
 
 
-def quadrature_eigenbra(x: float | np.ndarray, theta: float, dim: int) -> np.ndarray:
-    """Dual vectors <x_theta = x| = <x| e^{i theta n} of the quadrature
-    x_theta = x cos(theta) - p sin(theta); theta = pi/2 measures -p.
-    Component n is e^{i n theta} psi_n(x); shape (dim,) + shape(x)."""
-    if dim < 2:
-        raise DimensionError("dim must be >= 2")
-    x = np.asarray(x, dtype=float)
-    phase = np.exp(1j * theta * np.arange(dim)).reshape((dim,) + (1,) * x.ndim)
-    return phase * hermite_functions(x, dim)
-
-
 def phase_matrix(theta: float, dim: int) -> np.ndarray:
     """F_theta[m, n] = e^{i (m - n) theta}, so rho o F_theta = e^{i theta n} rho e^{-i theta n}."""
     e = np.exp(1j * theta * np.arange(dim))
@@ -155,12 +147,13 @@ def gauss_hermite(degree: int) -> tuple[np.ndarray, np.ndarray]:
 def projection_rule(window: tuple[float, float] | None = None):
     """Outcome nodes and weights that conditioning sums over: the ideal
     value-0 projection is the one-node rule (x = 0, w = 1); a window
-    [lo, hi] is the trapezoid rule at PROJECTION_GRID_STEP."""
+    [lo, hi] inside +-PROJECTION_GRID_BOUND is the trapezoid rule at
+    PROJECTION_GRID_STEP."""
     if window is None:
         return np.zeros(1), np.ones(1)
     lo, hi = window
-    if not lo < hi:
-        raise DomainError("empty window: need lo < hi")
+    if not -PROJECTION_GRID_BOUND <= lo < hi <= PROJECTION_GRID_BOUND:
+        raise DomainError(f"window [{lo}, {hi}]: need -{PROJECTION_GRID_BOUND:g} <= lo < hi <= {PROJECTION_GRID_BOUND:g}")
     npts = max(3, int(round((hi - lo) / PROJECTION_GRID_STEP)) + 1)
     grid = np.linspace(lo, hi, npts)
     w = np.full(npts, grid[1] - grid[0])
@@ -186,7 +179,9 @@ def condition_on_quadrature(
     phi being the ancilla's. The Fock amplitudes of K(x0) psi are integrals
     of a polynomial of degree <= 3(dim-1) times e^{-x^2}, so Gauss-Hermite
     quadrature gives them exactly; only the output is truncated to `dim`.
-    rho enters through its eigen-factors, rho = F F^dag.
+    rho enters through its eigen-factors, rho = F F^dag. The factors and the
+    ancilla carry the phase e^{i n theta}, the sum is rotated back by
+    conj(F_theta), and the nodes are summed NODE_BLOCK at a time.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
@@ -194,14 +189,22 @@ def condition_on_quadrature(
         raise DimensionError("memory and input dims must match")
     lam, vec = np.linalg.eigh((rho + rho.conj().T) / 2)
     keep = lam > 1e-12 * lam[-1]
-    factors = vec[:, keep] * np.sqrt(lam[keep])
+    phase = np.exp(1j * theta * np.arange(dim))
+    factors = vec[:, keep] * np.sqrt(lam[keep]) * phase[:, None]
+    ancilla = ancilla * phase
     x, wx = gauss_hermite(3 * (dim - 1))
-    x0 = np.asarray(nodes, dtype=float)[:, None]
+    psi_out = hermite_functions(x, dim) * wx
+    nodes = np.asarray(nodes, dtype=float)
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    mem = np.tensordot(factors, quadrature_eigenbra(t * x - r * x0, theta, dim), axes=(0, 0))
-    anc = np.tensordot(ancilla, quadrature_eigenbra(r * x + t * x0, theta, dim), axes=(0, 0))
-    out = np.tensordot(quadrature_eigenbra(x, theta, dim).conj() * wx, mem * anc, axes=(1, 2))
-    cond = (out * weights).reshape(dim, -1) @ out.reshape(dim, -1).conj().T  # out: (dim, rank, G)
+    cond = None
+    for lo in range(0, len(nodes), NODE_BLOCK):
+        x0 = nodes[lo : lo + NODE_BLOCK, None]
+        mem = np.tensordot(factors, hermite_functions(t * x - r * x0, dim), axes=(0, 0))
+        anc = np.tensordot(ancilla, hermite_functions(r * x + t * x0, dim), axes=(0, 0))
+        out = np.tensordot(psi_out, mem * anc, axes=(1, 2))  # (dim, rank, block)
+        part = (out * weights[lo : lo + NODE_BLOCK]).reshape(dim, -1) @ out.reshape(dim, -1).conj().T
+        cond = part if cond is None else cond + part
+    cond = cond * phase_matrix(theta, dim).conj()
     return cond, float(np.trace(cond).real)
 
 
@@ -217,23 +220,17 @@ def homodyne_project(j: JointState, mode: str, theta: float, value: float):
     return FockVector(proj.shape[1], proj[0]), float(density[0])
 
 
-def _mode_dim(j: JointState, mode: str) -> int:
-    if mode == "A":
-        return j.dimA
-    if mode == "B":
-        return j.dimB
-    raise DomainError(f"mode must be 'A' or 'B', got {mode!r}")
-
-
 def homodyne_density_grid(j: JointState, mode: str, theta: float, grid: np.ndarray):
-    """Vectorized projection onto every value in `grid`.
+    """Vectorized projection onto every value in `grid`, with the bra's phase
+    e^{i n theta} on the projected mode's amplitudes.
 
     Returns (proj, density): proj[i] is the unnormalized surviving vector for
     grid[i], density[i] its squared norm.
     """
-    bras = quadrature_eigenbra(grid, theta, _mode_dim(j, mode))  # (dim, G)
-    amp = j.amp if mode == "B" else j.amp.T
-    proj = (amp @ bras).T  # (G, surviving dim)
+    if mode not in ("A", "B"):
+        raise DomainError(f"mode must be 'A' or 'B', got {mode!r}")
+    amp = j.amp if mode == "B" else j.amp.T  # (surviving dim, projected dim)
+    proj = ((amp * np.exp(1j * theta * np.arange(amp.shape[1]))) @ hermite_functions(grid, amp.shape[1])).T
     density = np.sum(np.abs(proj) ** 2, axis=1)
     return proj, density
 
@@ -249,6 +246,4 @@ def window_condition(j: JointState, mode: str, theta: float, lo: float, hi: floa
     proj, density = homodyne_density_grid(j, mode, theta, grid)
     rho = (proj.T * w) @ proj.conj()
     acceptance = float(np.sum(w * density))
-    rho = rho / np.trace(rho).real
-    sdim = j.dimA if mode == "B" else j.dimB
-    return DensityMatrix(sdim, rho), acceptance
+    return DensityMatrix(proj.shape[1], rho / np.trace(rho).real), acceptance

@@ -82,11 +82,6 @@ class CouplingSchedule:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gamma", gam)
 
-    def survival_amplitude(self) -> np.ndarray:
-        """F(t) = exp(-1/2 int_{t0}^t gamma dt')."""
-        integ = _cumulative_trapezoid(self.gamma, self.t)
-        return np.exp(-integ / 2)
-
 
 @dataclass(frozen=True)
 class MemoryHardware:

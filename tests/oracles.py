@@ -1,7 +1,8 @@
 """Independent references that only the tests call: the Fock-basis ladder
-operators, the RK4 Lindblad integrator, the exact finite-alpha bred state,
-the first-order (Euler) memory network, the Laguerre-series Wigner function,
-peak counting, and checks on density matrices and two-mode Fock states.
+operators, the complex quadrature eigenbras, the RK4 Lindblad integrator, the
+exact finite-alpha bred state, the first-order (Euler) memory network and the
+continuum survival amplitude, the Laguerre-series Wigner function, peak
+counting, and checks on density matrices and two-mode Fock states.
 
 Each one is derived apart from the library kernel it checks, and some use
 scipy, a dependency of the tests alone.
@@ -10,12 +11,13 @@ scipy, a dependency of the tests alone.
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.signal import find_peaks
 
 from resomem.breeding import _projection_theta
 from resomem.errors import ContractError, DomainError
 from resomem.fock import DensityMatrix, FockVector, coherent_amplitudes, guard_dim, log_factorial
-from resomem.gates import PROJECTION_GRID_BOUND, JointState, window_condition
+from resomem.gates import PROJECTION_GRID_BOUND, JointState, hermite_functions, window_condition
 from resomem.memory import CouplingSchedule, NetworkResult
 from resomem.noise import NoiseParams
 
@@ -44,6 +46,14 @@ def check_physical(rho: DensityMatrix, herm_tol: float = 1e-10, eig_floor: float
     w = np.linalg.eigvalsh((rho.rho + rho.rho.conj().T) / 2)
     if w.min() < eig_floor:
         raise ContractError(f"density matrix not positive semidefinite: min eig {w.min()}")
+
+
+def quadrature_eigenbra(x, theta: float, dim: int) -> np.ndarray:
+    """Complex dual vectors <x_theta = x| = <x| e^{i theta n}: component n is
+    e^{i n theta} psi_n(x); shape (dim,) + shape(x)."""
+    x = np.asarray(x, dtype=float)
+    phase = np.exp(1j * theta * np.arange(dim)).reshape((dim,) + (1,) * x.ndim)
+    return phase * hermite_functions(x, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,12 @@ def euler_network(sched: CouplingSchedule, dt: float) -> NetworkResult:
     in_overlap = np.dot(u_in, w_in) ** 2 / (np.dot(u_in, u_in) * np.dot(w_in, w_in))
     out_overlap = np.dot(u_out, -v_out) ** 2 / (np.dot(u_out, u_out) * np.dot(v_out, v_out))
     return NetworkResult(float(prod_upto[-1] ** 2), float(in_overlap), float(out_overlap))
+
+
+def survival_amplitude(sched: CouplingSchedule) -> np.ndarray:
+    """The continuum survival amplitude F(t) = exp(-1/2 int_{t0}^t gamma dt')
+    of a coupling schedule, by the trapezoid rule on its grid."""
+    return np.exp(-cumulative_trapezoid(sched.gamma, sched.t, initial=0.0) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 import resomem as rm
 import resomem.cli as cli
-from oracles import count_peaks, euler_network, exact_bred_state, lindblad_oracle
+from oracles import count_peaks, euler_network, exact_bred_state, lindblad_oracle, survival_amplitude
 from resomem.memory import staircase_overlap_oracle
 from resomem.tomo import log_likelihood
 
@@ -88,7 +88,7 @@ def test_criterion_04_input_output_equivalence():
         # halving is checked against the schedule's own continuum limit:
         # write/read schedules deliberately leave a ~1e-6 residual survival
         # (support truncation), a floor that no dt refinement can remove
-        Tf_cont = float(sched.survival_amplitude()[-1] ** 2)
+        Tf_cont = float(survival_amplitude(sched)[-1] ** 2)
         errs = []
         for dt in (1e-3 / GAMMA0, 0.5e-3 / GAMMA0):
             net = euler_network(sched, dt)  # the independent first-order chain

@@ -1,6 +1,7 @@
 """One pass of each gated benchmark workload runs and passes its checks.
 
-Runs `perfbench/run.py` as the benchmark does, with `--seconds 0` (one pass).
+Runs `perfbench/run.py` as the benchmark does, with `--seconds 0` (one pass),
+and one traced pass, whose tracer patches library functions by name.
 It writes only to the git-ignored `perfbench/out/`.
 """
 
@@ -14,12 +15,22 @@ import pytest
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["tomo-roundtrip", "store-readout"])
-def test_one_pass_is_correct(workload):
+def run_one_pass(workload, trace):
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"],
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", trace],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["tomo-roundtrip", "store-readout"])
+def test_one_pass_is_correct(workload):
+    run_one_pass(workload, "0")
+
+
+def test_one_traced_pass_is_correct():
+    # the tracer looks functions up by module and name, so a renamed or
+    # dropped library name fails here
+    run_one_pass("store-readout", "1")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,6 +181,22 @@ def test_breed_step_matches_fock_oracle(protocol, window):
             assert 1 - rm.fidelity(ref, out) <= 1e-12
             assert np.max(np.abs(ref.rho - out.rho)) <= 1e-12
             assert abs(dens - ref_dens) <= 1e-10 * ref_dens
+
+
+def test_wide_window_step_peaks_below_100_mb():
+    # the kernel sums the outcome nodes NODE_BLOCK at a time; summed at once,
+    # the 4001 nodes of this window peaked at 529 MB. VmHWM is the child's own
+    # peak, where ru_maxrss would keep that of the pytest process it came from.
+    code = (
+        "import resomem as rm\n"
+        "cat = rm.cat_state(1.0, -1, 60)\n"
+        "rm.breed_step(cat, cat, 1, 'gkp', (-2.0, 2.0))\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"  # kB
+    )
+    src = str(Path(rm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert int(out.stdout) / 1024 < 100
 
 
 def test_plan_validation():

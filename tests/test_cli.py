@@ -13,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resomem.cli as cli
+from resomem.fock import cat_state
+from resomem.noise import NoiseParams, evolve_closed_form
 from resomem.wigner import WignerGrid
 
 pytestmark = pytest.mark.filterwarnings("ignore::resomem.errors.NumericalAccuracyWarning")
@@ -59,6 +61,19 @@ def test_store_scenario_files_and_checksums(tmp_path):
     manifest = read_manifest(m)
     for name, digest in manifest["files"].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_store_fidelity_of_pure_state_is_its_overlap(tmp_path):
+    # a pure input's fidelity is <psi|rho_t|psi>, not the Uhlmann form, whose
+    # square roots of rounding-noise eigenvalues cost ~1e-8
+    cli.run_scenario({"kind": "store", "T1": 2.3e-6, "Tphi": 0.96e-6, "state": {"type": "cat", "alpha": 1.0, "dim": 30}},
+                     tmp_path)
+    table = np.loadtxt(tmp_path / "storage_fidelity.csv", delimiter=",", skiprows=1)
+    psi = cat_state(1.0, -1, 30)
+    params = NoiseParams(2.3e-6, 0.96e-6)
+    for t, fid, _ in table:
+        rho_t = evolve_closed_form(psi.to_density_matrix(), t, params)
+        assert abs(fid - np.vdot(psi.amp, rho_t.rho @ psi.amp).real) <= 1e-14
 
 
 def test_wigner_scenario_format(tmp_path):
@@ -120,6 +135,10 @@ def test_main_exit_codes(tmp_path):
         {"kind": "breed", "alpha": "abc"},
         {"kind": "breed", "window": [1]},
         {"kind": "breed", "window": [0.1, -0.1]},
+        # windows must stay on the +-12 projection grid; these ran out of memory
+        {"kind": "breed", "protocol": "gkp", "steps": 1, "alpha": 1.0, "dim": 40, "window": [-1e300, 1e300]},
+        {"kind": "breed", "protocol": "gkp", "steps": 1, "alpha": 1.0, "dim": 40, "window": [0, 1e12]},
+        {"kind": "breed", "window": [-12.5, 0]},
         {"kind": "breed", "steps": 0},
         {"kind": "breed", "s": 0},
         {"kind": "store", "times": "x"},

@@ -6,13 +6,16 @@ from scipy.linalg import expm
 from scipy.special import erf
 
 import resomem as rm
-from oracles import full_line_window, total_photon_distribution
+from oracles import full_line_window, quadrature_eigenbra, total_photon_distribution
 from resomem.errors import ContractError, DimensionError, DomainError
 from resomem.gates import (
+    PROJECTION_GRID_BOUND,
     JointState,
     beamsplitter_apply,
+    condition_on_quadrature,
     hermite_functions,
     homodyne_project,
+    projection_rule,
     quadrature_density,
     window_condition,
 )
@@ -73,14 +76,14 @@ def test_beamsplitter_errors():
 
 
 def test_quadrature_eigenbra_values():
-    bra = rm.quadrature_eigenbra(0.0, 0.0, 4)
+    bra = quadrature_eigenbra(0.0, 0.0, 4)
     assert bra[0] == pytest.approx(np.pi**-0.25, abs=1e-9)
     assert bra[1] == 0
     assert bra[2].real == pytest.approx(-(np.pi**-0.25) / np.sqrt(2), abs=1e-9)
 
 
 def test_eigenbra_phase_rotation():
-    bra = rm.quadrature_eigenbra(0.7, np.pi / 2, 10)
+    bra = quadrature_eigenbra(0.7, np.pi / 2, 10)
     psi = hermite_functions(0.7, 10)
     assert np.allclose(bra, np.exp(1j * np.arange(10) * np.pi / 2) * psi)
 
@@ -101,13 +104,42 @@ def test_quadrature_density_matches_complex_contraction(theta):
     states = [rm.coherent_state(1 + 0.7j, 20).to_density_matrix().rho, _random_mixed_state(12, 4, 3)]
     for rho in states:
         dim = rho.shape[0]
-        bras = rm.quadrature_eigenbra(x, theta, dim)
-        kets = rm.quadrature_eigenbra(xp, theta, dim)
+        bras = quadrature_eigenbra(x, theta, dim)
+        kets = quadrature_eigenbra(xp, theta, dim)
         diag = quadrature_density(rho, theta, hermite_functions(x, dim))
         assert diag.dtype == float
         assert np.max(np.abs(diag - np.einsum("iv,iv->v", bras, rho @ bras.conj()))) < 1e-13
         off = quadrature_density(rho, theta, hermite_functions(x, dim), hermite_functions(xp, dim))
         assert np.max(np.abs(off - np.einsum("iv,iv->v", bras, rho @ kets.conj()))) < 1e-13
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.5, -1.0])
+@pytest.mark.parametrize("window", [None, (0.2, 0.4)])
+def test_kernel_matches_fock_oracle_at_generic_phase(theta, window):
+    # complex, parity-free states at a phase other than 0 or pi/2: the sign
+    # of theta in the kernel's phase factors is visible here
+    mem = rm.coherent_state(0.8 + 0.5j, 30)
+    anc = rm.coherent_state(-0.4 + 0.9j, 30)
+    T = 2 / 3
+    j = beamsplitter_apply(mem, anc, T)
+    if window is None:
+        nodes, weights = np.array([0.37]), np.ones(1)
+        surv, ref_dens = homodyne_project(j, "B", theta, 0.37)
+        ref = np.outer(surv.amp, surv.amp.conj()) / ref_dens
+    else:
+        nodes, weights = projection_rule(window)
+        ref_rho, ref_dens = window_condition(j, "B", theta, *window)
+        ref = ref_rho.rho
+    cond, dens = condition_on_quadrature(mem.to_density_matrix().rho, anc.amp, T, theta, nodes, weights)
+    assert np.max(np.abs(cond / dens - ref)) <= 1e-12
+    assert abs(dens - ref_dens) <= 1e-10 * ref_dens
+
+
+def test_windows_stay_on_the_projection_grid():
+    assert len(projection_rule((-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND))[0]) == 24001
+    for window in [(-1e300, 1e300), (0.0, 1e12), (-12.5, 0.0), (0.0, 12.001)]:
+        with pytest.raises(DomainError):
+            projection_rule(window)
 
 
 def test_hermite_functions_orthonormal():

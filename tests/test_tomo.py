@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 import resomem as rm
+from oracles import quadrature_eigenbra
 from resomem.errors import DomainError, NumericalAccuracyWarning
 from resomem.gates import PROJECTION_GRID_STEP, hermite_functions
 from resomem.tomo import (
@@ -86,7 +87,7 @@ def complex_bins(data, dim, step=PROJECTION_GRID_STEP):
     for theta in data.phase_set:
         idx = np.round(data.xs[data.thetas == theta] / step).astype(np.int64)
         uniq, cnt = np.unique(idx, return_counts=True)
-        bras.append(rm.quadrature_eigenbra(uniq * step, theta, dim))
+        bras.append(quadrature_eigenbra(uniq * step, theta, dim))
         counts.append(cnt.astype(float))
     return np.concatenate(bras, axis=1), np.concatenate(counts)
 
