@@ -1,5 +1,6 @@
 """Beamsplitter + homodyne conditioning: one exact quadrature-picture kernel,
-and the Fock-basis gates kept as its independent oracles.
+the product rule of Hermite functions, and the Fock-basis gates kept as the
+kernel's independent oracles.
 
 Beamsplitter convention (matching the effective resonator relations):
     a'    =  sqrt(T) a + sqrt(1-T) b,
@@ -10,15 +11,21 @@ the arguments. The Fock oracles (`JointState`, `beamsplitter_apply`,
 `homodyne_project`, `window_condition`) apply U block by block on the fixed-N
 subspaces, since it conserves total photon number. Only tests call them, and
 `_bs_block` imports `scipy.linalg`, which the `test` extra installs; no
-scenario or figure needs scipy.
+scenario or figure needs scipy. The 50:50 beamsplitter's blocks
+(`fifty_fifty_blocks`) come from a recurrence instead, and give the product
+rule psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x) that
+`product_coefficients` applies: the Wigner grids and every quadrature density
+rest on it.
 
 Quadrature convention (Lvovsky & Raymer, Rev. Mod. Phys. 81, 299 (2009)):
 <x_theta| = <x| e^{i theta n}, so x_theta = x cos(theta) - p sin(theta) and
 theta = pi/2 measures -p. Component n of that bra is e^{i n theta} psi_n(x)
 with psi_n a real Hermite function, so every kernel puts the phase on the
-state and reads real `hermite_functions` tables: `quadrature_density`
-rotates rho, <x_theta|rho|x'_theta> = psi(x)^T (rho o F_theta) psi(x') with
-F_theta[m, n] = e^{i (m - n) theta}, and `condition_on_quadrature` and
+state and reads real `hermite_functions` tables: rho o F_theta with
+F_theta[m, n] = e^{i (m - n) theta} (`phase_matrix`) is rho rotated by theta,
+the density is psi(x)^T Re(rho o F_theta) psi(x), a sum over the 2 dim - 1
+functions psi_k(sqrt2 x) by the product rule, `quadrature_density` gives the
+two-point form <x_theta|rho|x'_theta>, and `condition_on_quadrature` and
 `homodyne_density_grid` multiply the amplitudes by e^{i n theta}.
 """
 
@@ -110,13 +117,14 @@ def hermite_functions(x: float | np.ndarray, dim: int) -> np.ndarray:
     return psi
 
 
-def phase_matrix(theta: float, dim: int) -> np.ndarray:
-    """F_theta[m, n] = e^{i (m - n) theta}, so rho o F_theta = e^{i theta n} rho e^{-i theta n}."""
-    e = np.exp(1j * theta * np.arange(dim))
-    return e[:, None] * e.conj()
+def phase_matrix(theta: float | np.ndarray, dim: int) -> np.ndarray:
+    """F_theta[m, n] = e^{i (m - n) theta}, so rho o F_theta = e^{i theta n} rho e^{-i theta n};
+    shape shape(theta) + (dim, dim)."""
+    e = np.exp(1j * np.asarray(theta, dtype=float)[..., None] * np.arange(dim))
+    return e[..., :, None] * e[..., None, :].conj()
 
 
-def quadrature_density(rho: np.ndarray, theta: float, psi: np.ndarray, kets: np.ndarray | None = None) -> np.ndarray:
+def quadrature_density(rho: np.ndarray, theta: float, psi: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """<x_theta|rho|x'_theta> with psi(x) in the columns of `psi` and psi(x')
     in those of `kets`, both real Hermite-function columns (dim, V) from
     `hermite_functions`.
@@ -124,13 +132,67 @@ def quadrature_density(rho: np.ndarray, theta: float, psi: np.ndarray, kets: np.
     Each bra is <x_theta| = e^{i n theta} psi_n(x) with psi_n real, so the
     phase moves onto rho: <x_theta|rho|x'_theta> = psi(x)^T (rho o F_theta) psi(x')
     (`phase_matrix`). Rotating rho costs dim^2, and the V-sized contraction
-    is real. Without `kets` this is the quadrature density
-    psi(x)^T Re(rho o F_theta) psi(x), real.
+    is real. The density itself, x' = x, is the product-basis sum of
+    `wigner.marginal`.
     """
-    rot = rho * phase_matrix(theta, rho.shape[0])
-    if kets is None:
-        return np.einsum("iv,iv->v", psi, rot.real @ psi)
-    return np.einsum("iv,iv->v", psi, rot @ kets)
+    return np.einsum("iv,iv->v", psi, (rho * phase_matrix(theta, rho.shape[0])) @ kets)
+
+
+def fifty_fifty_blocks(dim: int):
+    """Yield, for N = 0 .. 2 dim - 2, C^N[k, m] = <k, N-k|U|m, N-m> for the 50:50
+    beamsplitter U a^dag U^dag = (a^dag + b^dag)/sqrt2, U b^dag U^dag = (a^dag - b^dag)/sqrt2:
+    every row k, and the columns with m, N - m < dim.  A whole block (N < dim) is
+    `_bs_block(N, N + 1, N + 1, pi/4)` with its columns reversed (U = U_{pi/4} SWAP).
+    Each block comes from the one before by both creation paths,
+    U|m, n> = (sqrt m U a^dag|m-1, n> + sqrt n U b^dag|m, n-1>)/N, which keeps
+    ||C C^T - I||_2 at 4.4e-14 up to N = 298; the a^dag path alone,
+    U a^dag|m-1, n>/sqrt m, lets rounding grow to 2e-5 at N = 78 and 1e56 at N = 298.
+    """
+    root = np.sqrt(np.arange(2 * dim))
+    C, lo = np.ones((1, 1)), 0  # lo: the m of C's first column
+    yield C
+    for N in range(1, 2 * dim - 1):
+        prev_lo, lo = lo, max(0, N - dim + 1)
+        m = np.arange(lo, min(N, dim - 1) + 1)
+        padded = np.zeros((N, C.shape[1] + 2))  # C^{N-1}, column i holding m = prev_lo - 1 + i
+        padded[:, 1:-1] = C
+        a = padded[:, lo - prev_lo:][:, :len(m)] * root[m]  # sqrt m U|m-1, n>
+        b = padded[:, lo - prev_lo + 1:][:, :len(m)] * root[N - m]  # sqrt n U|m, n-1>
+        C = np.empty((N + 1, len(m)))
+        C[0] = 0.0
+        np.multiply(root[1:N + 1, None], a + b, out=C[1:])  # a^dag: output k - 1 -> k, times sqrt k
+        np.subtract(a, b, out=a)
+        a *= root[N:0:-1, None]
+        C[:-1] += a  # b^dag: output k stays, times sqrt(N - k)
+        C /= N * np.sqrt(2.0)
+        yield C
+
+
+def product_coefficients(S: np.ndarray) -> np.ndarray:
+    """Coefficients g, shape (..., 2 dim - 1), of
+
+        sum_{m, n < dim} S[m, n] psi_m(x) psi_n(x) = sum_{k < 2 dim - 1} g_k psi_k(sqrt2 x)
+
+    for each real (dim, dim) matrix of the stack S, exactly for every x.
+
+    psi_m(x1) psi_n(x2) is the |m, n> wavefunction, and the 50:50 beamsplitter U
+    rotates it onto (x1 + x2, x1 - x2)/sqrt2, so on the diagonal x1 = x2 = x
+        psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x),
+        T[k, (m, n)] = <k, N-k|U|m, n> psi_{N-k}(0),  N = m + n.
+    g = T vec S takes one block C^N of `fifty_fifty_blocks` per anti-diagonal N of S:
+    O(dim^3) work and O(dim^2) memory per matrix. Measured on [-12, 12] against
+    psi_m psi_n: <= 2.3e-15 at dim 20, 8e-15 at dim 80.
+    """
+    S = np.asarray(S, dtype=float)
+    dim = S.shape[-1]
+    psi0 = hermite_functions(0.0, 2 * dim - 1)
+    flipped = S[..., ::-1]  # anti-diagonal N of S is diagonal dim - 1 - N of this
+    g = np.zeros(S.shape[:-2] + (2 * dim - 1,))
+    for N, C in enumerate(fifty_fifty_blocks(dim)):
+        anti = np.diagonal(flipped, dim - 1 - N, -2, -1)  # S[m, N - m], m ascending
+        # psi_{N-k}(0) vanishes for odd N - k: only the rows k = N, N - 2, ... enter
+        g[..., N::-2] += anti @ (C[N::-2] * psi0[:N + 1:2, None]).T
+    return g
 
 
 def gauss_hermite(degree: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,13 @@ reconstruction that stops at a certified optimum.
 
 Every quadrature bra is <x_theta| = e^{i n theta} psi_n(x) with real Hermite
 functions psi_n, so the density is pr(x) = psi(x)^T Re(rho o F_theta) psi(x)
-with F_theta[m, n] = e^{i (m - n) theta}, and the ML operator is
-R = sum_theta conj(F_theta) o (Psi_theta diag(c / pr) Psi_theta^T): rho is
-rotated per phase (dim^2 work) and every contraction over the samples is real.
+with F_theta[m, n] = e^{i (m - n) theta}. The product rule
+psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x) of
+`gates.product_coefficients` makes that pr(x) = phi(x)^T T vec Re(rho o F_theta),
+phi(x) the 2 dim - 1 functions psi_k(sqrt2 x), and the ML operator
+R = sum_theta conj(F_theta) o unvec(T^T Phi_theta (c / pr)): each sample
+costs 2 dim - 1 instead of dim^2, and every contraction over the samples is
+real.
 
 R is the gradient of the log-likelihood L(rho) = sum c log pr, and Tr(R rho)
 = N for N frames. L is concave, so L_max - L(rho) <= lambda_max(R) - N
@@ -30,7 +34,7 @@ from .gates import (
     PROJECTION_GRID_STEP,
     hermite_functions,
     phase_matrix,
-    quadrature_density,
+    product_coefficients,
 )
 from .memory import TemporalMode
 from .wigner import marginal
@@ -96,7 +100,8 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     """Draw n_frames quadrature samples, cycling round-robin through `phases`
     (radians), each drawn from marginal(rho, theta) by inverse CDF on the
     projection grid, [-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND] at
-    PROJECTION_GRID_STEP."""
+    PROJECTION_GRID_STEP. One `marginal` call gives the densities of every
+    phase."""
     rho = as_density_matrix(rho)
     rho.require_normalized()
     phases = np.asarray(phases, dtype=float)
@@ -105,12 +110,10 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     grid = np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND,
                        int(round(2 * PROJECTION_GRID_BOUND / PROJECTION_GRID_STEP)) + 1)
     rng = np.random.default_rng(seed)
-    psi = hermite_functions(grid, rho.dim)  # one table for every phase
     frame_phase = np.resize(phases, n_frames)
     xs = np.empty(n_frames)
-    for theta in phases:
+    for theta, dens in zip(phases, marginal(rho, phases, grid)):
         sel = frame_phase == theta
-        dens = marginal(rho, float(theta), grid, psi)
         cdf = np.cumsum(dens)
         cdf = cdf / cdf[-1]
         u = rng.random(int(np.sum(sel)))
@@ -118,33 +121,42 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     return HomodyneDataset(frame_phase, xs)
 
 
-def _binned_projectors(data: HomodyneDataset, dim: int) -> list:
+def _binned_projectors(data: HomodyneDataset, dim: int) -> tuple[np.ndarray, list]:
     """Bin samples onto the projection grid (bin width PROJECTION_GRID_STEP,
-    far below the sampling noise) per phase; returns one
-    (theta, psi, counts) per phase, psi the real Hermite functions of the
-    occupied bins, shape (dim, n_bins)."""
+    far below the sampling noise) per phase; returns (T, bins): T the dense
+    product table (2 dim - 1, dim^2) of `gates.product_coefficients`, built
+    here, once per call, and one (F_theta, phi, counts) per phase, phi the
+    functions psi_k(sqrt2 x) of the occupied bins, shape (2 dim - 1, n_bins).
+    T holds (2 dim - 1) dim^2 numbers, 0.42 MB at MLE_MAX_DIM."""
+    if dim > MLE_MAX_DIM:
+        raise DomainError(f"dim must be <= MLE_MAX_DIM = {MLE_MAX_DIM}")
+    T = product_coefficients(np.eye(dim * dim).reshape(dim * dim, dim, dim)).T
     bins = []
     for theta in data.phase_set:
         x = data.xs[data.thetas == theta]
         idx = np.round(x / PROJECTION_GRID_STEP).astype(np.int64)
         uniq, cnt = np.unique(idx, return_counts=True)
-        bins.append((theta, hermite_functions(uniq * PROJECTION_GRID_STEP, dim), cnt.astype(float)))
-    return bins
+        phi = hermite_functions(np.sqrt(2.0) * (uniq * PROJECTION_GRID_STEP), 2 * dim - 1)
+        bins.append((phase_matrix(theta, dim), phi, cnt.astype(float)))
+    return T, bins
 
 
-def _log_likelihood(bins: list, rho: np.ndarray) -> tuple[float, list]:
-    """Binned log-likelihood sum c log pr of `rho`, and the densities pr of
-    the occupied bins per phase (floored at 1e-300)."""
-    prs = [np.maximum(quadrature_density(rho, theta, psi), 1e-300) for theta, psi, _ in bins]
+def _log_likelihood(model: tuple, rho: np.ndarray) -> tuple[float, list]:
+    """Binned log-likelihood sum c log pr of `rho` under the (T, bins) of
+    `_binned_projectors`, and the densities pr of the occupied bins per phase
+    (floored at 1e-300)."""
+    T, bins = model
+    prs = [np.maximum((T @ (rho * F).real.ravel()) @ phi, 1e-300) for F, phi, _ in bins]
     return float(sum(np.sum(cnt * np.log(pr)) for (_, _, cnt), pr in zip(bins, prs))), prs
 
 
-def _ml_operator(bins: list, prs: list) -> np.ndarray:
-    """R = sum_theta conj(F_theta) o (Psi_theta diag(c / pr) Psi_theta^T), the
+def _ml_operator(model: tuple, prs: list) -> np.ndarray:
+    """R = sum_theta conj(F_theta) o unvec(T^T Phi_theta (c / pr)), the
     gradient of the log-likelihood with respect to rho; Tr(R rho) = N."""
+    T, bins = model
     return sum(
-        phase_matrix(theta, psi.shape[0]).conj() * ((psi * (cnt / pr)) @ psi.T)
-        for (theta, psi, cnt), pr in zip(bins, prs)
+        F.conj() * (T.T @ (phi @ (cnt / pr))).reshape(F.shape)
+        for (F, phi, cnt), pr in zip(bins, prs)
     )
 
 
@@ -198,22 +210,20 @@ def mle_reconstruct(data: HomodyneDataset, dim: int, iterations: int = 300) -> D
         raise DomainError("iterations must be >= 1")
     if len(data) < MLE_MIN_FRAMES:
         raise DomainError(f"need >= {MLE_MIN_FRAMES} frames for a stable reconstruction")
-    if dim > MLE_MAX_DIM:
-        raise DomainError(f"dim must be <= MLE_MAX_DIM = {MLE_MAX_DIM}")
     if dim < 2:
         raise DimensionError("dim must be >= 2")
+    model = _binned_projectors(data, dim)  # refuses dim > MLE_MAX_DIM
     if len(data.phase_set) < 2:
         warnings.warn("single measurement phase: reconstruction is ill-conditioned", NumericalAccuracyWarning)
-    bins = _binned_projectors(data, dim)
     n = len(data)
 
     def gradient(A, prs):
-        R = _ml_operator(bins, prs)
+        R = _ml_operator(model, prs)
         return 2.0 * (n * A - R @ A) / (n * _dot(A, A)), _gap(R, n)
 
     A = np.eye(dim, dtype=complex) / np.sqrt(dim)
     rho = _normalized(A)
-    ll, prs = _log_likelihood(bins, rho)
+    ll, prs = _log_likelihood(model, rho)
     grad, gap = gradient(A, prs)
     pairs = deque(maxlen=_LBFGS_PAIRS)
     for _ in range(iterations):
@@ -225,7 +235,7 @@ def mle_reconstruct(data: HomodyneDataset, dim: int, iterations: int = 300) -> D
         for _ in range(40):
             trial = A + t * direction
             rho_t = _normalized(trial)
-            ll_t, prs_t = _log_likelihood(bins, rho_t)
+            ll_t, prs_t = _log_likelihood(model, rho_t)
             if ll_t >= ll - _ARMIJO * t * slope:
                 break
             t /= 2
@@ -247,17 +257,18 @@ def mle_reconstruct(data: HomodyneDataset, dim: int, iterations: int = 300) -> D
 
 
 def log_likelihood(data: HomodyneDataset, rho: DensityMatrix) -> float:
-    """Binned log-likelihood of `data` under `rho` (same binning as the MLE)."""
+    """Binned log-likelihood of `data` under `rho` (same binning as the MLE,
+    so rho.dim <= MLE_MAX_DIM)."""
     rho = as_density_matrix(rho)
     return _log_likelihood(_binned_projectors(data, rho.dim), rho.rho)[0]
 
 
 def likelihood_gap(data: HomodyneDataset, rho: DensityMatrix) -> float:
     """Certified upper bound on L_max - L(rho) in nats, lambda_max(R) - N, from
-    the evaluation `mle_reconstruct` stops on (same binning)."""
+    the evaluation `mle_reconstruct` stops on (same binning, so rho.dim <= MLE_MAX_DIM)."""
     rho = as_density_matrix(rho)
-    bins = _binned_projectors(data, rho.dim)
-    return _gap(_ml_operator(bins, _log_likelihood(bins, rho.rho)[1]), len(data))
+    model = _binned_projectors(data, rho.dim)
+    return _gap(_ml_operator(model, _log_likelihood(model, rho.rho)[1]), len(data))
 
 
 def simulate_traces(mode: TemporalMode, quad_samples, noise_var: float, seed: int) -> TraceMatrix:

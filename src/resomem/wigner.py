@@ -2,9 +2,10 @@
 marginals.
 
 Convention: W(x, p) = (1/pi) Tr[rho D(2 beta) Pi] with beta = (x + i p)/sqrt(2)
-and Pi the photon-number parity, so the vacuum has W(0, 0) = 1/pi. A grid is
-separable in the Hermite functions of `gates`, the quadrature picture of the
-marginals and the tomography: see `wigner_grid`.
+and Pi the photon-number parity, so the vacuum has W(0, 0) = 1/pi. A grid and
+a marginal are both sums over the functions psi_k(sqrt2 .) of `gates`, with
+coefficients from the 50:50 beamsplitter blocks of `gates.fifty_fifty_blocks`:
+see `wigner_grid` and `marginal`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .fock import as_density_matrix
-from .gates import hermite_functions, quadrature_density
+from .gates import fifty_fifty_blocks, hermite_functions, phase_matrix, product_coefficients
 
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 201)
 DEFAULT_GRID.flags.writeable = False  # the shared default of every wigner grid and config
@@ -42,40 +43,13 @@ class WignerGrid:
         return float(self.w.sum() * self.dx * self.dp)
 
 
-def _fifty_fifty_blocks(dim: int):
-    """Yield, for N = 0 .. 2 dim - 2, C^N[k, m] = <k, N-k|U|m, N-m> for the 50:50
-    beamsplitter U a^dag U^dag = (a^dag + b^dag)/sqrt2, U b^dag U^dag = (a^dag - b^dag)/sqrt2:
-    every row k, and the columns with m, N - m < dim.  A whole block (N < dim) is
-    `gates._bs_block(N, N + 1, N + 1, pi/4)` with its columns reversed (U = U_{pi/4} SWAP).
-    Each block comes from the one before by both creation paths,
-    U|m, n> = (sqrt m U a^dag|m-1, n> + sqrt n U b^dag|m, n-1>)/N, which keeps
-    ||C C^T - I||_2 at 4.4e-14 up to N = 298; the a^dag path alone,
-    U a^dag|m-1, n>/sqrt m, lets rounding grow to 2e-5 at N = 78 and 1e56 at N = 298.
-    """
-    root = np.sqrt(np.arange(2 * dim))
-    C, lo = np.ones((1, 1)), 0  # lo: the m of C's first column
-    yield C
-    for N in range(1, 2 * dim - 1):
-        prev_lo, lo = lo, max(0, N - dim + 1)
-        m = np.arange(lo, min(N, dim - 1) + 1)
-        padded = np.zeros((N, C.shape[1] + 2))  # C^{N-1}, column i holding m = prev_lo - 1 + i
-        padded[:, 1:-1] = C
-        a = padded[:, lo - prev_lo:][:, :len(m)] * root[m]  # sqrt m U|m-1, n>
-        b = padded[:, lo - prev_lo + 1:][:, :len(m)] * root[N - m]  # sqrt n U|m, n-1>
-        C = np.zeros((N + 1, len(m)))
-        C[1:] = root[1:N + 1, None] * (a + b)  # a^dag: output k - 1 -> k, times sqrt k
-        C[:-1] += root[N:0:-1, None] * (a - b)  # b^dag: output k stays, times sqrt(N - k)
-        C /= N * np.sqrt(2.0)
-        yield C
-
-
 def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     """Evaluate the Wigner function of `state` on the (xs, ps) grid:
 
         W(x, p) = sum_{k, j < M} G_kj psi_k(sqrt2 x) psi_j(sqrt2 p),  M = 2 dim - 1,
         G_kj = pi^{-1/2} Re[(-i)^j <k, j|U|rho>>],
 
-    rho_mn read as the amplitude of |m, n> and U the 50:50 beamsplitter of `_fifty_fifty_blocks`.
+    rho_mn read as the amplitude of |m, n> and U the 50:50 beamsplitter of `gates.fifty_fifty_blocks`.
     Exact: in W = (1/pi) int <x+y|rho|x-y> e^{-2ipy} dy, psi_m(x+y) psi_n(x-y) is the |m, n>
     wavefunction, which U rotates by 45 degrees onto (sqrt2 x, sqrt2 y), and psi_j has Fourier
     eigenvalue (-i)^j.  G costs O(dim^3), one block of U per N = k + j; the grid, two real
@@ -97,7 +71,7 @@ def wigner_grid(state, xs=None, ps=None) -> WignerGrid:
     dim, M = rho.dim, 2 * rho.dim - 1
     flipped = rho.rho[:, ::-1]  # anti-diagonal N of rho is diagonal dim - 1 - N of this
     G = np.zeros((M, M))
-    for N, C in enumerate(_fifty_fifty_blocks(dim)):
+    for N, C in enumerate(fifty_fifty_blocks(dim)):
         j = np.arange(N, -1, -1)  # the b photons of output row k = N - j; (-1j) ** j would round
         G[N - j, j] = ((-1j) ** (j % 4) * (C @ flipped.diagonal(dim - 1 - N))).real
     W = hermite_functions(v, M).T @ (G.T @ hermite_functions(u, M)) / np.sqrt(np.pi)
@@ -140,12 +114,19 @@ def negative_region_count(grid: WignerGrid) -> int:
     return len(row) - merged
 
 
-def marginal(state, theta: float, grid: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
-    """Probability density of the x_theta quadrature, <x_theta|rho|x_theta>
-    (`gates.quadrature_density`: rho rotated by theta, real Hermite functions).
-    `psi`, if given, is `hermite_functions(grid, dim)`, shared across phases."""
-    rho = as_density_matrix(state)
-    if psi is None:
-        psi = hermite_functions(grid, rho.dim)
-    return quadrature_density(rho.rho, theta, psi)
+def marginal(state, theta: float | np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Probability density of the x_theta quadrature on `grid`,
+    <x_theta|rho|x_theta> = psi(x)^T Re(rho o F_theta) psi(x); one row per
+    phase when `theta` is a 1d array.
 
+    The product rule of `gates.product_coefficients` turns the dim^2 terms into
+    2 dim - 1: the density is sum_k g_k psi_k(sqrt2 x) with g the coefficients of
+    Re(rho o F_theta), so each grid point costs 2 dim - 1 and one table serves
+    every phase. Rounding leaves values down to about -1e-16 where the
+    density vanishes; they are set to 0, so the density's cumulative sum, the
+    table `sample_homodyne` inverts, never decreases.
+    """
+    rho = as_density_matrix(state)
+    g = product_coefficients((rho.rho * phase_matrix(theta, rho.dim)).real)
+    dens = g @ hermite_functions(np.sqrt(2.0) * np.asarray(grid, dtype=float), 2 * rho.dim - 1)
+    return np.maximum(dens, 0.0)

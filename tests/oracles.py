@@ -241,6 +241,15 @@ def direct_sum_wigner(rho, xs, ps):
 # quadrature marginals
 
 
+def dim_row_density(rho: np.ndarray, theta: float, x) -> np.ndarray:
+    """The quadrature density in the dim-row form psi(x)^T Re(rho o F_theta) psi(x),
+    F_theta[m, n] = e^{i (m - n) theta}: dim^2 work per point, no product rule."""
+    dim = rho.shape[0]
+    e = np.exp(1j * theta * np.arange(dim))
+    psi = hermite_functions(np.asarray(x, dtype=float), dim)
+    return np.einsum("iv,iv->v", psi, (rho * np.outer(e, e.conj())).real @ psi)
+
+
 def count_peaks(density: np.ndarray, prominence: float = 0.05) -> int:
     """Number of peaks with relative prominence above `prominence` * max."""
     if prominence <= 0:

@@ -23,6 +23,7 @@ def run_one_pass(workload, trace):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr[-2000:]
+    return result
 
 
 @pytest.mark.parametrize("workload", ["tomo-roundtrip", "store-readout"])
@@ -30,7 +31,11 @@ def test_one_pass_is_correct(workload):
     run_one_pass(workload, "0")
 
 
-def test_one_traced_pass_is_correct():
+@pytest.mark.parametrize("workload", ["tomo-roundtrip", "store-readout"])
+def test_one_traced_pass_is_correct(workload):
     # the tracer looks functions up by module and name, so a renamed or
     # dropped library name fails here
-    run_one_pass("store-readout", "1")
+    metrics = run_one_pass(workload, "1")["metrics"]
+    if workload == "tomo-roundtrip":
+        # sample_homodyne draws through the name the tracer patches, tomo.marginal
+        assert metrics["wigner.marginal.calls"]["value"] > 0

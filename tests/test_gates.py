@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from scipy.special import erf
 
 import resomem as rm
-from oracles import full_line_window, quadrature_eigenbra, total_photon_distribution
+from oracles import dim_row_density, full_line_window, quadrature_eigenbra, total_photon_distribution
 from resomem.errors import ContractError, DimensionError, DomainError
 from resomem.gates import (
     PROJECTION_GRID_BOUND,
@@ -15,6 +15,7 @@ from resomem.gates import (
     condition_on_quadrature,
     hermite_functions,
     homodyne_project,
+    product_coefficients,
     projection_rule,
     quadrature_density,
     window_condition,
@@ -98,7 +99,8 @@ def _random_mixed_state(dim, rank, seed):
 @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, 2.5, -1.0])
 def test_quadrature_density_matches_complex_contraction(theta):
     """Rotating rho by theta with real Hermite functions equals the complex
-    contraction <x_theta|rho|x'_theta> over the eigenbras."""
+    contraction <x_theta|rho|x'_theta> over the eigenbras; at x' = x that is
+    the product-basis density of `marginal`."""
     x = np.linspace(-5, 5, 301)
     xp = 0.8 * x[::-1] + 0.3
     states = [rm.coherent_state(1 + 0.7j, 20).to_density_matrix().rho, _random_mixed_state(12, 4, 3)]
@@ -106,11 +108,51 @@ def test_quadrature_density_matches_complex_contraction(theta):
         dim = rho.shape[0]
         bras = quadrature_eigenbra(x, theta, dim)
         kets = quadrature_eigenbra(xp, theta, dim)
-        diag = quadrature_density(rho, theta, hermite_functions(x, dim))
+        diag = rm.marginal(rm.DensityMatrix(dim, rho), theta, x)
         assert diag.dtype == float
         assert np.max(np.abs(diag - np.einsum("iv,iv->v", bras, rho @ bras.conj()))) < 1e-13
         off = quadrature_density(rho, theta, hermite_functions(x, dim), hermite_functions(xp, dim))
         assert np.max(np.abs(off - np.einsum("iv,iv->v", bras, rho @ kets.conj()))) < 1e-13
+
+
+def dense_product_table(dim):
+    """T[k, (m, n)]: `product_coefficients` of the dim^2 unit matrices."""
+    return product_coefficients(np.eye(dim * dim).reshape(dim * dim, dim, dim)).T
+
+
+@pytest.mark.parametrize("dim", [2, 20, 30, 40])
+def test_product_rule_of_hermite_functions(dim):
+    # psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x); 2.3e-15 measured at dim 20, 4.3e-15 at 40
+    x = np.linspace(-12, 12, 2401)
+    psi = hermite_functions(x, dim)
+    products = (psi[:, None] * psi[None, :]).reshape(dim * dim, -1)
+    expansion = dense_product_table(dim).T @ hermite_functions(np.sqrt(2.0) * x, 2 * dim - 1)
+    assert np.max(np.abs(products - expansion)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 7, 20, 30])
+def test_product_coefficients_blockwise_match_dense_table(dim):
+    rng = np.random.default_rng(dim)
+    S = rng.normal(size=(3, dim, dim))
+    g = product_coefficients(S)
+    assert g.shape == (3, 2 * dim - 1)
+    T = dense_product_table(dim)
+    assert np.max(np.abs(g - S.reshape(3, -1) @ T.T)) <= 1e-14
+    assert np.max(np.abs(product_coefficients(S[1]) - T @ S[1].ravel())) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 5, 20, 60, 150])
+def test_marginal_matches_dim_row_form(dim):
+    # random complex mixed states at generic phases; every phase in one call
+    rho = _random_mixed_state(dim, 3, dim)
+    thetas = np.array([0.37, -1.3, 2.9])
+    x = np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND, 2401)
+    dens = rm.marginal(rm.DensityMatrix(dim, rho), thetas, x)
+    assert dens.shape == (3, len(x))
+    for theta, row in zip(thetas, dens):
+        assert np.max(np.abs(row - dim_row_density(rho, theta, x))) <= 1e-13
+    single = rm.marginal(rm.DensityMatrix(dim, rho), thetas[0], x)
+    assert np.max(np.abs(single - dim_row_density(rho, thetas[0], x))) <= 1e-13
 
 
 @pytest.mark.parametrize("theta", [0.3, 2.5, -1.0])

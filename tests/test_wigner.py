@@ -8,8 +8,8 @@ import resomem as rm
 from oracles import count_peaks, direct_sum_wigner
 from resomem.errors import DimensionError, DomainError
 from resomem.fock import as_density_matrix
-from resomem.gates import _bs_block
-from resomem.wigner import DEFAULT_GRID, NEGATIVE_REGION_THRESHOLD, WignerGrid, _fifty_fifty_blocks
+from resomem.gates import _bs_block, fifty_fifty_blocks
+from resomem.wigner import DEFAULT_GRID, NEGATIVE_REGION_THRESHOLD, WignerGrid
 
 
 def analytic_odd_cat_wigner(alpha, x, p):
@@ -209,18 +209,18 @@ def test_large_dim_coherent_state_matches_closed_form():
 
 def test_fifty_fifty_blocks_are_orthogonal():
     # the first 299 blocks at dim 299 are whole: N <= 298 = 2 * 150 - 2, the largest N at dim 150
-    full = list(islice(_fifty_fifty_blocks(299), 299))
+    full = list(islice(fifty_fifty_blocks(299), 299))
     for N, C in enumerate(full):
         assert C.shape == (N + 1, N + 1)
         assert np.linalg.norm(C @ C.T - np.eye(N + 1), 2) <= 1e-13, N  # 4.4e-14 measured at N = 298
     # at dim 150 each block keeps the columns m, N - m < 150 of the whole one, bit for bit
-    for N, C in enumerate(_fifty_fifty_blocks(150)):
+    for N, C in enumerate(fifty_fifty_blocks(150)):
         assert np.array_equal(C, full[N][:, max(0, N - 149):min(N, 149) + 1]), N
 
 
 def test_fifty_fifty_blocks_match_fock_oracle():
     # U = U_{pi/4} SWAP in the gates convention, so the columns of the oracle block come reversed
-    for N, C in enumerate(islice(_fifty_fifty_blocks(61), 61)):
+    for N, C in enumerate(islice(fifty_fifty_blocks(61), 61)):
         na, block = _bs_block(N, N + 1, N + 1, np.pi / 4)
         assert np.array_equal(na, np.arange(N + 1))
         assert np.max(np.abs(C - block[:, ::-1])) <= 1e-12, N  # 1.1e-13 measured
