@@ -11,10 +11,13 @@ newline; str values printed as is, numbers with 17 significant digits
 (FLOAT_FMT), so the same numbers print to the same bytes on every platform;
 the same config and seed give the same numbers at a fixed BLAS thread count
 (the last bits of a windowed `breeding.csv` move with it). One vectorized
-kernel (`_format_rows`) prints every cell of every CSV, a block of rows at a
-time, and equals FLOAT_FMT % x byte for byte: values it cannot decide exactly
-are printed by FLOAT_FMT itself. Each writer returns the sha256 of the bytes
-it wrote, and the manifest records those digests.
+kernel (`_number_cells`) prints every number of every CSV and equals
+FLOAT_FMT % x byte for byte: values it cannot decide exactly are printed by
+FLOAT_FMT itself. A table's numeric columns are stacked into one float64
+array once per file, then formatted and written _BLOCK_CELLS cells (whole
+rows) at a time, so a long pulse table or a wide Wigner grid costs a bounded
+working set. Each writer returns the sha256 of the bytes it wrote, and the
+manifest records those digests.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ from .tomo import DEFAULT_PHASES_DEG, MLE_MAX_DIM, MLE_MIN_FRAMES, mle_reconstru
 from .wigner import DEFAULT_GRID, WignerGrid, marginal, negative_region_count, wigner_grid
 
 FLOAT_FMT = "%.17g"
-# rows formatted and written per file write; bounds the memory a long table
-# takes while it is written
-_BLOCK_ROWS = 4096
+# cells formatted and written per file write; bounds the memory a long or
+# wide table takes while it is written (a Wigner grid row is 202 cells)
+_BLOCK_CELLS = 8192
 
 PULSE_TF_TOL = 1e-3  # the largest |effective_Tf - target_Tf| a pulse leaves without a warning
 
@@ -227,34 +230,49 @@ def _as_float(column: np.ndarray) -> np.ndarray:
         return np.array([float(x) for x in column.tolist()], np.float64)
     if column.dtype.kind not in "biuf":
         raise TypeError(f"cannot write a {column.dtype} column as CSV numbers")
-    return column.astype(np.float64)
+    return column.astype(np.float64, copy=False)
 
 
-def _format_rows(columns: list) -> bytes:
-    """One CSV line per index of the equal-length 1-D arrays `columns`: a str
-    column printed as is, any other with FLOAT_FMT (which prints integers up
-    to 2**53 as str() does)."""
-    cells = []
+def _stack(columns: list) -> list:
+    """The equal-length 1-D arrays `columns` as a list of parts: a str column
+    as it is, each run of adjacent numeric columns as one (rows, n) float64
+    array."""
+    parts = []
     for is_str, run in groupby(columns, key=lambda c: c.dtype.kind == "U"):
         if is_str:
-            cells += [_str_cells(c) for c in run]
+            parts += run
         else:
-            values = np.column_stack([_as_float(c) for c in run])
-            cells.append(_number_cells(values.ravel()).reshape(len(values), -1))
+            parts.append(np.column_stack([_as_float(c) for c in run]))
+    return parts
+
+
+def _format_parts(parts: list) -> bytes:
+    """One CSV line per row of the parts of `_stack`: a str value printed as
+    is, a number with FLOAT_FMT (which prints integers up to 2**53 as str()
+    does)."""
+    cells = [_str_cells(p) if p.ndim == 1 else _number_cells(p.ravel()).reshape(len(p), -1) for p in parts]
     block = np.hstack(cells) if len(cells) > 1 else cells[0]
     block[:, -1] = ord("\n")
     return block.tobytes().translate(None, b"\0")
 
 
+def _format_rows(columns: list) -> bytes:
+    """One CSV line per index of the equal-length 1-D arrays `columns`."""
+    return _format_parts(_stack(columns))
+
+
 def _write_rows(path: Path, head: bytes, columns) -> str:
-    """Write `head`, then the rows of `columns` a block at a time; returns the
-    sha256 hex digest of the bytes written."""
+    """Write `head`, then the rows of `columns`, formatted _BLOCK_CELLS cells
+    (whole rows, at least one) at a time; returns the sha256 hex digest of
+    the bytes written."""
     columns = [np.asarray(c) for c in columns]
+    parts = _stack(columns)
+    rows = max(1, _BLOCK_CELLS // len(columns))
     digest = hashlib.sha256(head)
     with open(path, "wb") as f:
         f.write(head)
-        for i in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = _format_rows([c[i:i + _BLOCK_ROWS] for c in columns])
+        for i in range(0, len(columns[0]), rows):
+            block = _format_parts([p[i:i + rows] for p in parts])
             digest.update(block)
             f.write(block)
     return digest.hexdigest()

@@ -31,7 +31,9 @@ two-point form <x_theta|rho|x'_theta>, and `condition_on_quadrature` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +41,10 @@ from .errors import ContractError, DimensionError, DomainError
 from .fock import NORM_TOL, DensityMatrix, FockVector
 
 PROJECTION_GRID_BOUND = 12.0
-PROJECTION_GRID_STEP = 1e-3
-NODE_BLOCK = 256  # outcome nodes conditioned at once; a 201-node +-0.1 window is one block
+PROJECTION_GRID_STEP = 1e-3  # tomography's sampling grid and bin width
+WINDOW_PANEL_WIDTH = 0.25  # widest Gauss-Legendre panel of a window rule
+WINDOW_PANEL_NODES = 16  # Gauss-Legendre nodes per panel
+NODE_BLOCK = 256  # outcome nodes conditioned at once; a window up to 4 wide is one block
 
 
 @dataclass(frozen=True)
@@ -195,33 +199,50 @@ def product_coefficients(S: np.ndarray) -> np.ndarray:
     return g
 
 
+@lru_cache
 def gauss_hermite(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes, and weights times e^{x^2}: the rule integrates
     p(x) e^{-x^2} exactly for every polynomial p of degree <= `degree`, and it
     takes the integrand with its Gaussian included. The scaled weights are
-    1 / (n psi_{n-1}(x)^2), which neither underflows nor overflows at large n."""
+    1 / (n psi_{n-1}(x)^2), which neither underflows nor overflows at large n.
+
+    Computed once per degree (1.0-1.9 ms at the degrees 117-177 of a dim 40-60
+    breeding step) and shared: both arrays are read-only."""
     n = degree // 2 + 1
     with np.errstate(all="ignore"):  # hermgauss's own weights underflow for n >~ 400
         x, _ = np.polynomial.hermite.hermgauss(n)
-    return x, 1.0 / (n * hermite_functions(x, n)[-1] ** 2)
+    w = 1.0 / (n * hermite_functions(x, n)[-1] ** 2)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def projection_rule(window: tuple[float, float] | None = None):
     """Outcome nodes and weights that conditioning sums over: the ideal
     value-0 projection is the one-node rule (x = 0, w = 1); a window
-    [lo, hi] inside +-PROJECTION_GRID_BOUND is the trapezoid rule at
-    PROJECTION_GRID_STEP."""
+    [lo, hi] inside +-PROJECTION_GRID_BOUND is the composite Gauss-Legendre
+    rule of WINDOW_PANEL_NODES nodes on each of ceil((hi - lo) /
+    WINDOW_PANEL_WIDTH) equal panels: 16 nodes for +-0.1, 1 536 for +-12.
+
+    The conditioned state is an entire function of the outcome, smooth on the
+    scale of its Hermite functions' oscillations, so 16 nodes (exact for
+    polynomials of degree 31) per panel of width <= 0.25 reach rounding.
+    Against 32 nodes per 0.05-wide panel, breeding steps 1 and 2 of cat and
+    GKP memories move rho by <= 4e-16 and the acceptance by <= 6e-16
+    relative, at alpha = 1 (dims 40 and 80; windows +-0.1, +-0.5, +-2,
+    [0.2, 0.4]) and at alpha = 3.25, dim 80 (+-0.1, +-2, [1, 3]); 16 nodes
+    per 1.0-wide panel also reach rounding there, and a 1e-3 trapezoid rule
+    is off by up to 1.4e-6.
+    """
     if window is None:
         return np.zeros(1), np.ones(1)
     lo, hi = window
     if not -PROJECTION_GRID_BOUND <= lo < hi <= PROJECTION_GRID_BOUND:
         raise DomainError(f"window [{lo}, {hi}]: need -{PROJECTION_GRID_BOUND:g} <= lo < hi <= {PROJECTION_GRID_BOUND:g}")
-    npts = max(3, int(round((hi - lo) / PROJECTION_GRID_STEP)) + 1)
-    grid = np.linspace(lo, hi, npts)
-    w = np.full(npts, grid[1] - grid[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return grid, w
+    x, w = np.polynomial.legendre.leggauss(WINDOW_PANEL_NODES)
+    panels = math.ceil((hi - lo) / WINDOW_PANEL_WIDTH)
+    half = (hi - lo) / (2 * panels)
+    mid = lo + half * (2 * np.arange(panels) + 1)
+    return (mid[:, None] + half * x).ravel(), np.tile(half * w, panels)
 
 
 def condition_on_quadrature(
@@ -300,7 +321,7 @@ def homodyne_density_grid(j: JointState, mode: str, theta: float, grid: np.ndarr
 def window_condition(j: JointState, mode: str, theta: float, lo: float, hi: float):
     """Condition on the quadrature outcome falling in [lo, hi].
 
-    Integrates the projected states over the window by the trapezoid rule and
+    Integrates the projected states over the window by `projection_rule` and
     returns (normalized DensityMatrix of the survivor, acceptance probability).
     """
     grid, w = projection_rule((lo, hi))

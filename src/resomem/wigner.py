@@ -21,6 +21,7 @@ from .gates import fifty_fifty_blocks, hermite_functions, phase_matrix, product_
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 201)
 DEFAULT_GRID.flags.writeable = False  # the shared default of every wigner grid and config
 NEGATIVE_REGION_THRESHOLD = -1e-3
+MARGINAL_BLOCK = 2048  # grid points whose psi_k(sqrt2 x) table `marginal` holds at once
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,16 @@ def marginal(state, theta: float | np.ndarray, grid: np.ndarray) -> np.ndarray:
     The product rule of `gates.product_coefficients` turns the dim^2 terms into
     2 dim - 1: the density is sum_k g_k psi_k(sqrt2 x) with g the coefficients of
     Re(rho o F_theta), so each grid point costs 2 dim - 1 and one table serves
-    every phase. Rounding leaves values down to about -1e-16 where the
-    density vanishes; they are set to 0, so the density's cumulative sum, the
-    table `sample_homodyne` inverts, never decreases.
+    every phase. g is computed once and the table MARGINAL_BLOCK grid points at
+    a time, so the 24 001-point sampling grid at dim 20 holds a (39, 2048)
+    table, 0.6 MB, instead of 7.5 MB. Rounding leaves values down to about
+    -1e-16 where the density vanishes; they are set to 0, so the density's
+    cumulative sum, the table `sample_homodyne` inverts, never decreases.
     """
     rho = as_density_matrix(state)
     g = product_coefficients((rho.rho * phase_matrix(theta, rho.dim)).real)
-    dens = g @ hermite_functions(np.sqrt(2.0) * np.asarray(grid, dtype=float), 2 * rho.dim - 1)
-    return np.maximum(dens, 0.0)
+    u = np.sqrt(2.0) * np.asarray(grid, dtype=float)
+    dens = np.empty(g.shape[:-1] + u.shape)
+    for i in range(0, len(u), MARGINAL_BLOCK):
+        dens[..., i:i + MARGINAL_BLOCK] = g @ hermite_functions(u[i:i + MARGINAL_BLOCK], g.shape[-1])
+    return np.maximum(dens, 0.0, out=dens)

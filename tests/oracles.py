@@ -2,7 +2,8 @@
 operators, the complex quadrature eigenbras, the RK4 Lindblad integrator, the
 exact finite-alpha bred state, the first-order (Euler) memory network and the
 continuum survival amplitude, the Laguerre-series Wigner function, peak
-counting, and checks on density matrices and two-mode Fock states.
+counting, a windowed breeding step of coherent superpositions in closed form,
+and checks on density matrices and two-mode Fock states.
 
 Each one is derived apart from the library kernel it checks, and some use
 scipy, a dependency of the tests alone.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import find_peaks
+from scipy.special import erf
 
 from resomem.breeding import _projection_theta
 from resomem.errors import ContractError, DomainError
@@ -158,6 +160,43 @@ def exact_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int) -> F
         coeffs = nxt
     amp = sum(c * coherent_amplitudes(1j * alpha * n / np.sqrt(k), dim) for n, c in coeffs.items())
     return FockVector(dim, amp).normalized()
+
+
+def windowed_superposition_step(memory, ancilla, T: float, theta: float, lo: float, hi: float, dim: int):
+    """Mix the coherent superpositions `memory` and `ancilla`, each a list of
+    (coefficient, amplitude) pairs, on a beamsplitter of transmittance T,
+    condition the ancilla port on x_theta in [lo, hi], and return (normalized
+    DensityMatrix of the memory, acceptance probability), exactly.
+
+    |beta>|gamma> -> |sqrt(T) beta + sqrt(1-T) gamma>|-sqrt(1-T) beta + sqrt(T) gamma>,
+    so the joint state is a sum of coherent product terms |mu>|nu>. The bra
+    <x_theta| = <x| e^{i theta n} turns |nu> into |u>, u = nu e^{i theta}, and
+    <x|u> = pi^{-1/4} exp(-x^2/2 + sqrt2 u x - u^2/2 - |u|^2/2), so each pair of
+    terms contributes |mu><mu'| times
+        int_lo^hi <x|u> conj(<x|u'>) dx = pi^{-1/2} int_lo^hi exp(-x^2 + b x + c) dx
+            = (1/2) e^{b^2/4 + c} [erf(hi - b/2) - erf(lo - b/2)],
+    b = sqrt2 (u + conj(u')), c = -(u^2 + conj(u')^2 + |u|^2 + |u'|^2)/2, with
+    scipy's complex erf. The inputs are normalized exactly, and only the output
+    kets are truncated to `dim`.
+    """
+    def normalized(terms):
+        gram = sum(c * np.conj(c2) * np.exp(-abs(a) ** 2 / 2 - abs(a2) ** 2 / 2 + np.conj(a2) * a)
+                   for c, a in terms for c2, a2 in terms)
+        return [(c / np.sqrt(gram.real), a) for c, a in terms]
+
+    t, r = np.sqrt(T), np.sqrt(1.0 - T)
+    joint = [(c * d, t * a + r * g, (-r * a + t * g) * np.exp(1j * theta))
+             for c, a in normalized(memory) for d, g in normalized(ancilla)]
+    kets = [coherent_amplitudes(mu, dim) for _, mu, _ in joint]
+    rho = np.zeros((dim, dim), dtype=complex)
+    for (c, _, u), ket in zip(joint, kets):
+        for (c2, _, u2), ket2 in zip(joint, kets):
+            b = np.sqrt(2.0) * (u + np.conj(u2))
+            e = -(u**2 + np.conj(u2) ** 2 + abs(u) ** 2 + abs(u2) ** 2) / 2
+            integral = 0.5 * np.exp(b * b / 4 + e) * (erf(hi - b / 2) - erf(lo - b / 2))
+            rho += c * np.conj(c2) * integral * np.outer(ket, ket2.conj())
+    acceptance = float(np.trace(rho).real)
+    return DensityMatrix(dim, rho / acceptance), acceptance
 
 
 # ---------------------------------------------------------------------------

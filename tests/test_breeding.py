@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import resomem as rm
-from oracles import count_peaks, exact_bred_state
+from oracles import count_peaks, exact_bred_state, windowed_superposition_step
 from resomem.breeding import CAT_PROJECTION_THETA, GKP_PROJECTION_THETA
 from resomem.errors import DomainError
 from resomem.fock import coherent_amplitudes
@@ -181,6 +181,22 @@ def test_breed_step_matches_fock_oracle(protocol, window):
             assert 1 - rm.fidelity(ref, out) <= 1e-12
             assert np.max(np.abs(ref.rho - out.rho)) <= 1e-12
             assert abs(dens - ref_dens) <= 1e-10 * ref_dens
+
+
+@pytest.mark.parametrize("protocol", ["cat", "gkp"])
+@pytest.mark.parametrize("window", [(-0.1, 0.1), (0.2, 0.4)])
+def test_windowed_step_matches_closed_form(protocol, window):
+    # one windowed step of cat (x) cat at T = 1/2 against complex-erf integrals
+    # of the coherent product terms; a 1e-3 trapezoid window rule is off by
+    # 4e-8 to 3e-7 in rho here
+    alpha, s, dim = 1.0, -1, 40
+    cat = rm.cat_state(alpha, s, dim)
+    out, dens = rm.breed_step(cat, cat, 1, protocol, window)
+    terms = [(1.0, 1j * alpha), (s, -1j * alpha)]
+    theta = CAT_PROJECTION_THETA if protocol == "cat" else GKP_PROJECTION_THETA
+    ref, ref_dens = windowed_superposition_step(terms, terms, 0.5, theta, *window, dim)
+    assert np.max(np.abs(out.rho - ref.rho)) <= 1e-12
+    assert abs(dens - ref_dens) <= 1e-12 * ref_dens
 
 
 def test_wide_window_step_peaks_below_100_mb():

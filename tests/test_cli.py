@@ -3,6 +3,9 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -508,7 +511,7 @@ def test_float_format_roundtrip(tmp_path):
 
 
 def test_csv_writers_golden_bytes(tmp_path, monkeypatch):
-    n = cli._BLOCK_ROWS + 3  # the last rows are written in a second block
+    n = cli._BLOCK_CELLS // 3 + 3  # the last rows are written in a second block
     names = ["a", "b", "c", "d", "e"] + [f"r{i}" for i in range(5, n)]
     counts = [0, -1, 2, 2**53, 3] + list(range(5, n))
     values = [1.0, -0.0, 0.1, 1e-300, 2.0**53] + [i + 0.5 for i in range(5, n)]
@@ -583,6 +586,65 @@ def test_csv_kernel_pulse_tables(tmp_path):
         body = (tmp_path / name).read_bytes()
         assert body == (",".join(table) + "\n").encode() + percent_rows(list(table.values())), name
         assert digest == hashlib.sha256(body).hexdigest()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_csv_blocks_match_percent_format(tmp_path, offset):
+    # a mixed str/number table whose row counts end just before, on and just
+    # after the first and the second block boundary
+    rows = cli._BLOCK_CELLS // 5
+    for n in (rows + offset, 2 * rows + offset):
+        rng = np.random.default_rng(n)
+        names = np.array([f"s{i}" * (i % 3) for i in range(n)])
+        scaled = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)
+        columns = [names, scaled, np.arange(n) - n // 2, names, rng.random(n)]
+        digest = cli.write_csv(tmp_path / "t.csv", list("abcde"), columns)
+        body = (tmp_path / "t.csv").read_bytes()
+        assert body == b"a,b,c,d,e\n" + percent_rows(columns), n
+        assert digest == hashlib.sha256(body).hexdigest()
+
+
+def test_wigner_csv_blocks_match_percent_format(tmp_path):
+    # 201 rows of 202 cells: five whole blocks and one row
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=(201, 201)) * 10.0 ** rng.integers(-300, 300, (201, 201))
+    w[100, :5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    xs = np.linspace(-5.0, 5.0, 201)
+    grid = WignerGrid(xs, xs[::-1].copy(), w)
+    digest = cli.write_wigner_csv(tmp_path / "w.csv", grid)
+    body = (tmp_path / "w.csv").read_bytes()
+    assert body == b"," + percent_rows(list(xs[:, None])) + percent_rows([grid.ps, *w.T])
+    assert digest == hashlib.sha256(body).hexdigest()
+
+
+def test_csv_writers_peak_within_6_mb_of_their_input():
+    # a 201 x 201 Wigner grid and a 200 001-row pulse table, written in a fresh
+    # interpreter: VmHWM rose by 9.4 MB when a grid was one 40 602-cell block,
+    # and by 3.8 MB with _BLOCK_CELLS blocks (3.2 MB of it the pulse table's
+    # stacked float64 copy). VmHWM is the child's own peak; ru_maxrss would
+    # keep that of the pytest process it came from.
+    code = """
+import tempfile
+from pathlib import Path
+import numpy as np
+import resomem.cli as cli
+from resomem.wigner import WignerGrid
+def hwm():  # kB
+    return int(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))
+xs = np.linspace(-5.0, 5.0, 201)
+grid = WignerGrid(xs, xs, np.random.default_rng(1).normal(size=(201, 201)))
+t = np.linspace(0.0, 16.0, 200001)
+g = np.exp(-t / 2)
+before = hwm()
+with tempfile.TemporaryDirectory() as d:
+    cli.write_wigner_csv(Path(d) / "w.csv", grid)
+    cli.write_csv(Path(d) / "mode.csv", ["t", "g"], [t, g])
+print(hwm() - before)
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert int(out.stdout) / 1024 < 6
 
 
 def test_csv_str_cells_reject_nul_and_non_ascii(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from resomem.gates import (
     JointState,
     beamsplitter_apply,
     condition_on_quadrature,
+    gauss_hermite,
     hermite_functions,
     homodyne_project,
     product_coefficients,
@@ -20,6 +23,7 @@ from resomem.gates import (
     quadrature_density,
     window_condition,
 )
+from resomem.tomo import _product_table
 
 
 def dense_bs_oracle(dimA, dimB, T):
@@ -141,6 +145,15 @@ def test_product_coefficients_blockwise_match_dense_table(dim):
     assert np.max(np.abs(product_coefficients(S[1]) - T @ S[1].ravel())) <= 1e-14
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7, 20, 30])
+def test_tomography_table_is_the_dense_table_bit_for_bit(dim):
+    # the ML loop's T, scattered from the 50:50 blocks, reads as product_coefficients' T
+    T = _product_table(dim)
+    ref = dense_product_table(dim)
+    assert T.shape == ref.shape and T.strides == ref.strides
+    assert np.array_equal(T.view(np.uint64), ref.view(np.uint64))
+
+
 @pytest.mark.parametrize("dim", [2, 5, 20, 60, 150])
 def test_marginal_matches_dim_row_form(dim):
     # random complex mixed states at generic phases; every phase in one call
@@ -177,8 +190,19 @@ def test_kernel_matches_fock_oracle_at_generic_phase(theta, window):
     assert abs(dens - ref_dens) <= 1e-10 * ref_dens
 
 
+def test_gauss_hermite_rule_is_computed_once_and_read_only():
+    x, w = gauss_hermite(117)
+    again = gauss_hermite(117)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    # exact for p(x) e^{-x^2}, degree <= 117: int x^116 e^{-x^2} dx = Gamma(58.5)
+    assert w @ (x**116 * np.exp(-x * x)) == pytest.approx(math.gamma(58.5), rel=1e-12)
+
+
 def test_windows_stay_on_the_projection_grid():
-    assert len(projection_rule((-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND))[0]) == 24001
+    assert len(projection_rule((-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND))[0]) == 1536
     for window in [(-1e300, 1e300), (0.0, 1e12), (-12.5, 0.0), (0.0, 12.001)]:
         with pytest.raises(DomainError):
             projection_rule(window)
