@@ -72,4 +72,5 @@ from .wigner import (
     marginal,
     negative_region_count,
     wigner_grid,
+    wigner_grids,
 )

@@ -142,20 +142,20 @@ def gkp_stabilizer_expectation(state, g: float) -> tuple[float, float]:
     """(|<e^{i g x}>|, |<e^{2 pi i p / g}>|) as translation overlaps.
 
     e^{icp} translates x_theta wavefunctions by c, so <e^{icp}> is the
-    integral of rho_theta(u + c/2, u - c/2) over u: c = 2 pi / g at theta = 0
-    for the p stabilizer, and c = g at theta = pi/2, where x is the momentum
-    conjugate to x_theta, for the x stabilizer.
+    integral of rho_theta(u + c/2, u - c/2) over u: c = g at theta = pi/2,
+    where x is the momentum conjugate to x_theta, for the x stabilizer, and
+    c = 2 pi / g at theta = 0 for the p stabilizer. The integrand is a
+    polynomial of degree <= 2(dim-1) times e^{-u^2}, so Gauss-Hermite
+    quadrature is exact. The four shifted tables u +- c/2 come from one
+    `hermite_functions` call, whose cost is set by its loop over the dim rows.
     """
     if g <= 0:
         raise DomainError("g must be positive")
     rho = as_density_matrix(state)
-    return _translation_overlap(rho, g, np.pi / 2), _translation_overlap(rho, 2 * np.pi / g, 0.0)
-
-
-def _translation_overlap(rho: DensityMatrix, c: float, theta: float) -> float:
-    """|int rho_theta(u + c/2, u - c/2) du|; the integrand is a polynomial of
-    degree <= 2(dim-1) times e^{-u^2}, so Gauss-Hermite quadrature is exact."""
     u, w = gauss_hermite(2 * (rho.dim - 1))
-    psi = hermite_functions(u + c / 2, rho.dim)
-    kets = hermite_functions(u - c / 2, rho.dim)
-    return float(abs(w @ quadrature_density(rho.rho, theta, psi, kets)))
+    cx, cp = g, 2 * np.pi / g
+    psi = hermite_functions(np.stack((u + cx / 2, u - cx / 2, u + cp / 2, u - cp / 2)), rho.dim)
+    return (
+        float(abs(w @ quadrature_density(rho.rho, np.pi / 2, psi[:, 0], psi[:, 1]))),
+        float(abs(w @ quadrature_density(rho.rho, 0.0, psi[:, 2], psi[:, 3]))),
+    )

@@ -13,11 +13,10 @@ the same config and seed give the same numbers at a fixed BLAS thread count
 (the last bits of a windowed `breeding.csv` move with it). One vectorized
 kernel (`_number_cells`) prints every number of every CSV and equals
 FLOAT_FMT % x byte for byte: values it cannot decide exactly are printed by
-FLOAT_FMT itself. A table's numeric columns are stacked into one float64
-array once per file, then formatted and written _BLOCK_CELLS cells (whole
-rows) at a time, so a long pulse table or a wide Wigner grid costs a bounded
-working set. Each writer returns the sha256 of the bytes it wrote, and the
-manifest records those digests.
+FLOAT_FMT itself. A table is converted to float64, formatted and written
+_BLOCK_CELLS cells (whole rows) at a time, so a long pulse table or a wide
+Wigner grid costs a bounded working set. Each writer returns the sha256 of
+the bytes it wrote, and the manifest records those digests.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .memory import (
 from .noise import CoherenceSeries, NoiseParams, evolve_closed_form, fit_T1, fit_Tphi, normalized_coherence
 from .rates import heralding_probability, k_from_rates, success_probability
 from .tomo import DEFAULT_PHASES_DEG, MLE_MAX_DIM, MLE_MIN_FRAMES, mle_reconstruct, sample_homodyne
-from .wigner import DEFAULT_GRID, WignerGrid, marginal, negative_region_count, wigner_grid
+from .wigner import DEFAULT_GRID, WignerGrid, marginal, negative_region_count, wigner_grid, wigner_grids
 
 FLOAT_FMT = "%.17g"
 # cells formatted and written per file write; bounds the memory a long or
@@ -234,9 +233,9 @@ def _as_float(column: np.ndarray) -> np.ndarray:
 
 
 def _stack(columns: list) -> list:
-    """The equal-length 1-D arrays `columns` as a list of parts: a str column
-    as it is, each run of adjacent numeric columns as one (rows, n) float64
-    array."""
+    """The equal-length arrays `columns` as a list of parts: a 1-D str column
+    as it is, each run of adjacent numeric columns (1-D, or 2-D with one
+    column per CSV column) as one (rows, n) float64 array."""
     parts = []
     for is_str, run in groupby(columns, key=lambda c: c.dtype.kind == "U"):
         if is_str:
@@ -257,22 +256,22 @@ def _format_parts(parts: list) -> bytes:
 
 
 def _format_rows(columns: list) -> bytes:
-    """One CSV line per index of the equal-length 1-D arrays `columns`."""
+    """One CSV line per row of the equal-length arrays `columns` (see `_stack`)."""
     return _format_parts(_stack(columns))
 
 
 def _write_rows(path: Path, head: bytes, columns) -> str:
-    """Write `head`, then the rows of `columns`, formatted _BLOCK_CELLS cells
-    (whole rows, at least one) at a time; returns the sha256 hex digest of
+    """Write `head`, then the rows of `columns` (see `_stack`), converted and
+    formatted _BLOCK_CELLS cells (whole rows, at least one) at a time, so no
+    float64 copy of the whole table is made; returns the sha256 hex digest of
     the bytes written."""
     columns = [np.asarray(c) for c in columns]
-    parts = _stack(columns)
-    rows = max(1, _BLOCK_CELLS // len(columns))
+    rows = max(1, _BLOCK_CELLS // sum(c.shape[1] if c.ndim == 2 else 1 for c in columns))
     digest = hashlib.sha256(head)
     with open(path, "wb") as f:
         f.write(head)
         for i in range(0, len(columns[0]), rows):
-            block = _format_parts([p[i:i + rows] for p in parts])
+            block = _format_rows([c[i:i + rows] for c in columns])
             digest.update(block)
             f.write(block)
     return digest.hexdigest()
@@ -286,8 +285,8 @@ def write_csv(path: Path, header: list, columns) -> str:
 def write_wigner_csv(path: Path, grid) -> str:
     """Bit-exact Wigner grid format: header row of xs (first cell blank),
     then one row per p value, the p value first. Returns the sha256 hex digest."""
-    head = b"," + _format_rows(list(np.asarray(grid.xs)[:, None]))
-    return _write_rows(path, head, [grid.ps, *grid.w.T])
+    head = b"," + _format_rows([np.asarray(grid.xs)[None]])
+    return _write_rows(path, head, [grid.ps, grid.w])
 
 
 def _strict_json(value):
@@ -725,13 +724,17 @@ def _fig_wigner_panels(c: dict) -> tuple[dict, dict]:
     """Input / bred / bred-after-storage Wigner grids per protocol."""
     alpha, dim, t2 = float(c["alpha"]), c["dim"], float(c["t2"])
     noise = NoiseParams(float(c["T1"]), float(c["Tphi"]))
-    inp = wigner_grid(cat_state(alpha, -1, dim))  # both protocols breed the same input cat
-    tables = {}
+    states = [cat_state(alpha, -1, dim)]  # both protocols breed the same input cat
     for protocol in ("cat", "gkp"):
         bred = run_breeding(BreedingPlan(protocol, 1, alpha, -1, dim)).states[-1]
+        states += [bred, evolve_closed_form(bred, t2, noise)]
+    grids = iter(wigner_grids(states))  # one set of blocks and Hermite tables for all five
+    inp = next(grids)
+    tables = {}
+    for protocol in ("cat", "gkp"):
         tables[f"{protocol}_input.csv"] = inp
-        tables[f"{protocol}_bred.csv"] = wigner_grid(bred)
-        tables[f"{protocol}_stored.csv"] = wigner_grid(evolve_closed_form(bred, t2, noise))
+        tables[f"{protocol}_bred.csv"] = next(grids)
+        tables[f"{protocol}_stored.csv"] = next(grids)
     return tables, {}
 
 

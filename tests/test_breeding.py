@@ -8,10 +8,17 @@ import pytest
 
 import resomem as rm
 from oracles import count_peaks, exact_bred_state, windowed_superposition_step
-from resomem.breeding import CAT_PROJECTION_THETA, GKP_PROJECTION_THETA
+from resomem.breeding import CAT_PROJECTION_THETA, GKP_PROJECTION_THETA, STABILIZER_G
 from resomem.errors import DomainError
-from resomem.fock import coherent_amplitudes
-from resomem.gates import beamsplitter_apply, homodyne_project, window_condition
+from resomem.fock import as_density_matrix, coherent_amplitudes
+from resomem.gates import (
+    beamsplitter_apply,
+    gauss_hermite,
+    hermite_functions,
+    homodyne_project,
+    quadrature_density,
+    window_condition,
+)
 
 
 def test_theoretical_k1_is_input_cat():
@@ -276,3 +283,28 @@ def test_stabilizers_match_coherent_gram_sums(coeffs, gammas):
     assert sx == pytest.approx(abs(coherent_sum_displacement(coeffs, gammas, 1j * g / np.sqrt(2))), abs=1e-10)
     assert sp == pytest.approx(abs(coherent_sum_displacement(coeffs, gammas, -np.sqrt(2) * np.pi / g)), abs=1e-10)
 
+
+def per_table_stabilizers(state, g):
+    """The stabilizers with one `hermite_functions` call per shifted table,
+    as `gkp_stabilizer_expectation` computed them before its four tables
+    came from one call."""
+    rho = as_density_matrix(state)
+    u, w = gauss_hermite(2 * (rho.dim - 1))
+
+    def overlap(c, theta):
+        psi = hermite_functions(u + c / 2, rho.dim)
+        kets = hermite_functions(u - c / 2, rho.dim)
+        return float(abs(w @ quadrature_density(rho.rho, theta, psi, kets)))
+
+    return overlap(g, np.pi / 2), overlap(2 * np.pi / g, 0.0)
+
+
+def test_stabilizer_tables_from_one_call_move_no_bit():
+    rng = np.random.default_rng(4)
+    G = np.zeros((40, 2), dtype=complex)
+    G[:15] = rng.normal(size=(15, 2)) + 1j * rng.normal(size=(15, 2))
+    mixed = rm.DensityMatrix(40, G @ G.conj().T / np.sum(np.abs(G) ** 2))
+    window = rm.run_breeding(rm.BreedingPlan("gkp", 2, 1.0, -1, 60, (-0.1, 0.1)))
+    for state in [*window.states, rm.coherent_state(0.8 + 0.5j, 30), mixed]:
+        for g in (STABILIZER_G, 1.3):
+            assert rm.gkp_stabilizer_expectation(state, g) == per_table_stabilizers(state, g)

@@ -16,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resomem.cli as cli
+from resomem.breeding import BreedingPlan, run_breeding
 from resomem.fock import cat_state
 from resomem.noise import NoiseParams, evolve_closed_form
-from resomem.wigner import WignerGrid
+from resomem.wigner import WignerGrid, wigner_grid
 
 pytestmark = pytest.mark.filterwarnings("ignore::resomem.errors.NumericalAccuracyWarning")
 
@@ -490,6 +491,21 @@ def test_fig4d_input_grid_formatted_once(tmp_path, monkeypatch):
     assert files["cat_input.csv"] == files["gkp_input.csv"] == hashlib.sha256(body).hexdigest()
 
 
+def test_fig4d_panels_are_the_single_state_grids(tmp_path):
+    # the batched panels print the bytes of each state's own grid
+    cli.emit_figure_data("fig4d", tmp_path / "fig4d")
+    noise = NoiseParams(2.3e-6, 0.96e-6)
+    panels = {}
+    for protocol in ("cat", "gkp"):
+        bred = run_breeding(BreedingPlan(protocol, 1, 1.0, -1, 40)).states[-1]
+        panels[f"{protocol}_input.csv"] = cat_state(1.0, -1, 40)
+        panels[f"{protocol}_bred.csv"] = bred
+        panels[f"{protocol}_stored.csv"] = evolve_closed_form(bred, 40e-9, noise)
+    for name, state in panels.items():
+        cli.write_wigner_csv(tmp_path / "single.csv", wigner_grid(state))
+        assert (tmp_path / "fig4d" / name).read_bytes() == (tmp_path / "single.csv").read_bytes(), name
+
+
 def test_default_wigner_grid_is_read_only():
     xs = cli.validate_config({"kind": "wigner"})["xs"]
     with pytest.raises(ValueError):
@@ -620,9 +636,10 @@ def test_wigner_csv_blocks_match_percent_format(tmp_path):
 def test_csv_writers_peak_within_6_mb_of_their_input():
     # a 201 x 201 Wigner grid and a 200 001-row pulse table, written in a fresh
     # interpreter: VmHWM rose by 9.4 MB when a grid was one 40 602-cell block,
-    # and by 3.8 MB with _BLOCK_CELLS blocks (3.2 MB of it the pulse table's
-    # stacked float64 copy). VmHWM is the child's own peak; ru_maxrss would
-    # keep that of the pytest process it came from.
+    # by 3.8-4.2 MB with _BLOCK_CELLS blocks but a float64 copy of the whole
+    # pulse table, and by 0.8-1.0 MB with each block converted on its own.
+    # VmHWM is the child's own peak; ru_maxrss would keep that of the pytest
+    # process it came from.
     code = """
 import tempfile
 from pathlib import Path

@@ -11,6 +11,7 @@ import resomem as rm
 from oracles import dim_row_density, full_line_window, quadrature_eigenbra, total_photon_distribution
 from resomem.errors import ContractError, DimensionError, DomainError
 from resomem.gates import (
+    NODE_BLOCK,
     PROJECTION_GRID_BOUND,
     JointState,
     beamsplitter_apply,
@@ -18,6 +19,7 @@ from resomem.gates import (
     gauss_hermite,
     hermite_functions,
     homodyne_project,
+    phase_matrix,
     product_coefficients,
     projection_rule,
     quadrature_density,
@@ -188,6 +190,47 @@ def test_kernel_matches_fock_oracle_at_generic_phase(theta, window):
     cond, dens = condition_on_quadrature(mem.to_density_matrix().rho, anc.amp, T, theta, nodes, weights)
     assert np.max(np.abs(cond / dens - ref)) <= 1e-12
     assert abs(dens - ref_dens) <= 1e-10 * ref_dens
+
+
+def per_table_conditioning(rho, ancilla, T, theta, nodes, weights):
+    """`condition_on_quadrature` with the memory and the ancilla table of
+    each node block from separate `hermite_functions` calls, as it computed
+    them before they came from one call."""
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    lam, vec = np.linalg.eigh((rho + rho.conj().T) / 2)
+    keep = lam > 1e-12 * lam[-1]
+    phase = np.exp(1j * theta * np.arange(dim))
+    factors = vec[:, keep] * np.sqrt(lam[keep]) * phase[:, None]
+    ancilla = ancilla * phase
+    x, wx = gauss_hermite(3 * (dim - 1))
+    psi_out = hermite_functions(x, dim) * wx
+    t, r = np.sqrt(T), np.sqrt(1.0 - T)
+    cond = None
+    for lo in range(0, len(nodes), NODE_BLOCK):
+        x0 = nodes[lo : lo + NODE_BLOCK, None]
+        mem = np.tensordot(factors, hermite_functions(t * x - r * x0, dim), axes=(0, 0))
+        anc = np.tensordot(ancilla, hermite_functions(r * x + t * x0, dim), axes=(0, 0))
+        out = np.tensordot(psi_out, mem * anc, axes=(1, 2))
+        part = (out * weights[lo : lo + NODE_BLOCK]).reshape(dim, -1) @ out.reshape(dim, -1).conj().T
+        cond = part if cond is None else cond + part
+    cond = cond * phase_matrix(theta, dim).conj()
+    return cond, float(np.trace(cond).real)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("window", [None, (-0.1, 0.1)])
+def test_conditioning_tables_from_one_call_move_no_bit(rank, window):
+    dim = 40
+    memory = rm.cat_state(1.0, -1, dim).to_density_matrix().rho
+    if rank == 2:
+        memory = 0.7 * memory + 0.3 * rm.coherent_state(0.8 + 0.5j, dim).to_density_matrix().rho
+    ancilla = rm.cat_state(1.0, -1, dim).amp
+    for T, theta in ((1 / 2, np.pi / 2), (2 / 3, 0.0)):
+        rule = projection_rule(window)
+        cond, total = condition_on_quadrature(memory, ancilla, T, theta, *rule)
+        ref, ref_total = per_table_conditioning(memory, ancilla, T, theta, *rule)
+        assert cond.tobytes() == ref.tobytes() and total == ref_total
 
 
 def test_gauss_hermite_rule_is_computed_once_and_read_only():

@@ -9,6 +9,7 @@ from oracles import count_peaks, direct_sum_wigner
 from resomem.errors import DimensionError, DomainError
 from resomem.fock import as_density_matrix
 from resomem.gates import _bs_block, fifty_fifty_blocks
+from resomem import wigner
 from resomem.wigner import DEFAULT_GRID, NEGATIVE_REGION_THRESHOLD, WignerGrid
 
 
@@ -205,6 +206,49 @@ def test_large_dim_coherent_state_matches_closed_form():
     X, P = np.meshgrid(xs, xs)
     g = rm.wigner_grid(rm.coherent_state(alpha, 150), xs, xs)
     assert np.max(np.abs(g.w - np.exp(-(X - x0) ** 2 - (P - p0) ** 2) / np.pi)) <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def fig4d_states():
+    # the five dim-40 panels of fig4d at its defaults: input cat, then bred and stored per protocol
+    noise = rm.NoiseParams(2.3e-6, 0.96e-6)
+    states = [rm.cat_state(1.0, -1, 40)]
+    for protocol in ("cat", "gkp"):
+        bred = rm.run_breeding(rm.BreedingPlan(protocol, 1, 1.0, -1, 40)).states[-1]
+        states += [bred, rm.evolve_closed_form(bred, 40e-9, noise)]
+    return states
+
+
+def test_batched_grids_equal_single_grids_bit_for_bit(fig4d_states):
+    # a batch shares the blocks and the Hermite tables; each W is the same products
+    xs = np.linspace(-12, 12, 201)
+    large = [rm.coherent_state(4 - 3j, 150), rm.fock_basis_state(7, 150)]
+    for states, axes in ((fig4d_states, ()), (large, (xs, xs)), (large, (xs, xs[::2].copy()))):
+        for batched, state in zip(rm.wigner_grids(states, *axes), states, strict=True):
+            assert batched.w.tobytes() == rm.wigner_grid(state, *axes).w.tobytes()
+
+
+def test_equal_axes_share_one_table(kernel_states, monkeypatch):
+    xs = np.linspace(-6, 6, 121)
+    state = kernel_states["mixed"]
+    assert rm.wigner_grid(state, xs, xs).w.tobytes() == rm.wigner_grid(state, xs, xs.copy()).w.tobytes()
+    calls = []
+    hermite = wigner.hermite_functions
+    monkeypatch.setattr(wigner, "hermite_functions", lambda x, n: calls.append(len(x)) or hermite(x, n))
+    rm.wigner_grids([state, state], xs, xs.copy())
+    assert calls == [121]
+    rm.wigner_grids([state], xs, xs[::-1].copy())
+    assert calls == [121, 121, 121]
+
+
+def test_batched_grids_need_one_dim_and_check_each_state():
+    with pytest.raises(DimensionError, match="one dim"):
+        rm.wigner_grids([rm.vacuum(20), rm.vacuum(30)])
+    narrow = np.linspace(-3, 3, 61)
+    rm.wigner_grids([rm.vacuum(40)], narrow, narrow)  # radius 2: covered
+    for states in ([rm.vacuum(40), rm.coherent_state(2.5, 40)], [rm.coherent_state(2.5, 40), rm.vacuum(40)]):
+        with pytest.raises(DimensionError, match="support"):  # radius 5.5: not covered
+            rm.wigner_grids(states, narrow, narrow)
 
 
 def test_fifty_fifty_blocks_are_orthogonal():
