@@ -35,7 +35,6 @@ from .breeding import (
 )
 from .memory import (
     CouplingSchedule,
-    MemoryHardware,
     NetworkResult,
     TemporalMode,
     entangle_pulse,
@@ -43,7 +42,6 @@ from .memory import (
     read_pulse,
     simulate_network,
     standard_wavepacket,
-    voltage_gamma,
     write_pulse,
 )
 from .noise import (

@@ -49,14 +49,12 @@ from .fock import (
     vacuum,
 )
 from .memory import (
-    MemoryHardware,
+    GAMMA0,
     entangle_pulse,
     multimode_overlap,
     read_pulse,
     simulate_network,
-    staircase_overlap_oracle,
     standard_wavepacket,
-    voltage_gamma,
     write_pulse,
 )
 from .noise import CoherenceSeries, NoiseParams, evolve_closed_form, fit_T1, fit_Tphi, normalized_coherence
@@ -602,13 +600,6 @@ def _scenario_validate(c: dict) -> tuple[dict, dict]:
     """Cheap invariant sweep; raises (exit 3) if anything fails."""
     checks = {}
     checks["multimode_T0_0.3"] = abs(multimode_overlap(0.3) - 0.9974) < 5e-4
-    checks["multimode_oracle"] = all(
-        abs(multimode_overlap(T0) - staircase_overlap_oracle(T0)) < 1e-10
-        for T0 in np.linspace(0.05, 0.9, 10)
-    )
-    hw = MemoryHardware()
-    v = voltage_gamma(hw, hw.gamma0, "inverse")
-    checks["gamma_V_roundtrip"] = abs(voltage_gamma(hw, v) - hw.gamma0) < 1e-9 * hw.gamma0
     w = wigner_grid(vacuum(20))
     checks["wigner_vacuum"] = abs(w.w[100, 100] - 1 / np.pi) < 1e-9
     xs = np.linspace(-5, 5, 501)
@@ -627,7 +618,7 @@ _SCENARIOS = {
     "pulse": (_scenario_pulse, {
         "wavepacket": ((lambda v: v in ("exp_rising", "exp_decaying", "time_bin"),
                         "'exp_rising', 'exp_decaying' or 'time_bin'"), "exp_rising"),
-        "gamma0": (_POSITIVE, MemoryHardware().gamma0),
+        "gamma0": (_POSITIVE, GAMMA0),
         # t0 and span in units of 1/gamma0
         "t0": ((lambda v: v is None or _POSITIVE[0](v), "null or a finite number > 0"), 1.0,
                "wavepacket", ("time_bin",)),

@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalAccuracyWarning
 
-SPEED_OF_LIGHT = 299792458.0
+GAMMA0 = 2 * np.pi * 1.5e6  # the paper's output-coupling rate, 2 pi x 1.5 MHz, in 1/s
 NORM_TRUNCATION = 1e-6  # residual-norm threshold at support edges
 GAMMA_CAP_FACTOR = 100.0
-STAIRCASE_TAIL = 1e-14  # residual weight at which staircase_overlap_oracle stops summing
 # coarsest wavepacket grid step, in units of 1/gamma0: write and read pulses still come within
 # 4e-6 of their targets there, while a one-sample wavepacket's read pulse leaves 0.37, not 0
 MAX_STEP_GAMMA0 = 1.0
@@ -68,7 +67,6 @@ class CouplingSchedule:
 
     t: np.ndarray
     gamma: np.ndarray
-    gamma_cap: float
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -77,23 +75,8 @@ class CouplingSchedule:
             raise DomainError("t and gamma must be matching 1d arrays, t increasing")
         if np.any(gam < 0):
             raise DomainError("gamma must be nonnegative")
-        if np.any(gam > self.gamma_cap * (1 + 1e-12)):
-            raise DomainError("gamma exceeds gamma_cap")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gamma", gam)
-
-
-@dataclass(frozen=True)
-class MemoryHardware:
-    """Resonator geometry and Pockels-cell parameters."""
-
-    L: float = 4.35
-    V_pi: float = 1.8e3
-    gamma0: float = 2 * np.pi * 1.5e6
-
-    def __post_init__(self):
-        if self.L <= 0 or self.V_pi <= 0:
-            raise DomainError("L and V_pi must be positive")
 
 
 @dataclass(frozen=True)
@@ -157,12 +140,12 @@ def _coupling(mode: TemporalMode, Tf: float | None, warning: str = "") -> Coupli
         gam = np.where(g2 > 0, g2 / np.maximum(D, 1e-300), 0.0)
     if Tf is None:
         gam[D < NORM_TRUNCATION] = 0.0
-    cap = GAMMA_CAP_FACTOR * float(np.max(g2))
     if Tf:  # D >= Tf/(1-Tf) > 0
-        return CouplingSchedule(mode.t, gam, max(cap, float(np.max(gam))))
+        return CouplingSchedule(mode.t, gam)
+    cap = GAMMA_CAP_FACTOR * float(np.max(g2))
     if np.sum(g2[gam > cap]) * mode.dt > NORM_TRUNCATION:
         warnings.warn(warning, NumericalAccuracyWarning)
-    return CouplingSchedule(mode.t, np.minimum(gam, cap), cap)
+    return CouplingSchedule(mode.t, np.minimum(gam, cap))
 
 
 def write_pulse(g_in: TemporalMode) -> CouplingSchedule:
@@ -235,36 +218,3 @@ def multimode_overlap(T0: float) -> float:
         raise DomainError(f"T0={T0} outside (0, 1)")
     sqrtM = np.sqrt(T0 / (-np.log1p(-T0))) * 2.0 / (1.0 + np.sqrt(1.0 - T0))
     return float(sqrtM**2)
-
-
-def staircase_overlap_oracle(T0: float) -> float:
-    """Independent check of multimode_overlap: overlap of the per-round-trip
-    staircase g(t) = sqrt((1-R0)/tau) sqrt(R0)^floor(t/tau) with the ideal
-    exponential sqrt(gamma) e^{-gamma t/2}, gamma = -ln(R0)/tau, summed
-    interval by interval (each interval integrated in closed form)."""
-    if not 0 < T0 < 1:
-        raise DomainError(f"T0={T0} outside (0, 1)")
-    R0 = 1.0 - T0
-    # number of round trips until the residual weight drops below STAIRCASE_TAIL
-    n = int(np.ceil(np.log(STAIRCASE_TAIL) / np.log(R0))) + 2
-    j = np.arange(n)
-    gamma_tau = -np.log(R0)
-    # int_{j tau}^{(j+1) tau} sqrt((1-R0)/tau) R0^{j/2} sqrt(gamma) e^{-gamma t/2} dt
-    terms = np.sqrt((1 - R0) / gamma_tau) * R0**j * 2 * (1 - np.sqrt(R0))
-    return float(np.sum(terms) ** 2)
-
-
-def voltage_gamma(hardware: MemoryHardware, value: float, direction: str = "forward") -> float:
-    """Pockels-cell transfer gamma = (c/L) [1 - cos(pi V / V_pi)].
-
-    direction 'forward' maps a voltage to gamma; 'inverse' maps gamma back to
-    the principal-branch voltage V in [0, V_pi].
-    """
-    full = 2.0 * SPEED_OF_LIGHT / hardware.L
-    if direction == "forward":
-        return float(full / 2 * (1.0 - np.cos(np.pi * value / hardware.V_pi)))
-    if direction == "inverse":
-        if not 0 <= value <= full:
-            raise DomainError(f"gamma={value} outside [0, 2c/L = {full:.4g}]")
-        return float(hardware.V_pi / np.pi * np.arccos(1.0 - 2.0 * value / full))
-    raise DomainError(f"direction must be 'forward' or 'inverse', got {direction!r}")

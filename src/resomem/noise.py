@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalAccuracyWarning
-from .fock import DensityMatrix, as_density_matrix, log_factorial
-
-EDGE_WEIGHT_TOL = 1e-6
+from .fock import EDGE_WEIGHT_TOL, DensityMatrix, as_density_matrix, log_factorial
 
 
 @dataclass(frozen=True)

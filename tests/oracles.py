@@ -1,7 +1,8 @@
 """Independent references that only the tests call: the Fock-basis ladder
 operators, the complex quadrature eigenbras, the RK4 Lindblad integrator, the
-exact finite-alpha bred state, the first-order (Euler) memory network and the
-continuum survival amplitude, the Laguerre-series Wigner function, peak
+exact finite-alpha bred state, the first-order (Euler) memory network, the
+continuum survival amplitude and the round-trip staircase overlap, the
+Laguerre-series Wigner function, peak
 counting, a windowed breeding step of coherent superpositions in closed form,
 and checks on density matrices and two-mode Fock states.
 
@@ -22,6 +23,8 @@ from resomem.fock import DensityMatrix, FockVector, coherent_amplitudes, guard_d
 from resomem.gates import PROJECTION_GRID_BOUND, JointState, hermite_functions, window_condition
 from resomem.memory import CouplingSchedule, NetworkResult
 from resomem.noise import NoiseParams
+
+STAIRCASE_TAIL = 1e-14  # residual weight at which staircase_overlap_oracle stops summing
 
 # ---------------------------------------------------------------------------
 # Fock-basis operators and states
@@ -234,6 +237,23 @@ def survival_amplitude(sched: CouplingSchedule) -> np.ndarray:
     """The continuum survival amplitude F(t) = exp(-1/2 int_{t0}^t gamma dt')
     of a coupling schedule, by the trapezoid rule on its grid."""
     return np.exp(-cumulative_trapezoid(sched.gamma, sched.t, initial=0.0) / 2)
+
+
+def staircase_overlap_oracle(T0: float) -> float:
+    """Independent check of multimode_overlap: overlap of the per-round-trip
+    staircase g(t) = sqrt((1-R0)/tau) sqrt(R0)^floor(t/tau) with the ideal
+    exponential sqrt(gamma) e^{-gamma t/2}, gamma = -ln(R0)/tau, summed
+    interval by interval (each interval integrated in closed form)."""
+    if not 0 < T0 < 1:
+        raise DomainError(f"T0={T0} outside (0, 1)")
+    R0 = 1.0 - T0
+    # number of round trips until the residual weight drops below STAIRCASE_TAIL
+    n = int(np.ceil(np.log(STAIRCASE_TAIL) / np.log(R0))) + 2
+    j = np.arange(n)
+    gamma_tau = -np.log(R0)
+    # int_{j tau}^{(j+1) tau} sqrt((1-R0)/tau) R0^{j/2} sqrt(gamma) e^{-gamma t/2} dt
+    terms = np.sqrt((1 - R0) / gamma_tau) * R0**j * 2 * (1 - np.sqrt(R0))
+    return float(np.sum(terms) ** 2)
 
 
 # ---------------------------------------------------------------------------

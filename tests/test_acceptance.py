@@ -17,8 +17,14 @@ import pytest
 
 import resomem as rm
 import resomem.cli as cli
-from oracles import count_peaks, euler_network, exact_bred_state, lindblad_oracle, survival_amplitude
-from resomem.memory import staircase_overlap_oracle
+from oracles import (
+    count_peaks,
+    euler_network,
+    exact_bred_state,
+    lindblad_oracle,
+    staircase_overlap_oracle,
+    survival_amplitude,
+)
 from resomem.tomo import log_likelihood
 
 pytestmark = pytest.mark.filterwarnings("ignore::resomem.errors.NumericalAccuracyWarning")

@@ -50,7 +50,20 @@ def test_rates_scenario(tmp_path):
 
 def test_validate_scenario(tmp_path):
     m = cli.run_scenario({"kind": "validate"}, tmp_path)
-    assert all(read_manifest(m)["results"].values())
+    checks = ["multimode_T0_0.3", "wigner_vacuum", "gkp_three_peaks"]
+    assert read_manifest(m)["results"] == dict.fromkeys(checks, True)
+    assert (tmp_path / "validation.csv").read_text() == "check,passed\n" + "".join(f"{c},1\n" for c in checks)
+
+
+@pytest.mark.parametrize("r, dropped", [(1.5, "2.53e-01"), (1e3, "1.00e+00")])
+def test_tomo_of_a_cut_squeezed_state_exits_3(tmp_path, capsys, r, dropped):
+    # dim 20 drops 0.25 of S(1.5)|1>, and all of S(1000)|1>, whose cosh r
+    # overflows; renormalizing the cut state hid the first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "tomo", "state": {"type": "squeezed_single_photon", "r": r, "dim": 20}}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERIC
+    assert f"drops weight {dropped}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_breed_scenario(tmp_path):

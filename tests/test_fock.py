@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import gammainc
@@ -11,7 +11,7 @@ from scipy.special import gammainc
 import resomem as rm
 from oracles import annihilation_operator, p_operator, x_operator
 from resomem.errors import DimensionError, DomainError
-from resomem.fock import coherent_amplitudes, log_factorial, poisson_tail
+from resomem.fock import EDGE_WEIGHT_TOL, coherent_amplitudes, log_factorial, poisson_tail
 
 
 def brute_coherent(alpha, dim):
@@ -48,6 +48,8 @@ def test_cat_degenerate_and_guard_errors():
 def test_squeezed_single_photon_r0():
     s = rm.squeezed_single_photon(0.0, 20)
     assert abs(s.amp[1] - 1) < 1e-12
+    # the truncation rule asks only that the cut keep the state's weight
+    assert np.array_equal(rm.squeezed_single_photon(0.0, 2).amp, [0, 1])
 
 
 def test_squeezed_single_photon_odd_support_and_norm():
@@ -138,11 +140,25 @@ def test_cat_norm_and_parity(alpha, s):
     assert np.max(np.abs(dead)) < 1e-12
 
 
+def squeezed_dropped_weight(r, n0, dim):
+    """1 - sum_{n < dim} P(n) for S(r)|n0>, from its photon-number distribution
+    P(2m + n0) = (2m + 1)^n0 C(2m, m) / 4^m tanh^2m r / cosh^(2 n0 + 1) r."""
+    t2 = math.tanh(r) ** 2
+    kept = sum((2 * m + 1) ** n0 * math.comb(2 * m, m) / 4**m * t2**m for m in range((dim - n0 + 1) // 2))
+    return 1 - kept / math.cosh(r) ** (2 * n0 + 1)
+
+
 @given(r=st.floats(-1.5, 1.5))
+@example(r=1.5)  # S(1.5)|1> drops 7.2e-3 at dim 60
+@example(r=0.5)
 @settings(max_examples=30, deadline=None)
 def test_squeezed_norm(r):
-    assert abs(rm.squeezed_single_photon(r, 60).norm - 1) < 1e-9
-    assert abs(rm.squeezed_vacuum(r, 60).norm - 1) < 1e-9
+    for make, n0 in ((rm.squeezed_single_photon, 1), (rm.squeezed_vacuum, 0)):
+        if squeezed_dropped_weight(r, n0, 60) > EDGE_WEIGHT_TOL:
+            with pytest.raises(DimensionError, match="drops weight"):
+                make(r, 60)
+        else:
+            assert abs(make(r, 60).norm - 1) < 1e-9
 
 
 @pytest.mark.parametrize(

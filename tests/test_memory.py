@@ -11,8 +11,9 @@ from scipy.integrate import cumulative_trapezoid
 
 import resomem as rm
 from resomem.errors import DomainError, NumericalAccuracyWarning
-from oracles import euler_network, survival_amplitude
-from resomem.memory import SPEED_OF_LIGHT, MemoryHardware, _cumulative_trapezoid, staircase_overlap_oracle
+from oracles import euler_network, staircase_overlap_oracle, survival_amplitude
+from resomem.cli import validate_config
+from resomem.memory import GAMMA_CAP_FACTOR, _cumulative_trapezoid
 
 GAMMA0 = 2 * np.pi * 1.5e6
 
@@ -73,7 +74,7 @@ def test_write_pulse_default_pulse_is_silent(points):
     with warnings.catch_warnings():
         warnings.simplefilter("error", NumericalAccuracyWarning)
         sched = rm.write_pulse(rise)
-    assert sched.gamma[0] == sched.gamma_cap  # the first sample is still capped
+    assert sched.gamma[0] == GAMMA_CAP_FACTOR * np.max(rise.g**2)  # the first sample is still capped
 
 
 def test_write_pulse_warns_when_clipping_is_material():
@@ -91,7 +92,7 @@ def test_read_pulse_warns_only_when_clipping_is_material():
     with warnings.catch_warnings():
         warnings.simplefilter("error", NumericalAccuracyWarning)
         sched = rm.read_pulse(short)
-    assert np.any(sched.gamma == sched.gamma_cap)
+    assert np.any(sched.gamma == GAMMA_CAP_FACTOR * np.max(short.g**2))
     with pytest.warns(NumericalAccuracyWarning, match="capped near support end"):
         rm.read_pulse(make_mode("exp_decaying", points=2001, span=8.0))
 
@@ -181,7 +182,7 @@ def test_network_write_absorbs():
 
 
 def test_network_identity_when_uncoupled():
-    sched = rm.CouplingSchedule(np.linspace(0, 1e-6, 101), np.zeros(101), 1.0)
+    sched = rm.CouplingSchedule(np.linspace(0, 1e-6, 101), np.zeros(101))
     net = rm.simulate_network(sched)
     assert net.effective_Tf == 1.0
     assert net.out_mode is None
@@ -205,7 +206,7 @@ def test_network_effective_Tf_is_the_trapezoid_survival():
     rise = make_mode("exp_rising", points=42001)
     dec = make_mode("exp_decaying", points=20001, span=20.0)
     for sched in (rm.write_pulse(rise), rm.read_pulse(dec), rm.entangle_pulse(dec, 0.3),
-                  rm.CouplingSchedule(np.linspace(0, 1.0, 11), np.full(11, 10.0), 100.0)):
+                  rm.CouplingSchedule(np.linspace(0, 1.0, 11), np.full(11, 10.0))):
         net = rm.simulate_network(sched)
         assert abs(net.effective_Tf - np.exp(-np.trapezoid(sched.gamma, sched.t))) <= 1e-12
 
@@ -222,7 +223,7 @@ def test_network_is_the_product_of_its_slice_beamsplitters():
         B = np.eye(6)
         B[np.ix_([0, i + 1], [0, i + 1])] = [[c, s], [-s, c]]
         U = B @ U
-    net = rm.simulate_network(rm.CouplingSchedule(t, gamma, 4.0))
+    net = rm.simulate_network(rm.CouplingSchedule(t, gamma))
     assert net.effective_Tf == pytest.approx(U[0, 0] ** 2, abs=1e-15)
     # no later slice touches b_i, so row i + 1 is out_i; its weight on the first a is v_out_i
     v_out = U[1:, 0]
@@ -248,14 +249,14 @@ def test_network_converges_second_order():
 
 
 def test_network_rejects_infinite_rate():
-    sched = rm.CouplingSchedule(np.linspace(0, 1.0, 11), np.r_[np.full(10, 1.0), np.inf], np.inf)
+    sched = rm.CouplingSchedule(np.linspace(0, 1.0, 11), np.r_[np.full(10, 1.0), np.inf])
     with pytest.raises(DomainError, match="not finite"):
         rm.simulate_network(sched)
 
 
 def test_schedule_times_must_increase():
     with pytest.raises(DomainError, match="increasing"):
-        rm.CouplingSchedule(np.array([0.0, 1.0, 1.0]), np.zeros(3), 1.0)
+        rm.CouplingSchedule(np.array([0.0, 1.0, 1.0]), np.zeros(3))
 
 
 def test_wavepacket_grid_step_at_most_one_over_gamma0():
@@ -284,15 +285,8 @@ def test_multimode_vs_staircase_oracle():
         assert abs(rm.multimode_overlap(T0) - staircase_overlap_oracle(T0)) < 1e-10
 
 
-def test_voltage_gamma_roundtrip():
-    hw = MemoryHardware()
-    assert rm.voltage_gamma(hw, 0.0) == 0.0
-    assert rm.voltage_gamma(hw, hw.V_pi) == pytest.approx(2 * SPEED_OF_LIGHT / hw.L, rel=1e-12)
-    v = rm.voltage_gamma(hw, hw.gamma0, "inverse")
-    assert 0 <= v <= hw.V_pi
-    assert rm.voltage_gamma(hw, v) == pytest.approx(hw.gamma0, rel=1e-9)
-    with pytest.raises(DomainError):
-        rm.voltage_gamma(hw, 3 * SPEED_OF_LIGHT / hw.L, "inverse")
+def test_pulse_default_gamma0_is_the_paper_rate():
+    assert validate_config({"kind": "pulse"})["gamma0"] == rm.memory.GAMMA0 == GAMMA0
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 1001, 200_001])

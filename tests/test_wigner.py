@@ -148,7 +148,7 @@ def kernel_grids():
 
 
 @pytest.mark.parametrize("name", ["coherent", "mixed", "bred_gkp", "stored_gkp"])
-def test_horner_kernel_matches_direct_sum(kernel_states, name):
+def test_separable_grid_matches_direct_sum(kernel_states, name):
     # two exact forms of W, summed in different orders: 5.6e-16 measured
     rho = as_density_matrix(kernel_states[name]).rho
     odd_diagonals = any(np.abs(np.diag(rho, d)).max() > 1e-3 for d in (1, 3))
