@@ -1,9 +1,14 @@
 """Scenario runner: JSON-configured simulations emitting deterministic CSV
 payloads plus a manifest with checksums.
 
-Each scenario and figure builder only computes: it returns its tables (file
-name -> columns, or a Wigner grid) and its results, and `_write_outputs` is
-the one place that writes them, then the manifest.
+Every output is a scenario kind, the paper's figures (fig3e, fig4d,
+edfig_rates, edfig_fidelity) among them, and `run_scenario` is the one run
+path: `--figure K` is the config {"kind": K}, and `emit_figure_data` passes
+its params as the other keys of that config. A manifest records the config
+it was run from, and that config runs again with `--config`. Each scenario
+only computes: it returns its tables (file name -> columns, or a Wigner
+grid) and its results, and `_write_outputs` is the one place that writes
+them, then the manifest.
 
 Exit codes: 0 ok, 2 config/schema violation, 3 numeric guard violation,
 4 I/O failure.  CSV format: '.' decimal, LF line endings and a trailing
@@ -335,12 +340,13 @@ def _write_outputs(outdir: Path, config: dict, tables: dict, results: dict) -> P
 
 
 # ---------------------------------------------------------------------------
-# config schema: one table per scenario kind (_SCENARIOS), state type and
-# figure (_FIGURES) maps each key it reads to (rule, default), where a rule is
-# (test, what the value must be) and a JSON null takes the default. Two more
-# items (key, values) allow the key only where that earlier key resolved to
-# one of the values. A _STATE value is resolved by the table its "type" names.
-# The library keeps its own guards (exit 3) for limits that couple keys.
+# config schema: one table per scenario kind (_SCENARIOS, the figure kinds
+# among them) and state type maps each key it reads to (rule, default), where
+# a rule is (test, what the value must be) and a JSON null takes the default.
+# Two more items (key, values) allow the key only where that earlier key
+# resolved to one of the values. A _STATE value is resolved by the table its
+# "type" names. The library keeps its own guards (exit 3) for limits that
+# couple keys.
 
 class _Required(tuple):
     """A default that is no value: the key, or one of the keys this holds, must be given."""
@@ -613,6 +619,46 @@ def _scenario_validate(c: dict) -> tuple[dict, dict]:
     return {"validation.csv": table}, {k: bool(v) for k, v in checks.items()}
 
 
+def _fig_decay(c: dict) -> tuple[dict, dict]:
+    """Energy-relaxation and coherence decay curves with fitted T1, Tphi."""
+    times = np.linspace(0, 2e-6, 11)
+    noise = NoiseParams(float(c["T1"]), float(c["Tphi"]))
+    one = fock_basis_state(1, 12).to_density_matrix()
+    from .fock import squeezed_vacuum  # looked up at call time, where the benchmark's tracer patches it
+
+    sq = squeezed_vacuum(0.5, 20).to_density_matrix()
+    rho11 = np.array([evolve_closed_form(one, float(t), noise).rho[1, 1].real for t in times])
+    rhos = [evolve_closed_form(sq, float(t), noise) for t in times]
+    R = np.array([normalized_coherence(r) for r in rhos])
+    tables = {
+        "relaxation.csv": {"t": times, "rho11": rho11},
+        "coherence.csv": {"t": times, "R": R},
+    }
+    fits = {
+        "fit_T1": fit_T1(CoherenceSeries(times, rho11)),
+        "fit_Tphi": fit_Tphi(rhos, times),
+    }
+    return tables, fits
+
+
+def _fig_wigner_panels(c: dict) -> tuple[dict, dict]:
+    """Input / bred / bred-after-storage Wigner grids per protocol."""
+    alpha, dim, t2 = float(c["alpha"]), c["dim"], float(c["t2"])
+    noise = NoiseParams(float(c["T1"]), float(c["Tphi"]))
+    states = [cat_state(alpha, -1, dim)]  # both protocols breed the same input cat
+    for protocol in ("cat", "gkp"):
+        bred = run_breeding(BreedingPlan(protocol, 1, alpha, -1, dim)).states[-1]
+        states += [bred, evolve_closed_form(bred, t2, noise)]
+    grids = iter(wigner_grids(states))  # one set of blocks and Hermite tables for all five
+    inp = next(grids)
+    tables = {}
+    for protocol in ("cat", "gkp"):
+        tables[f"{protocol}_input.csv"] = inp
+        tables[f"{protocol}_bred.csv"] = next(grids)
+        tables[f"{protocol}_stored.csv"] = next(grids)
+    return tables, {}
+
+
 # (scenario, its table) per kind
 _SCENARIOS = {
     "pulse": (_scenario_pulse, {
@@ -665,7 +711,18 @@ _SCENARIOS = {
         "n_max": (_integer(1, 64), 20),
     }),
     "validate": (_scenario_validate, {}),
+    "fig3e": (_fig_decay, _NOISE),
+    "fig4d": (_fig_wigner_panels, {
+        "alpha": (_NONNEGATIVE, 1.0),
+        "dim": (_integer(2), 40),
+        "t2": (_NONNEGATIVE, 40e-9),  # storage time of the stored panels, s
+        **_NOISE,
+    }),
 }
+# the extended-data figures are the rates and store scenarios under their figure names
+_SCENARIOS["edfig_rates"] = _SCENARIOS["rates"]
+_SCENARIOS["edfig_fidelity"] = _SCENARIOS["store"]
+FIGURE_KINDS = ("fig3e", "fig4d", "edfig_rates", "edfig_fidelity")
 
 
 def run_scenario(config: dict, outdir: str | Path) -> Path:
@@ -676,71 +733,15 @@ def run_scenario(config: dict, outdir: str | Path) -> Path:
     return _write_outputs(Path(outdir), config, tables, results)
 
 
-# ---------------------------------------------------------------------------
-# figure data
-
 def emit_figure_data(kind: str, outdir: str | Path, params: dict | None = None) -> Path:
-    """Emit the CSVs underlying one figure panel family."""
+    """Emit the CSVs underlying one figure panel family: the scenario of that
+    figure kind, with `params` as its other config keys."""
     params = params or {}
-    if kind not in _FIGURES:
-        raise ConfigError(f"unknown figure kind {kind!r}")
-    figure, table = _FIGURES[kind]
-    tables, results = figure(_resolve(kind, params, table))
-    return _write_outputs(Path(outdir), {"figure": kind, **params}, tables, results)
-
-
-def _fig_decay(c: dict) -> tuple[dict, dict]:
-    """Energy-relaxation and coherence decay curves with fitted T1, Tphi."""
-    times = np.linspace(0, 2e-6, 11)
-    noise = NoiseParams(float(c["T1"]), float(c["Tphi"]))
-    one = fock_basis_state(1, 12).to_density_matrix()
-    from .fock import squeezed_vacuum  # looked up at call time, where the benchmark's tracer patches it
-
-    sq = squeezed_vacuum(0.5, 20).to_density_matrix()
-    rho11 = np.array([evolve_closed_form(one, float(t), noise).rho[1, 1].real for t in times])
-    rhos = [evolve_closed_form(sq, float(t), noise) for t in times]
-    R = np.array([normalized_coherence(r) for r in rhos])
-    tables = {
-        "relaxation.csv": {"t": times, "rho11": rho11},
-        "coherence.csv": {"t": times, "R": R},
-    }
-    fits = {
-        "fit_T1": fit_T1(CoherenceSeries(times, rho11)),
-        "fit_Tphi": fit_Tphi(rhos, times),
-    }
-    return tables, fits
-
-
-def _fig_wigner_panels(c: dict) -> tuple[dict, dict]:
-    """Input / bred / bred-after-storage Wigner grids per protocol."""
-    alpha, dim, t2 = float(c["alpha"]), c["dim"], float(c["t2"])
-    noise = NoiseParams(float(c["T1"]), float(c["Tphi"]))
-    states = [cat_state(alpha, -1, dim)]  # both protocols breed the same input cat
-    for protocol in ("cat", "gkp"):
-        bred = run_breeding(BreedingPlan(protocol, 1, alpha, -1, dim)).states[-1]
-        states += [bred, evolve_closed_form(bred, t2, noise)]
-    grids = iter(wigner_grids(states))  # one set of blocks and Hermite tables for all five
-    inp = next(grids)
-    tables = {}
-    for protocol in ("cat", "gkp"):
-        tables[f"{protocol}_input.csv"] = inp
-        tables[f"{protocol}_bred.csv"] = next(grids)
-        tables[f"{protocol}_stored.csv"] = next(grids)
-    return tables, {}
-
-
-# (builder, its table) per figure; the edfig figures are the rates and store scenarios
-_FIGURES = {
-    "fig3e": (_fig_decay, _NOISE),
-    "fig4d": (_fig_wigner_panels, {
-        "alpha": (_NONNEGATIVE, 1.0),
-        "dim": (_integer(2), 40),
-        "t2": (_NONNEGATIVE, 40e-9),  # storage time of the stored panels, s
-        **_NOISE,
-    }),
-    "edfig_rates": _SCENARIOS["rates"],
-    "edfig_fidelity": _SCENARIOS["store"],
-}
+    if kind not in FIGURE_KINDS:
+        raise ConfigError(f"unknown figure kind {kind!r}; expected one of {list(FIGURE_KINDS)}")
+    if "kind" in params:
+        raise ConfigError(f"figure params take no 'kind' key: the figure kind is {kind!r}")
+    return run_scenario({"kind": kind, **params}, outdir)
 
 
 # ---------------------------------------------------------------------------
@@ -749,31 +750,27 @@ _FIGURES = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="resomem", description=__doc__)
     parser.add_argument("--config", type=Path, help="scenario config JSON")
-    parser.add_argument("--figure", help="emit figure data: fig3e|fig4d|edfig_rates|edfig_fidelity")
+    parser.add_argument("--figure", choices=FIGURE_KINDS, help="run a figure kind with its default config")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     args = parser.parse_args(argv)
 
     try:
-        if args.config is None and args.figure is None:
-            raise ConfigError("one of --config or --figure is required")
+        if (args.config is None) == (args.figure is None):
+            raise ConfigError("give one of --config or --figure; --figure takes no --config file")
         if args.out is None:
             raise ConfigError("--out is required")
         if args.figure is not None:
-            if args.config is not None:
-                raise ConfigError("--figure takes no --config: a figure reads no config file")
-            if args.seed is not None:
-                raise ConfigError("--seed sets the tomo seed; a figure reads none")
-            emit_figure_data(args.figure, args.out)
+            config = {"kind": args.figure}
         else:
             try:
                 text = Path(args.config).read_text(encoding="utf-8")
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from exc
             config = json.loads(text)
-            if args.seed is not None and isinstance(config, dict):
-                config["seed"] = args.seed  # allowed where the kind's table reads seed (tomo)
-            run_scenario(config, args.out)
+        if args.seed is not None and isinstance(config, dict):
+            config["seed"] = args.seed  # allowed where the kind's table reads seed (tomo)
+        run_scenario(config, args.out)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -195,20 +195,39 @@ def product_coefficients(S: np.ndarray) -> np.ndarray:
     rotates it onto (x1 + x2, x1 - x2)/sqrt2, so on the diagonal x1 = x2 = x
         psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x),
         T[k, (m, n)] = <k, N-k|U|m, n> psi_{N-k}(0),  N = m + n.
-    g = T vec S takes one block C^N of `fifty_fifty_blocks` per anti-diagonal N of S:
+    g = T vec S takes one block of `product_blocks` per anti-diagonal N of S:
     O(dim^3) work and O(dim^2) memory per matrix. Measured on [-12, 12] against
     psi_m psi_n: <= 2.3e-15 at dim 20, 8e-15 at dim 80.
     """
     S = np.asarray(S, dtype=float)
     dim = S.shape[-1]
-    psi0 = hermite_functions(0.0, 2 * dim - 1)
     flipped = S[..., ::-1]  # anti-diagonal N of S is diagonal dim - 1 - N of this
     g = np.zeros(S.shape[:-2] + (2 * dim - 1,))
-    for N, C in enumerate(fifty_fifty_blocks(dim)):
+    for N, _, B in product_blocks(dim):
         anti = np.diagonal(flipped, dim - 1 - N, -2, -1)  # S[m, N - m], m ascending
-        # psi_{N-k}(0) vanishes for odd N - k: only the rows k = N, N - 2, ... enter
-        g[..., N::-2] += anti @ (C[N::-2] * psi0[:N + 1:2, None]).T
+        g[..., N::-2] += anti @ B.T
     return g
+
+
+def product_blocks(dim: int):
+    """Yield, for N = 0 .. 2 dim - 2, (N, m, B): m the ascending m < dim with
+    N - m < dim, and B[i, j] = T[N - 2 i, (m[j], N - m[j])] = C^N[N - 2 i, m[j]] psi_{2 i}(0),
+    the rows of the product table T of `product_coefficients` that can be
+    nonzero in the columns (m, N - m): psi_{N-k}(0) vanishes for odd N - k."""
+    psi0 = hermite_functions(0.0, 2 * dim - 1)
+    for N, C in enumerate(fifty_fifty_blocks(dim)):
+        m = np.arange(max(0, N - dim + 1), min(N, dim - 1) + 1)
+        yield N, m, C[N::-2] * psi0[:N + 1:2, None]
+
+
+def product_table(dim: int) -> np.ndarray:
+    """The dense table T, shape (2 dim - 1, dim^2), scattered from `product_blocks`:
+    bit for bit the `product_coefficients` of the dim^2 unit matrices."""
+    table = np.zeros((dim * dim, 2 * dim - 1))  # T^T: T is its F-ordered view, as BLAS has always read it
+    for N, m, B in product_blocks(dim):
+        # += turns a -0.0 entry into +0.0, as product_coefficients' sum does
+        table[m * dim + N - m, N::-2] += B.T
+    return table.T
 
 
 @lru_cache

@@ -57,8 +57,8 @@ class CoherenceSeries:
 
 def evolve_closed_form(rho: DensityMatrix, t: float, params: NoiseParams) -> DensityMatrix:
     """Evolve `rho` for time t under amplitude damping (T1) and dephasing (Tphi)."""
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    if not (math.isfinite(t) and t >= 0):  # an infinite or NaN t gives a NaN state
+        raise DomainError(f"t={t} must be finite and >= 0")
     rho.require_normalized()
     if t == 0:
         return rho
@@ -70,17 +70,13 @@ def evolve_closed_form(rho: DensityMatrix, t: float, params: NoiseParams) -> Den
             NumericalAccuracyWarning,
         )
     n = np.arange(dim)
+    # an infinite lifetime switches its channel off: its exponents read t = 0, as
+    # n t / T1 would be inf/inf = NaN where n t overflows
+    t1, tphi = (0.0 if math.isinf(T) else t for T in (params.T1, params.Tphi))
     with np.errstate(over="ignore"):  # an exponent beyond the float range sends its factor to 0
-        if np.isinf(params.T1):
-            damp = np.ones(dim)
-            loss = 0.0
-        else:
-            damp = np.exp(-n * t / (2 * params.T1))
-            loss = -np.expm1(-t / params.T1)  # 1 - e^{-t/T1}
-        if np.isinf(params.Tphi):
-            deph = np.ones((dim, dim))
-        else:
-            deph = np.exp(-np.subtract.outer(n, n) ** 2 * t / params.Tphi)
+        damp = np.exp(-n * t1 / (2 * params.T1))
+        loss = -np.expm1(-t1 / params.T1)  # 1 - e^{-t/T1}
+        deph = np.exp(-np.subtract.outer(n, n) ** 2 * tphi / params.Tphi)
     log_fact = log_factorial(n)
     out = np.zeros((dim, dim), dtype=complex)
     kmax = dim - 1

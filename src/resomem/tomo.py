@@ -32,9 +32,9 @@ from .fock import DensityMatrix, as_density_matrix
 from .gates import (
     PROJECTION_GRID_BOUND,
     PROJECTION_GRID_STEP,
-    fifty_fifty_blocks,
     hermite_functions,
     phase_matrix,
+    product_table,
 )
 from .memory import TemporalMode
 from .wigner import marginal
@@ -121,30 +121,16 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     return HomodyneDataset(frame_phase, xs)
 
 
-def _product_table(dim: int) -> np.ndarray:
-    """The dense product table T, shape (2 dim - 1, dim^2), of
-    `gates.product_coefficients`: T[k, (m, N - m)] = C^N[k, m] psi_{N-k}(0),
-    scattered straight from the blocks C^N of `gates.fifty_fifty_blocks`
-    (only the rows k = N, N - 2, ... where psi_{N-k}(0) != 0)."""
-    psi0 = hermite_functions(0.0, 2 * dim - 1)
-    table = np.zeros((dim * dim, 2 * dim - 1))  # T^T: T is its F-ordered view, as BLAS has always read it
-    for N, C in enumerate(fifty_fifty_blocks(dim)):
-        m = np.arange(max(0, N - dim + 1), min(N, dim - 1) + 1)
-        # += turns a -0.0 entry into +0.0, so T is bit for bit that of product_coefficients
-        table[m * dim + N - m, N::-2] += (C[N::-2] * psi0[:N + 1:2, None]).T
-    return table.T
-
-
 def _binned_projectors(data: HomodyneDataset, dim: int) -> tuple[np.ndarray, list]:
     """Bin samples onto the projection grid (bin width PROJECTION_GRID_STEP,
     far below the sampling noise) per phase; returns (T, bins): T the dense
-    product table (2 dim - 1, dim^2) of `_product_table`, built here, once
+    product table (2 dim - 1, dim^2) of `gates.product_table`, built here, once
     per call, and one (F_theta, phi, counts) per phase, phi the functions
     psi_k(sqrt2 x) of the occupied bins, shape (2 dim - 1, n_bins). T holds
     (2 dim - 1) dim^2 numbers, 0.42 MB at MLE_MAX_DIM."""
     if dim > MLE_MAX_DIM:
         raise DomainError(f"dim must be <= MLE_MAX_DIM = {MLE_MAX_DIM}")
-    T = _product_table(dim)
+    T = product_table(dim)
     bins = []
     for theta in data.phase_set:
         x = data.xs[data.thetas == theta]

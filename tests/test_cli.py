@@ -299,15 +299,59 @@ def test_fig3e_with_infinite_T1_fits_infinity_and_reruns_byte_identically(tmp_pa
     manifest = read_manifest(cli.emit_figure_data("fig3e", tmp_path / "a", {"T1": math.inf}))
     assert manifest["results"]["fit_T1"] == "Infinity"  # rho11 stays 1
     config = manifest["config"]
-    assert config == {"figure": "fig3e", "T1": "Infinity"}
-    cli.emit_figure_data(config.pop("figure"), tmp_path / "b", config)
+    assert config == {"kind": "fig3e", "T1": "Infinity"}
+    cli.run_scenario(config, tmp_path / "b")
     assert _same_files(tmp_path / "a", tmp_path / "b")
 
 
 def test_edfig_manifests_record_their_figure(tmp_path):
     for kind, params in (("edfig_rates", {"p1": 0.5}), ("edfig_fidelity", {})):
         m = cli.emit_figure_data(kind, tmp_path / kind, params)
-        assert read_manifest(m)["config"] == {"figure": kind, **params}
+        assert read_manifest(m)["config"] == {"kind": kind, **params}
+
+
+def test_figure_keys_through_config(tmp_path):
+    # a figure's keys arrive through --config as through emit_figure_data's params, manifest and all
+    path = tmp_path / "fig4d.json"
+    path.write_text(json.dumps({"kind": "fig4d", "dim": 30, "alpha": 0.8}))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "config")]) == 0
+    cli.emit_figure_data("fig4d", tmp_path / "params", {"dim": 30, "alpha": 0.8})
+    assert _same_files(tmp_path / "config", tmp_path / "params")
+
+
+def _resomem(*args) -> subprocess.CompletedProcess:
+    """`python -m resomem.cli` with `args`, in a new interpreter that imports
+    the resomem this process imported."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "resomem.cli", *map(str, args)], capture_output=True, text=True,
+                          env=env)
+
+
+@pytest.mark.parametrize("kind", cli.FIGURE_KINDS)
+def test_module_reruns_a_figure_from_its_manifest_config(tmp_path, kind):
+    # --figure exits 0, and --config on its manifest's config writes the same bytes
+    proc = _resomem("--figure", kind, "--out", tmp_path / "a")
+    assert proc.returncode == 0, proc.stderr
+    config = read_manifest(tmp_path / "a" / "manifest.json")["config"]
+    assert config == {"kind": kind}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    proc = _resomem("--config", path, "--out", tmp_path / "b")
+    assert proc.returncode == 0, proc.stderr
+    assert _same_files(tmp_path / "a", tmp_path / "b")
+
+
+def test_module_exit_codes(tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"kind": ')
+    truncated = tmp_path / "truncated.json"  # a cat of alpha 5 leaves dim 20
+    truncated.write_text(json.dumps({"kind": "breed", "alpha": 5.0, "dim": 20}))
+    for path, code, message in ((malformed, 2, "config error"), (truncated, 3, "numeric error")):
+        proc = _resomem("--config", path, "--out", tmp_path / "out")
+        assert proc.returncode == code, proc.stderr
+        assert message in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_rejects_unread_flags_and_non_utf8_config(tmp_path, capsys):
@@ -317,7 +361,7 @@ def test_main_rejects_unread_flags_and_non_utf8_config(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe{")
     cases = [
         (["--config", str(binary)], "UTF-8"),
-        (["--figure", "edfig_rates", "--seed", "3"], "--seed"),
+        (["--figure", "edfig_rates", "--seed", "3"], "'seed'"),  # the kind's table reads no seed
         (["--figure", "fig3e", "--config", str(rates)], "--config"),
     ]
     for i, (args, message) in enumerate(cases):
@@ -325,6 +369,9 @@ def test_main_rejects_unread_flags_and_non_utf8_config(tmp_path, capsys):
         assert cli.main([*args, "--out", str(out)]) == 2, args
         assert message in capsys.readouterr().err
         assert not out.exists()
+    with pytest.raises(SystemExit) as exit_:  # --figure takes only the figure kinds
+        cli.main(["--figure", "store", "--out", str(tmp_path / "store")])
+    assert exit_.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_validate_counts_gkp_peaks(tmp_path, monkeypatch):
@@ -336,8 +383,8 @@ def test_validate_counts_gkp_peaks(tmp_path, monkeypatch):
 
 
 def test_seed_is_a_tomo_key(tmp_path, capsys):
-    for kind in ("pulse", "store", "breed", "wigner", "rates", "validate"):
-        assert "seed" not in cli._SCENARIOS[kind][1]
+    for kind in set(cli._SCENARIOS) - {"tomo"}:
+        assert "seed" not in cli._SCENARIOS[kind][1], kind
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "validate", "seed": 1}))
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o1")]) == 2

@@ -21,11 +21,11 @@ from resomem.gates import (
     homodyne_project,
     phase_matrix,
     product_coefficients,
+    product_table,
     projection_rule,
     quadrature_density,
     window_condition,
 )
-from resomem.tomo import _product_table
 
 
 def dense_bs_oracle(dimA, dimB, T):
@@ -145,12 +145,14 @@ def test_product_coefficients_blockwise_match_dense_table(dim):
     T = dense_product_table(dim)
     assert np.max(np.abs(g - S.reshape(3, -1) @ T.T)) <= 1e-14
     assert np.max(np.abs(product_coefficients(S[1]) - T @ S[1].ravel())) <= 1e-14
+    # both maps read the blocks of product_blocks: the scattered table is the blockwise one byte for byte
+    assert product_table(dim).tobytes() == T.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 20, 30])
 def test_tomography_table_is_the_dense_table_bit_for_bit(dim):
-    # the ML loop's T, scattered from the 50:50 blocks, reads as product_coefficients' T
-    T = _product_table(dim)
+    # the ML loop's T, scattered from the product blocks, reads as product_coefficients' T
+    T = product_table(dim)
     ref = dense_product_table(dim)
     assert T.shape == ref.shape and T.strides == ref.strides
     assert np.array_equal(T.view(np.uint64), ref.view(np.uint64))

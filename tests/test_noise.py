@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,3 +170,25 @@ def test_edge_weight_warning():
 def test_params_validation():
     with pytest.raises(DomainError):
         rm.NoiseParams(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -1e-9])
+def test_time_must_be_finite_and_nonnegative(t):
+    # an infinite or NaN t would leave a state whose trace is NaN
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        rm.evolve_closed_form(random_state(3), t, PARAMS)
+
+
+@pytest.mark.parametrize("T1_, Tphi", [(math.inf, math.inf), (math.inf, TPHI), (T1, math.inf)])
+def test_infinite_lifetime_at_the_float_range_edge(T1_, Tphi):
+    # n t and (n - m)^2 t overflow to inf at t = 1.7e308; an infinite lifetime still switches its channel off
+    rho = random_state(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericalAccuracyWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        out = rm.evolve_closed_form(rho, 1.7e308, rm.NoiseParams(T1_, Tphi))
+    if math.isinf(T1_):  # the diagonal stays; infinite Tphi keeps the coherences, finite Tphi ends them
+        expected = rho.rho if math.isinf(Tphi) else np.diag(np.diag(rho.rho))
+    else:  # everything has decayed to the vacuum
+        expected = np.diag(np.eye(rho.dim)[0]).astype(complex)
+    assert np.array_equal(out.rho, expected)
