@@ -43,14 +43,14 @@ from .gates import (
 # Unused here: perfbench/tracing.py looks these names up on this module.
 from .gates import beamsplitter_apply, homodyne_project, window_condition  # noqa: F401
 
-CAT_PROJECTION_THETA = np.pi / 2  # condition on p
-GKP_PROJECTION_THETA = 0.0  # condition on x
+# protocol -> angle theta of the quadrature x_theta it conditions on: p for cat, x for gkp
+PROJECTION_THETA = {"cat": np.pi / 2, "gkp": 0.0}
 STABILIZER_G = 2.46  # lattice constant g of the reported GKP stabilizers
 
 
 @dataclass(frozen=True)
 class BreedingPlan:
-    protocol: str  # 'cat' | 'gkp'
+    protocol: str  # a key of PROJECTION_THETA
     steps: int
     alpha: float
     s: int = -1
@@ -58,28 +58,20 @@ class BreedingPlan:
     window: tuple[float, float] | None = None  # None = ideal value-0 projection
 
     def __post_init__(self):
-        if self.protocol not in ("cat", "gkp"):
-            raise DomainError(f"protocol must be 'cat' or 'gkp', got {self.protocol!r}")
+        if self.protocol not in PROJECTION_THETA:
+            raise DomainError(f"protocol must be one of {list(PROJECTION_THETA)}, got {self.protocol!r}")
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
         if self.s not in (+1, -1):
             raise DomainError("parity s must be +1 or -1")
         # final amplitude after `steps` steps is sqrt(steps+1) * alpha
-        guard_dim(np.sqrt(self.steps + 1) * self.alpha, self.dim)
+        guard_dim(math.sqrt(self.steps + 1) * self.alpha, self.dim)
 
 
 @dataclass(frozen=True)
 class BreedingTrajectory:
     states: list = field(repr=False)  # DensityMatrix, length steps+1
     success_densities: list  # length steps
-
-
-def _projection_theta(protocol: str) -> float:
-    if protocol == "cat":
-        return CAT_PROJECTION_THETA
-    if protocol == "gkp":
-        return GKP_PROJECTION_THETA
-    raise DomainError(f"unknown protocol {protocol!r}")
 
 
 def breed_step(memory, input_state: FockVector, k: int, protocol: str, window=None):
@@ -91,9 +83,11 @@ def breed_step(memory, input_state: FockVector, k: int, protocol: str, window=No
     """
     if k < 1:
         raise DomainError("step index k must be >= 1")
+    if protocol not in PROJECTION_THETA:
+        raise DomainError(f"unknown protocol {protocol!r}")
     mem = as_density_matrix(memory)
     out, total = condition_on_quadrature(
-        mem.rho, input_state.amp, k / (k + 1), _projection_theta(protocol), *projection_rule(window)
+        mem.rho, input_state.amp, k / (k + 1), PROJECTION_THETA[protocol], *projection_rule(window)
     )
     if total <= 0:
         raise DomainError("zero success density; conditioning annihilated the state")

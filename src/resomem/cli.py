@@ -5,10 +5,11 @@ Every output is a scenario kind, the paper's figures (fig3e, fig4d,
 edfig_rates, edfig_fidelity) among them, and `run_scenario` is the one run
 path: `--figure K` is the config {"kind": K}, and `emit_figure_data` passes
 its params as the other keys of that config. A manifest records the config
-it was run from, and that config runs again with `--config`. Each scenario
-only computes: it returns its tables (file name -> columns, or a Wigner
-grid) and its results, and `_write_outputs` is the one place that writes
-them, then the manifest.
+it was run from, and that config runs again with `--config`. A state type,
+like a kind, is one table entry: its builder and the table of its keys.
+Each scenario only computes: it returns its tables (file name -> columns, or
+a Wigner grid) and its results, and `_write_outputs` is the one place that
+writes them, then the manifest.
 
 Exit codes: 0 ok, 2 config/schema violation, 3 numeric guard violation,
 4 I/O failure.  CSV format: '.' decimal, LF line endings and a trailing
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .breeding import STABILIZER_G, BreedingPlan, run_breeding, theoretical_bred_state
+from .breeding import PROJECTION_THETA, STABILIZER_G, BreedingPlan, run_breeding, theoretical_bred_state
 from .errors import NumericalAccuracyWarning, ResomemError
 from .gates import PROJECTION_GRID_BOUND
 from .fock import (
@@ -73,6 +74,15 @@ FLOAT_FMT = "%.17g"
 _BLOCK_CELLS = 8192
 
 PULSE_TF_TOL = 1e-3  # the largest |effective_Tf - target_Tf| a pulse leaves without a warning
+
+# Size caps of the schema, each far above the documented configs: past them a
+# run would take hours or more memory than a workstation has, or fail a guard
+# with a misleading message.
+MAX_DIM = 300  # Fock dim of a state, breed and fig4d; the largest dim a kernel is tested at
+MAX_STEPS = 64  # breeding steps
+MAX_POINTS = 10**6  # pulse samples; by 1e7, linspace rounding fails the uniform-grid check
+MAX_FRAMES = 10**7  # tomo homodyne frames
+MAX_AXIS_POINTS = 2001  # points on each wigner axis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -380,9 +390,9 @@ def _is_source(src) -> bool:
 
 
 def _is_axis(v) -> bool:
-    """At least two finite numbers, strictly increasing and evenly spaced to
-    1e-9 relative, as a TemporalMode's time grid."""
-    if not _numbers(2)[0](v):
+    """Two to MAX_AXIS_POINTS finite numbers, strictly increasing and evenly
+    spaced to 1e-9 relative, as a TemporalMode's time grid."""
+    if not _numbers(2)[0](v) or len(v) > MAX_AXIS_POINTS:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         step = np.diff(np.asarray(v, dtype=float))
@@ -390,33 +400,33 @@ def _is_axis(v) -> bool:
 
 
 _STATE = (lambda v: isinstance(v, dict), "an object")
-_PROTOCOL = (lambda v: v in ("cat", "gkp"), "'cat' or 'gkp'")
+_PROTOCOL = (lambda v: isinstance(v, str) and v in PROJECTION_THETA, " or ".join(map(repr, PROJECTION_THETA)))
 _PARITY = (lambda v: _is_int(v) and v in (-1, 1), "-1 or 1")
 _NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a finite number > 0")
 # a manifest writes an infinite lifetime as the string "Infinity", so its config reads back
 _LIFETIME = (lambda v: v == "Infinity" or ((_is_number(v) or v == math.inf) and v > 0),
              "a positive number or Infinity")
-_AXIS = (_is_axis, "a list of >= 2 finite numbers, increasing and evenly spaced")
-_DIM = (_integer(2), DEFAULT_DIM)
+_AXIS = (_is_axis, f"a list of 2 to {MAX_AXIS_POINTS} finite numbers, increasing and evenly spaced")
+_DIM = (_integer(2, MAX_DIM), DEFAULT_DIM)
 _NOISE = {"T1": (_LIFETIME, 2.3e-6), "Tphi": (_LIFETIME, 0.96e-6)}  # defaults: the paper's memory, s
-
+# (builder, its table) per state type; a builder calls its constructor by its
+# name in this module when it runs, where the benchmark's tracer patches it
 _STATES = {
-    "vacuum": {"dim": _DIM},
-    "fock": {"n": (_integer(0), _Required()), "dim": _DIM},
-    "cat": {"alpha": (_NONNEGATIVE, _Required()), "s": (_PARITY, -1), "dim": _DIM},
-    "squeezed_single_photon": {
-        "r": ((_is_number, "a finite number"), _Required(("alpha",))),
-        "alpha": (_NONNEGATIVE, None),
-        "dim": _DIM,
-    },
-    "bred": {
-        "protocol": (_PROTOCOL, _Required()),
-        "steps": (_integer(1), _Required()),
-        "alpha": (_NONNEGATIVE, _Required()),
-        "s": (_PARITY, -1),
-        "dim": _DIM,
-    },
+    "vacuum": (lambda s: vacuum(s["dim"]), {"dim": _DIM}),
+    "fock": (lambda s: fock_basis_state(s["n"], s["dim"]), {"n": (_integer(0), _Required()), "dim": _DIM}),
+    "cat": (lambda s: cat_state(float(s["alpha"]), s["s"], s["dim"]),
+            {"alpha": (_NONNEGATIVE, _Required()), "s": (_PARITY, -1), "dim": _DIM}),
+    "squeezed_single_photon": (
+        lambda s: squeezed_single_photon(
+            cat_squeezing_for_alpha(float(s["alpha"])) if s["r"] is None else float(s["r"]), s["dim"]),
+        {"r": ((_is_number, "a finite number"), _Required(("alpha",))), "alpha": (_NONNEGATIVE, None), "dim": _DIM},
+    ),
+    "bred": (
+        lambda s: run_breeding(BreedingPlan(s["protocol"], s["steps"], float(s["alpha"]), s["s"], s["dim"])).states[-1],
+        {"protocol": (_PROTOCOL, _Required()), "steps": (_integer(1, MAX_STEPS), _Required()),
+         "alpha": (_NONNEGATIVE, _Required()), "s": (_PARITY, -1), "dim": _DIM},
+    ),
 }
 
 
@@ -452,7 +462,7 @@ def _resolve_state(spec: dict) -> dict:
     if not isinstance(t, str) or t not in _STATES:
         raise ConfigError(f"state must be an object with a type in {sorted(_STATES)}")
     rest = {k: v for k, v in spec.items() if k != "type"}
-    return {"type": t, **_resolve(f"{t} state", rest, _STATES[t])}
+    return {"type": t, **_resolve(f"{t} state", rest, _STATES[t][1])}
 
 
 def validate_config(config) -> dict:
@@ -469,18 +479,7 @@ def validate_config(config) -> dict:
 
 def build_state(spec: dict):
     """The state of a resolved state spec (see _resolve_state)."""
-    t, dim = spec["type"], spec["dim"]
-    if t == "vacuum":
-        return vacuum(dim)
-    if t == "fock":
-        return fock_basis_state(spec["n"], dim)
-    if t == "cat":
-        return cat_state(float(spec["alpha"]), spec["s"], dim)
-    if t == "squeezed_single_photon":
-        r = cat_squeezing_for_alpha(float(spec["alpha"])) if spec["r"] is None else float(spec["r"])
-        return squeezed_single_photon(r, dim)
-    plan = BreedingPlan(spec["protocol"], spec["steps"], float(spec["alpha"]), spec["s"], dim)
-    return run_breeding(plan).states[-1]
+    return _STATES[spec["type"]][0](spec)
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +645,13 @@ def _fig_wigner_panels(c: dict) -> tuple[dict, dict]:
     alpha, dim, t2 = float(c["alpha"]), c["dim"], float(c["t2"])
     noise = NoiseParams(float(c["T1"]), float(c["Tphi"]))
     states = [cat_state(alpha, -1, dim)]  # both protocols breed the same input cat
-    for protocol in ("cat", "gkp"):
+    for protocol in PROJECTION_THETA:
         bred = run_breeding(BreedingPlan(protocol, 1, alpha, -1, dim)).states[-1]
         states += [bred, evolve_closed_form(bred, t2, noise)]
     grids = iter(wigner_grids(states))  # one set of blocks and Hermite tables for all five
     inp = next(grids)
     tables = {}
-    for protocol in ("cat", "gkp"):
+    for protocol in PROJECTION_THETA:
         tables[f"{protocol}_input.csv"] = inp
         tables[f"{protocol}_bred.csv"] = next(grids)
         tables[f"{protocol}_stored.csv"] = next(grids)
@@ -671,7 +670,7 @@ _SCENARIOS = {
         "Tf": ((lambda v: v is None or (_is_number(v) and 0 < v < 1), "null or a number in (0, 1)"), None,
                "wavepacket", ("exp_decaying", "time_bin")),
         "span": (_POSITIVE, 20.0, "wavepacket", ("exp_rising", "exp_decaying")),
-        "points": (_integer(3), 20001),  # a TemporalMode needs 3 samples
+        "points": (_integer(3, MAX_POINTS), 20001),  # a TemporalMode needs 3 samples
     }),
     "store": (_scenario_store, {
         **_NOISE,
@@ -680,7 +679,7 @@ _SCENARIOS = {
     }),
     "breed": (_scenario_breed, {
         "protocol": (_PROTOCOL, "cat"),
-        "steps": (_integer(1), 1),
+        "steps": (_integer(1, MAX_STEPS), 1),
         "alpha": (_NONNEGATIVE, 1.0),
         "s": (_PARITY, -1),
         "dim": _DIM,
@@ -697,7 +696,7 @@ _SCENARIOS = {
     "tomo": (_scenario_tomo, {
         "state": (_STATE, {"type": "vacuum", "dim": 20}),
         "phases_deg": (_numbers(1), DEFAULT_PHASES_DEG),
-        "n_frames": (_integer(MLE_MIN_FRAMES), 20000),
+        "n_frames": (_integer(MLE_MIN_FRAMES, MAX_FRAMES), 20000),
         "dim": (_integer(2, MLE_MAX_DIM), 20),
         "iterations": (_integer(1), 300),
         "seed": (_integer(0), 0),
@@ -714,7 +713,7 @@ _SCENARIOS = {
     "fig3e": (_fig_decay, _NOISE),
     "fig4d": (_fig_wigner_panels, {
         "alpha": (_NONNEGATIVE, 1.0),
-        "dim": (_integer(2), 40),
+        "dim": (_integer(2, MAX_DIM), 40),
         "t2": (_NONNEGATIVE, 40e-9),  # storage time of the stored panels, s
         **_NOISE,
     }),

@@ -200,15 +200,16 @@ def coherent_state(alpha: complex, dim: int = DEFAULT_DIM) -> FockVector:
 def guard_dim(alpha_mag: float, dim: int):
     """Truncation guard: |alpha|^2 + 6|alpha| + 10 <= dim keeps the neglected
     tail probability below ~1e-10.  Small dims still pass when the exact
-    Poisson tail beyond the truncation is negligible (e.g. alpha ~ 0)."""
-    if alpha_mag**2 + 6 * alpha_mag + 10 <= dim:
-        return
-    if poisson_tail(dim, alpha_mag**2) < 1e-12:  # P(N >= dim), N ~ Poisson(|alpha|^2)
-        return
-    raise DimensionError(
-        f"dim={dim} too small for amplitude {alpha_mag:.3f} "
-        f"(need >= {alpha_mag**2 + 6 * alpha_mag + 10:.1f})"
-    )
+    Poisson tail beyond the truncation is negligible (e.g. alpha ~ 0).
+    Both rules refuse |alpha| >= sqrt(dim), where |alpha|^2 may overflow, so
+    that is refused before squaring."""
+    if alpha_mag < math.sqrt(dim):
+        if alpha_mag**2 + 6 * alpha_mag + 10 <= dim:
+            return
+        if poisson_tail(dim, alpha_mag**2) < 1e-12:  # P(N >= dim), N ~ Poisson(|alpha|^2)
+            return
+    a = float(alpha_mag)  # a * a overflows to inf without a warning
+    raise DimensionError(f"dim={dim} too small for amplitude {a:g} (need >= {a * a + 6 * a + 10:.1f})")
 
 
 def cat_state(alpha: float, s: int, dim: int = DEFAULT_DIM) -> FockVector:
@@ -274,7 +275,11 @@ def cat_squeezing_for_alpha(alpha: float) -> float:
     """
     if alpha < 0:
         raise DomainError("alpha must be >= 0")
-    arg = np.sqrt(0.5 + np.sqrt(9.0 + 4.0 * alpha**2) / 6.0)
+    try:
+        alpha2 = float(alpha) ** 2
+    except OverflowError:
+        raise DomainError(f"alpha={alpha:g} is too large: alpha**2 overflows") from None
+    arg = np.sqrt(0.5 + np.sqrt(9.0 + 4.0 * alpha2) / 6.0)
     return float(np.arccosh(arg))
 
 

@@ -17,7 +17,6 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.signal import find_peaks
 from scipy.special import erf
 
-from resomem.breeding import _projection_theta
 from resomem.errors import ContractError, DomainError
 from resomem.fock import DensityMatrix, FockVector, coherent_amplitudes, guard_dim, log_factorial
 from resomem.gates import PROJECTION_GRID_BOUND, JointState, hermite_functions, window_condition
@@ -132,6 +131,10 @@ def lindblad_oracle(
 # breeding: the exact finite-alpha bred state
 
 
+# the quadrature angle theta each protocol projects its ancilla on: p for cat, x for gkp
+_PROJECTION_THETA = {"cat": np.pi / 2, "gkp": 0.0}
+
+
 def _quadrature_zero_overlap(gamma: complex, theta: float) -> complex:
     """<x_theta = 0|gamma> = pi^{-1/4} exp(-|gamma|^2/2 - gamma^2 e^{2i theta}/2)."""
     return np.pi**-0.25 * np.exp(-abs(gamma) ** 2 / 2 - gamma**2 * np.exp(2j * theta) / 2)
@@ -151,7 +154,9 @@ def exact_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int) -> F
         raise DomainError("k must be >= 1")
     if s not in (+1, -1):
         raise DomainError("parity s must be +1 or -1")
-    theta = _projection_theta(protocol)
+    if protocol not in _PROJECTION_THETA:
+        raise DomainError(f"unknown protocol {protocol!r}")
+    theta = _PROJECTION_THETA[protocol]
     guard_dim(np.sqrt(k) * alpha, dim)
     coeffs = {1: 1.0 + 0j, -1: complex(s)}
     for j in range(1, k):

@@ -8,7 +8,7 @@ import pytest
 
 import resomem as rm
 from oracles import count_peaks, exact_bred_state, windowed_superposition_step
-from resomem.breeding import CAT_PROJECTION_THETA, GKP_PROJECTION_THETA, STABILIZER_G
+from resomem.breeding import PROJECTION_THETA, STABILIZER_G
 from resomem.errors import DomainError
 from resomem.fock import as_density_matrix, coherent_amplitudes
 from resomem.gates import (
@@ -155,7 +155,7 @@ def test_window_conditioning_converges_to_ideal():
 def fock_oracle_step(memory, inp, k, protocol, window):
     """breed_step from the Fock gates: every eigen-branch of the memory goes
     through beamsplitter_apply, then homodyne_project or window_condition."""
-    theta = CAT_PROJECTION_THETA if protocol == "cat" else GKP_PROJECTION_THETA
+    theta = PROJECTION_THETA[protocol]
     w, v = np.linalg.eigh(memory.rho)
     out = np.zeros_like(memory.rho)
     total = 0.0
@@ -200,7 +200,7 @@ def test_windowed_step_matches_closed_form(protocol, window):
     cat = rm.cat_state(alpha, s, dim)
     out, dens = rm.breed_step(cat, cat, 1, protocol, window)
     terms = [(1.0, 1j * alpha), (s, -1j * alpha)]
-    theta = CAT_PROJECTION_THETA if protocol == "cat" else GKP_PROJECTION_THETA
+    theta = PROJECTION_THETA[protocol]
     ref, ref_dens = windowed_superposition_step(terms, terms, 0.5, theta, *window, dim)
     assert np.max(np.abs(out.rho - ref.rho)) <= 1e-12
     assert abs(dens - ref_dens) <= 1e-12 * ref_dens

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -177,6 +178,12 @@ def test_main_exit_codes(tmp_path):
         {"kind": "pulse", "wavepacket": "exp_decaying", "t0": 1.0},
         {"kind": "pulse", "wavepacket": "time_bin", "span": 10.0},
         {"kind": "breed", "seed": [1]},
+        # sizes past their caps; at the uncapped schema these left tracebacks (exit 1)
+        {"kind": "breed", "steps": 10**30},
+        {"kind": "wigner", "state": {"type": "bred", "protocol": "gkp", "steps": 10**30, "alpha": 1.0}},
+        {"kind": "tomo", "n_frames": 10**30},
+        {"kind": "pulse", "points": 10**30},
+        {"kind": "wigner", "state": {"type": "vacuum", "dim": 10**20}},
     ]
     for i, bad_config in enumerate(config_errors):
         path = tmp_path / f"bad{i}.json"
@@ -271,15 +278,54 @@ def test_store_readout_pulses_do_not_warn(tmp_path, Tf):
     # the axes pass their check, but W leaves the float range on them
     ({"kind": "wigner", "state": {"type": "fock", "n": 1, "dim": 12}, "xs": [-1e300, 0, 1e300],
       "ps": [-1e300, 0, 1e300]}, 3),
-], ids=["pulse", "pulse_long_time_bin", "store", "wigner"])
-def test_overflow_prints_no_runtime_warning(tmp_path, config, code):
+    # |alpha|^2 leaves the float range: the truncation guard refuses before squaring
+    ({"kind": "wigner", "state": {"type": "cat", "alpha": 1e160, "dim": 40}}, 3),
+    ({"kind": "tomo", "state": {"type": "cat", "alpha": 1e160, "dim": 20}}, 3),
+    ({"kind": "store", "state": {"type": "cat", "alpha": 1e160, "dim": 20}}, 3),
+    ({"kind": "fig4d", "alpha": 1e160}, 3),
+    ({"kind": "wigner", "state": {"type": "squeezed_single_photon", "alpha": 1e300, "dim": 40}}, 3),
+    ({"kind": "breed", "alpha": 1e300, "dim": 40}, 3),
+    ({"kind": "breed", "alpha": 1.7e308, "steps": 3}, 3),  # sqrt(steps + 1) * alpha overflows
+], ids=["pulse", "pulse_long_time_bin", "store", "wigner", "wigner_cat", "tomo_cat", "store_cat", "fig4d",
+        "wigner_squeezed", "breed", "breed_final_amplitude"])
+def test_overflow_prints_no_runtime_warning(tmp_path, capsys, config, code):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == code
-    if config["kind"] == "store":  # the state has fully decayed: fidelity and rho11 are 0
+    assert (tmp_path / "out").exists() == (code == 0)
+    if code:  # one line, the amplitude printed short
+        assert re.fullmatch(r"numeric error: [^\n]{,120}\n", capsys.readouterr().err)
+    elif config["kind"] == "store":  # the state has fully decayed: fidelity and rho11 are 0
         assert (tmp_path / "out" / "storage_fidelity.csv").read_text().splitlines()[-1] == "9.9999999999999994e+304,0,0"
+
+
+@pytest.mark.parametrize("config, key, cap", [
+    ({"kind": "breed", "steps": 64}, "steps", 64),
+    ({"kind": "breed", "alpha": 0, "s": 1, "steps": 64}, "steps", 64),  # alpha 0 passes every numeric guard
+    ({"kind": "store", "state": {"type": "bred", "protocol": "cat", "steps": 64, "alpha": 0.1}}, "steps", 64),
+    ({"kind": "breed", "dim": 300}, "dim", 300),
+    ({"kind": "fig4d", "dim": 300}, "dim", 300),
+    *(({"kind": "wigner", "state": {"type": t, "dim": 300, **keys}}, "dim", 300) for t, keys in [
+        ("vacuum", {}), ("fock", {"n": 1}), ("cat", {"alpha": 1.0}), ("squeezed_single_photon", {"r": 0.3}),
+        ("bred", {"protocol": "gkp", "steps": 1, "alpha": 1.0})]),
+    ({"kind": "pulse", "points": 10**6}, "points", 10**6),
+    ({"kind": "tomo", "n_frames": 10**7}, "n_frames", 10**7),
+    ({"kind": "wigner", "xs": list(range(2001))}, "xs", 2001),
+    ({"kind": "wigner", "ps": list(range(2001))}, "ps", 2001),
+], ids=["breed_steps", "breed_steps_vacuum", "bred_steps", "breed_dim", "fig4d_dim", "vacuum_dim", "fock_dim",
+        "cat_dim", "squeezed_single_photon_dim", "bred_dim", "pulse_points", "tomo_n_frames", "wigner_xs", "wigner_ps"])
+def test_sizes_are_capped_in_the_schema(config, key, cap):
+    # the cap passes and one more is a config error that quotes it; only validated, never run
+    cli.validate_config(config)
+    over = list(range(cap + 1)) if key in ("xs", "ps") else cap + 1
+    if key in config.get("state", {}):
+        config = {**config, "state": {**config["state"], key: over}}
+    else:
+        config = {**config, key: over}
+    with pytest.raises(cli.ConfigError, match=rf"{key} must be .*\b{cap}\b"):
+        cli.validate_config(config)
 
 
 def _same_files(a: Path, b: Path) -> bool:
@@ -319,13 +365,31 @@ def test_figure_keys_through_config(tmp_path):
     assert _same_files(tmp_path / "config", tmp_path / "params")
 
 
-def _resomem(*args) -> subprocess.CompletedProcess:
-    """`python -m resomem.cli` with `args`, in a new interpreter that imports
-    the resomem this process imported."""
+def _python(*args) -> subprocess.CompletedProcess:
+    """`python` with `args`, in a new interpreter that imports the resomem this
+    process imported."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "resomem.cli", *map(str, args)], capture_output=True, text=True,
-                          env=env)
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True, env=env)
+
+
+def _resomem(*args) -> subprocess.CompletedProcess:
+    return _python("-m", "resomem.cli", *args)
+
+
+def test_every_kind_runs_on_numpy_alone(tmp_path):
+    # the README's promise; the tests themselves run with scipy installed
+    proc = _python("-c", """
+import sys
+sys.modules["scipy"] = None  # an import of scipy or of any scipy module raises ImportError
+from resomem import cli
+out = sys.argv[1]
+for kind in cli._SCENARIOS:
+    cli.run_scenario({"kind": kind}, f"{out}/{kind}")
+cli.run_scenario({"kind": "breed", "window": [-0.1, 0.1]}, f"{out}/window")
+""", tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert all((tmp_path / kind / "manifest.json").exists() for kind in [*cli._SCENARIOS, "window"])
 
 
 @pytest.mark.parametrize("kind", cli.FIGURE_KINDS)
@@ -416,7 +480,7 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-_TABLES = [table for _, table in cli._SCENARIOS.values()] + list(cli._STATES.values())
+_TABLES = [table for _, table in (*cli._SCENARIOS.values(), *cli._STATES.values())]
 _KEYS = st.sampled_from(sorted({key for table in _TABLES for key in table})) | st.text(max_size=4)
 _VALUES = (_JSON | st.integers(-2, 40) | st.floats(-6, 6) | st.sampled_from(["cat", "gkp", "time_bin", "exp_rising"])
            | st.lists(st.integers(-6, 6) | st.floats(-6, 6), max_size=5))
