@@ -6,7 +6,8 @@ edfig_rates, edfig_fidelity) among them, and `run_scenario` is the one run
 path: `--figure K` is the config {"kind": K}, and `emit_figure_data` passes
 its params as the other keys of that config. A manifest records the config
 it was run from, and that config runs again with `--config`. A state type,
-like a kind, is one table entry: its builder and the table of its keys.
+like a kind, is one table entry: its builder and the table of its keys; a
+`rates` source is checked against its own table the same way.
 Each scenario only computes: it returns its tables (file name -> columns, or
 a Wigner grid) and its results, and `_write_outputs` is the one place that
 writes them, then the manifest.
@@ -83,6 +84,10 @@ MAX_STEPS = 64  # breeding steps
 MAX_POINTS = 10**6  # pulse samples; by 1e7, linspace rounding fails the uniform-grid check
 MAX_FRAMES = 10**7  # tomo homodyne frames
 MAX_AXIS_POINTS = 2001  # points on each wigner axis
+MAX_PHASES = 180  # tomo phases; theta and theta + pi measure mirrored quadratures
+MAX_TIMES = 1000  # store storage times
+MAX_K_LIST = 1000  # rates k_match values of scaling.csv
+MAX_SOURCES = 1000  # rates source pairs of k_values.csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -378,28 +383,26 @@ def _integer(lo: int, hi: int | None = None) -> tuple:
     )
 
 
-def _numbers(min_len: int, item=_is_number, what: str = "finite numbers") -> tuple:
+def _numbers(min_len: int, max_len: int | None = None, item=_is_number, what: str = "finite numbers") -> tuple:
     return (
-        lambda v: isinstance(v, list) and len(v) >= min_len and all(map(item, v)),
-        f"a list of >= {min_len} {what}",
+        lambda v: (isinstance(v, list) and min_len <= len(v) and (max_len is None or len(v) <= max_len)
+                   and all(map(item, v))),
+        f"a list of >= {min_len} {what}" if max_len is None else f"a list of {min_len} to {max_len} {what}",
     )
-
-
-def _is_source(src) -> bool:
-    return isinstance(src, dict) and all(_is_number(src.get(key)) for key in ("r0", "delta", "r_bs"))
 
 
 def _is_axis(v) -> bool:
     """Two to MAX_AXIS_POINTS finite numbers, strictly increasing and evenly
     spaced to 1e-9 relative, as a TemporalMode's time grid."""
-    if not _numbers(2)[0](v) or len(v) > MAX_AXIS_POINTS:
+    if not _numbers(2, MAX_AXIS_POINTS)[0](v):
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         step = np.diff(np.asarray(v, dtype=float))
         return bool(np.isfinite(step).all() and step[0] > 0 and np.allclose(step, step[0], rtol=1e-9, atol=0))
 
 
-_STATE = (lambda v: isinstance(v, dict), "an object")
+# a rule is (check, what it must be) or, for a value of its own keys, (check, what, resolver)
+_STATE = (lambda v: isinstance(v, dict), "an object", lambda v: _resolve_state(v))
 _PROTOCOL = (lambda v: isinstance(v, str) and v in PROJECTION_THETA, " or ".join(map(repr, PROJECTION_THETA)))
 _PARITY = (lambda v: _is_int(v) and v in (-1, 1), "-1 or 1")
 _NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
@@ -410,6 +413,10 @@ _LIFETIME = (lambda v: v == "Infinity" or ((_is_number(v) or v == math.inf) and 
 _AXIS = (_is_axis, f"a list of 2 to {MAX_AXIS_POINTS} finite numbers, increasing and evenly spaced")
 _DIM = (_integer(2, MAX_DIM), DEFAULT_DIM)
 _NOISE = {"T1": (_LIFETIME, 2.3e-6), "Tphi": (_LIFETIME, 0.96e-6)}  # defaults: the paper's memory, s
+_SOURCE = {"r0": (_POSITIVE, _Required()), "delta": (_POSITIVE, _Required()), "r_bs": (_NONNEGATIVE, _Required())}
+_SOURCES = (lambda v: isinstance(v, list) and len(v) <= MAX_SOURCES and all(isinstance(s, dict) for s in v),
+            f"a list of at most {MAX_SOURCES} objects with keys r0, delta and r_bs",
+            lambda v: [_resolve(f"sources[{i}]", s, _SOURCE) for i, s in enumerate(v)])
 # (builder, its table) per state type; a builder calls its constructor by its
 # name in this module when it runs, where the benchmark's tracer patches it
 _STATES = {
@@ -453,7 +460,7 @@ def _resolve(where: str, spec: dict, table: dict) -> dict:
             value = None
         else:
             value = default
-        settings[key] = _resolve_state(value) if rule is _STATE else value
+        settings[key] = rule[2](value) if len(rule) > 2 else value
     return settings
 
 
@@ -529,12 +536,11 @@ def _scenario_store(c: dict) -> tuple[dict, dict]:
     times = np.asarray(c["times"], dtype=float)
     state = build_state(c["state"])
     rho0 = as_density_matrix(state)
-    rhos = [evolve_closed_form(rho0, float(t), params) for t in times]
-    table = {
-        "t": times,
-        "fidelity": [fidelity(state, rho_t) for rho_t in rhos],  # <psi|rho_t|psi> for a pure state
-        "rho11": [rho_t.rho[1, 1].real for rho_t in rhos],
-    }
+    table = {"t": times, "fidelity": [], "rho11": []}
+    for t in times:  # one evolved state at a time: 1.4 MB each at MAX_DIM
+        rho_t = evolve_closed_form(rho0, float(t), params)
+        table["fidelity"].append(fidelity(state, rho_t))  # <psi|rho_t|psi> for a pure state
+        table["rho11"].append(rho_t.rho[1, 1].real)
     return {"storage_fidelity.csv": table}, {"T1": params.T1, "Tphi": params.Tphi}
 
 
@@ -674,7 +680,7 @@ _SCENARIOS = {
     }),
     "store": (_scenario_store, {
         **_NOISE,
-        "times": (_numbers(1, _NONNEGATIVE[0], "finite numbers >= 0"), (0, 0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6)),
+        "times": (_numbers(1, MAX_TIMES, _NONNEGATIVE[0], "finite numbers >= 0"), (0, 0.2e-6, 0.4e-6, 0.8e-6, 1.6e-6)),
         "state": (_STATE, {"type": "fock", "n": 1, "dim": 20}),
     }),
     "breed": (_scenario_breed, {
@@ -683,7 +689,7 @@ _SCENARIOS = {
         "alpha": (_NONNEGATIVE, 1.0),
         "s": (_PARITY, -1),
         "dim": _DIM,
-        "window": ((lambda v: v is None or (_numbers(2)[0](v) and len(v) == 2
+        "window": ((lambda v: v is None or (_numbers(2, 2)[0](v)
                                              and -PROJECTION_GRID_BOUND <= v[0] < v[1] <= PROJECTION_GRID_BOUND),
                     f"null or a list [lo, hi] with -{PROJECTION_GRID_BOUND:g} <= lo < hi <= {PROJECTION_GRID_BOUND:g}"),
                    None),
@@ -695,17 +701,15 @@ _SCENARIOS = {
     }),
     "tomo": (_scenario_tomo, {
         "state": (_STATE, {"type": "vacuum", "dim": 20}),
-        "phases_deg": (_numbers(1), DEFAULT_PHASES_DEG),
+        "phases_deg": (_numbers(1, MAX_PHASES), DEFAULT_PHASES_DEG),
         "n_frames": (_integer(MLE_MIN_FRAMES, MAX_FRAMES), 20000),
         "dim": (_integer(2, MLE_MAX_DIM), 20),
         "iterations": (_integer(1), 300),
         "seed": (_integer(0), 0),
     }),
     "rates": (_scenario_rates, {
-        "sources": ((lambda v: isinstance(v, list) and all(map(_is_source, v)),
-                     "a list of objects with numeric r0, delta and r_bs"),
-                    ({"r0": 2e5, "delta": 1.2e8, "r_bs": 10.0}, {"r0": 4e3, "delta": 3e6, "r_bs": 20.0})),
-        "k_list": (_numbers(1, _NONNEGATIVE[0], "finite numbers >= 0"), (0.03, 1.0, 3.8, 10.0, 100.0)),
+        "sources": (_SOURCES, ({"r0": 2e5, "delta": 1.2e8, "r_bs": 10.0}, {"r0": 4e3, "delta": 3e6, "r_bs": 20.0})),
+        "k_list": (_numbers(1, MAX_K_LIST, _NONNEGATIVE[0], "finite numbers >= 0"), (0.03, 1.0, 3.8, 10.0, 100.0)),
         "p1": ((lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"), 0.25),
         "n_max": (_integer(1, 64), 20),
     }),

@@ -1,6 +1,6 @@
 """Beamsplitter + homodyne conditioning: one exact quadrature-picture kernel,
-the product rule of Hermite functions, and the Fock-basis gates kept as the
-kernel's independent oracles.
+the 50:50 beamsplitter image that Wigner grids and quadrature densities read,
+and the Fock-basis gates kept as the kernel's independent oracles.
 
 Beamsplitter convention (matching the effective resonator relations):
     a'    =  sqrt(T) a + sqrt(1-T) b,
@@ -12,10 +12,10 @@ the arguments. The Fock oracles (`JointState`, `beamsplitter_apply`,
 subspaces, since it conserves total photon number. Only tests call them, and
 `_bs_block` imports `scipy.linalg`, which the `test` extra installs; no
 scenario or figure needs scipy. The 50:50 beamsplitter's blocks
-(`fifty_fifty_blocks`) come from a recurrence instead, and give the product
-rule psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x) that
-`product_coefficients` applies: the Wigner grids and every quadrature density
-rest on it.
+(`fifty_fifty_blocks`) come from a recurrence instead, and `fifty_fifty_image`
+applies them to a matrix read as a two-mode state: the Wigner grids read the
+image of rho, and its diagonal gives the product rule
+psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x) of every quadrature density.
 
 Quadrature convention (Lvovsky & Raymer, Rev. Mod. Phys. 81, 299 (2009)):
 <x_theta| = <x| e^{i theta n}, so x_theta = x cos(theta) - p sin(theta) and
@@ -34,8 +34,8 @@ A `hermite_functions` table costs one Python step per row, not per point:
 arguments into one call: the four shifted stabilizer tables of
 `breeding.gkp_stabilizer_expectation`, the memory and ancilla tables of each
 node block here, and one table per distinct axis of a batch of Wigner grids
-(`wigner.wigner_grids`), which also builds `fifty_fifty_blocks` once (~3 ms at
-dim 40).
+(`wigner.wigner_grids`), which also takes one `fifty_fifty_image` of the whole
+batch (its blocks ~3 ms at dim 40).
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def quadrature_density(rho: np.ndarray, theta: float, psi: np.ndarray, kets: np.
     Each bra is <x_theta| = e^{i n theta} psi_n(x) with psi_n real, so the
     phase moves onto rho: <x_theta|rho|x'_theta> = psi(x)^T (rho o F_theta) psi(x')
     (`phase_matrix`). Rotating rho costs dim^2, and the V-sized contraction
-    is real. The density itself, x' = x, is the product-basis sum of
+    is real. The density itself, x' = x, is the 50:50-image sum of
     `wigner.marginal`.
     """
     return np.einsum("iv,iv->v", psi, (rho * phase_matrix(theta, rho.shape[0])) @ kets)
@@ -184,49 +184,36 @@ def fifty_fifty_blocks(dim: int):
         yield C
 
 
-def product_coefficients(S: np.ndarray) -> np.ndarray:
-    """Coefficients g, shape (..., 2 dim - 1), of
-
-        sum_{m, n < dim} S[m, n] psi_m(x) psi_n(x) = sum_{k < 2 dim - 1} g_k psi_k(sqrt2 x)
-
-    for each real (dim, dim) matrix of the stack S, exactly for every x.
-
-    psi_m(x1) psi_n(x2) is the |m, n> wavefunction, and the 50:50 beamsplitter U
-    rotates it onto (x1 + x2, x1 - x2)/sqrt2, so on the diagonal x1 = x2 = x
-        psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x),
-        T[k, (m, n)] = <k, N-k|U|m, n> psi_{N-k}(0),  N = m + n.
-    g = T vec S takes one block of `product_blocks` per anti-diagonal N of S:
-    O(dim^3) work and O(dim^2) memory per matrix. Measured on [-12, 12] against
-    psi_m psi_n: <= 2.3e-15 at dim 20, 8e-15 at dim 80.
+def fifty_fifty_image(S: np.ndarray) -> np.ndarray:
+    """H[..., k, j] = <k, j|U|S>>, shape (..., 2 dim - 1, 2 dim - 1): each (dim, dim) matrix
+    of the stack S read as the two-mode state sum S[m, n] |m, n> and passed through the
+    50:50 beamsplitter U of `fifty_fifty_blocks`, which rotates the |m, n> wavefunction
+    psi_m(x1) psi_n(x2) onto ((x1 + x2)/sqrt2, (x1 - x2)/sqrt2). At x1 = x2 = x this is the
+    product rule sum S[m, n] psi_m(x) psi_n(x) = sum_k (H psi(0))_k psi_k(sqrt2 x), within
+    2.3e-15 of psi_m psi_n on [-12, 12] at dim 20 and 8e-15 at dim 80. Anti-diagonal N of H
+    is block C^N times anti-diagonal N of S: one matrix product per block for the stack.
     """
-    S = np.asarray(S, dtype=float)
+    S = np.asarray(S)
     dim = S.shape[-1]
     flipped = S[..., ::-1]  # anti-diagonal N of S is diagonal dim - 1 - N of this
-    g = np.zeros(S.shape[:-2] + (2 * dim - 1,))
-    for N, _, B in product_blocks(dim):
-        anti = np.diagonal(flipped, dim - 1 - N, -2, -1)  # S[m, N - m], m ascending
-        g[..., N::-2] += anti @ B.T
-    return g
-
-
-def product_blocks(dim: int):
-    """Yield, for N = 0 .. 2 dim - 2, (N, m, B): m the ascending m < dim with
-    N - m < dim, and B[i, j] = T[N - 2 i, (m[j], N - m[j])] = C^N[N - 2 i, m[j]] psi_{2 i}(0),
-    the rows of the product table T of `product_coefficients` that can be
-    nonzero in the columns (m, N - m): psi_{N-k}(0) vanishes for odd N - k."""
-    psi0 = hermite_functions(0.0, 2 * dim - 1)
+    H = np.zeros(S.shape[:-2] + (2 * dim - 1, 2 * dim - 1), dtype=np.result_type(S, float))
     for N, C in enumerate(fifty_fifty_blocks(dim)):
-        m = np.arange(max(0, N - dim + 1), min(N, dim - 1) + 1)
-        yield N, m, C[N::-2] * psi0[:N + 1:2, None]
+        anti = np.diagonal(flipped, dim - 1 - N, -2, -1)  # S[m, N - m], m ascending
+        k = np.arange(N + 1)
+        H[..., k, N - k] = (C @ anti[..., None])[..., 0]
+    return H
 
 
 def product_table(dim: int) -> np.ndarray:
-    """The dense table T, shape (2 dim - 1, dim^2), scattered from `product_blocks`:
-    bit for bit the `product_coefficients` of the dim^2 unit matrices."""
+    """The product rule as the dense table T[k, (m, n)], shape (2 dim - 1, dim^2): bit for
+    bit `fifty_fifty_image` of the dim^2 unit matrices times psi(0), scattered from the
+    even rows N - k of each block (psi_{N-k}(0) vanishes for odd N - k) without that image."""
+    psi0 = hermite_functions(0.0, 2 * dim - 1)
     table = np.zeros((dim * dim, 2 * dim - 1))  # T^T: T is its F-ordered view, as BLAS has always read it
-    for N, m, B in product_blocks(dim):
-        # += turns a -0.0 entry into +0.0, as product_coefficients' sum does
-        table[m * dim + N - m, N::-2] += B.T
+    for N, C in enumerate(fifty_fifty_blocks(dim)):
+        m = np.arange(max(0, N - dim + 1), min(N, dim - 1) + 1)
+        # += turns a -0.0 entry into +0.0, as a sum over the image does
+        table[m * dim + N - m, N::-2] += (C[N::-2] * psi0[:N + 1:2, None]).T
     return table.T
 
 

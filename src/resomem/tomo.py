@@ -5,8 +5,9 @@ reconstruction that stops at a certified optimum.
 Every quadrature bra is <x_theta| = e^{i n theta} psi_n(x) with real Hermite
 functions psi_n, so the density is pr(x) = psi(x)^T Re(rho o F_theta) psi(x)
 with F_theta[m, n] = e^{i (m - n) theta}. The product rule
-psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x) of
-`gates.product_coefficients` makes that pr(x) = phi(x)^T T vec Re(rho o F_theta),
+psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x), the diagonal of the
+50:50 image `gates.fifty_fifty_image` held as the dense table
+`gates.product_table`, makes that pr(x) = phi(x)^T T vec Re(rho o F_theta),
 phi(x) the 2 dim - 1 functions psi_k(sqrt2 x), and the ML operator
 R = sum_theta conj(F_theta) o unvec(T^T Phi_theta (c / pr)): each sample
 costs 2 dim - 1 instead of dim^2, and every contraction over the samples is

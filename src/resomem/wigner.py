@@ -4,9 +4,10 @@ marginals.
 Convention: W(x, p) = (1/pi) Tr[rho D(2 beta) Pi] with beta = (x + i p)/sqrt(2)
 and Pi the photon-number parity, so the vacuum has W(0, 0) = 1/pi. A grid and
 a marginal are both sums over the functions psi_k(sqrt2 .) of `gates`, with
-coefficients from the 50:50 beamsplitter blocks of `gates.fifty_fifty_blocks`:
-see `wigner_grids` and `marginal`. `wigner_grids` evaluates a batch of states of
-one dim with one set of blocks and one Hermite table per distinct axis.
+coefficients read off H = `gates.fifty_fifty_image` of rho, rho passed as a
+two-mode state through a 50:50 beamsplitter: see `wigner_grids` and `marginal`.
+`wigner_grids` evaluates a batch of states of one dim with one image call and
+one Hermite table per distinct axis.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .fock import as_density_matrix
-from .gates import fifty_fifty_blocks, hermite_functions, phase_matrix, product_coefficients
+from .gates import fifty_fifty_image, hermite_functions, phase_matrix
 
 DEFAULT_GRID = np.linspace(-5.0, 5.0, 201)
 DEFAULT_GRID.flags.writeable = False  # the shared default of every wigner grid and config
@@ -54,21 +55,22 @@ def wigner_grids(states, xs=None, ps=None) -> list[WignerGrid]:
     """Evaluate the Wigner function of each of `states` on the (xs, ps) grid:
 
         W(x, p) = sum_{k, j < M} G_kj psi_k(sqrt2 x) psi_j(sqrt2 p),  M = 2 dim - 1,
-        G_kj = pi^{-1/2} Re[(-i)^j <k, j|U|rho>>],
+        G_kj = pi^{-1/2} Re[(-i)^j H_kj],  H = `gates.fifty_fifty_image(rho)`,
 
-    rho_mn read as the amplitude of |m, n> and U the 50:50 beamsplitter of `gates.fifty_fifty_blocks`.
-    Exact: in W = (1/pi) int <x+y|rho|x-y> e^{-2ipy} dy, psi_m(x+y) psi_n(x-y) is the |m, n>
-    wavefunction, which U rotates by 45 degrees onto (sqrt2 x, sqrt2 y), and psi_j has Fourier
-    eigenvalue (-i)^j.  G costs O(dim^3), one block of U per N = k + j; the grid, two real
-    matrix products, O(M |xs| |ps|).  Measured against closed forms: <= 1.3e-15 for Fock,
+    H_kj = <k, j|U|rho>> with rho_mn read as the amplitude of |m, n> and U the 50:50
+    beamsplitter. Exact: in W = (1/pi) int <x+y|rho|x-y> e^{-2ipy} dy, psi_m(x+y) psi_n(x-y)
+    is the |m, n> wavefunction, which U rotates by 45 degrees onto (sqrt2 x, sqrt2 y), and
+    psi_j has Fourier eigenvalue (-i)^j.  G costs O(dim^3); the grid, two real matrix
+    products, O(M |xs| |ps|).  Measured against closed forms: <= 1.3e-15 for Fock,
     coherent and squeezed states to dim 80, 3.9e-15 for alpha = 4 - 3i at dim 150.
 
-    The states share one dim, and each must lie inside the grid. The blocks of U and the
-    Hermite table of each distinct axis (one for both when ps equals xs bit for bit) are
-    built once for the whole batch. Both costs are set by a Python loop over rows, not by
-    the grid points (`fifty_fifty_blocks(40)` ~3 ms, a 79-row table ~0.6 ms; see `gates`),
-    so the five dim-40 panels of a figure cost one set of tables. Each state's G and W are
-    the same products, in the same order, as for that state alone, so batching moves no bit.
+    The states share one dim, and each must lie inside the grid. One image call serves
+    the whole stack of states, and the Hermite table of each distinct axis (one for both
+    when ps equals xs bit for bit) is built once. Both costs are set by a Python loop over
+    rows, not by the grid points (the blocks of a dim-40 image ~3 ms, a 79-row table
+    ~0.6 ms; see `gates`), so the five dim-40 panels of a figure cost one set of tables.
+    Each state's G and W are the same products, in the same order, as for that state
+    alone, so batching moves no bit.
     """
     rhos = [as_density_matrix(state) for state in states]
     xs = DEFAULT_GRID if xs is None else np.asarray(xs, dtype=float)
@@ -86,14 +88,9 @@ def wigner_grids(states, xs=None, ps=None) -> list[WignerGrid]:
     with np.errstate(over="ignore"):  # an axis beyond the float range is refused without a warning
         if not np.all(np.isfinite(np.concatenate((u, v)) ** 2)):
             raise DomainError("Wigner function not finite on the grid (grid too far out for the float range)")
-    dim, M = dims[0], 2 * dims[0] - 1
-    flipped = [rho.rho[:, ::-1] for rho in rhos]  # anti-diagonal N of rho is diagonal dim - 1 - N of this
-    G = np.zeros((len(rhos), M, M))
-    for N, C in enumerate(fifty_fifty_blocks(dim)):
-        j = np.arange(N, -1, -1)  # the b photons of output row k = N - j; (-1j) ** j would round
-        phase = (-1j) ** (j % 4)
-        for G_s, f in zip(G, flipped):
-            G_s[N - j, j] = (phase * (C @ f.diagonal(dim - 1 - N))).real
+    M = 2 * dims[0] - 1
+    phase = (-1j) ** (np.arange(M) % 4)  # (-i)^j exactly; (-1j) ** j rounds at large j
+    G = (phase * fifty_fifty_image(np.stack([rho.rho for rho in rhos]))).real
     psi_u = hermite_functions(u, M)
     # compared bit for bit: -0.0 == 0.0, but their odd rows differ in sign
     psi_v = psi_u if u.shape == v.shape and u.tobytes() == v.tobytes() else hermite_functions(v, M)
@@ -141,17 +138,18 @@ def marginal(state, theta: float | np.ndarray, grid: np.ndarray) -> np.ndarray:
     <x_theta|rho|x_theta> = psi(x)^T Re(rho o F_theta) psi(x); one row per
     phase when `theta` is a 1d array.
 
-    The product rule of `gates.product_coefficients` turns the dim^2 terms into
-    2 dim - 1: the density is sum_k g_k psi_k(sqrt2 x) with g the coefficients of
-    Re(rho o F_theta), so each grid point costs 2 dim - 1 and one table serves
-    every phase. g is computed once and the table MARGINAL_BLOCK grid points at
+    On the diagonal the 50:50 image turns the dim^2 terms into 2 dim - 1: the
+    density is sum_k g_k psi_k(sqrt2 x) with g = H psi(0), H the
+    `gates.fifty_fifty_image` of Re(rho o F_theta) (one (2 dim - 1)^2 image per
+    phase), so each grid point costs 2 dim - 1 and one table serves every
+    phase. g is computed once and the table MARGINAL_BLOCK grid points at
     a time, so the 24 001-point sampling grid at dim 20 holds a (39, 2048)
     table, 0.6 MB, instead of 7.5 MB. Rounding leaves values down to about
     -1e-16 where the density vanishes; they are set to 0, so the density's
     cumulative sum, the table `sample_homodyne` inverts, never decreases.
     """
     rho = as_density_matrix(state)
-    g = product_coefficients((rho.rho * phase_matrix(theta, rho.dim)).real)
+    g = fifty_fifty_image((rho.rho * phase_matrix(theta, rho.dim)).real) @ hermite_functions(0.0, 2 * rho.dim - 1)
     u = np.sqrt(2.0) * np.asarray(grid, dtype=float)
     dens = np.empty(g.shape[:-1] + u.shape)
     for i in range(0, len(u), MARGINAL_BLOCK):

@@ -314,12 +314,23 @@ def test_overflow_prints_no_runtime_warning(tmp_path, capsys, config, code):
     ({"kind": "tomo", "n_frames": 10**7}, "n_frames", 10**7),
     ({"kind": "wigner", "xs": list(range(2001))}, "xs", 2001),
     ({"kind": "wigner", "ps": list(range(2001))}, "ps", 2001),
+    ({"kind": "tomo", "phases_deg": list(range(180))}, "phases_deg", 180),
+    ({"kind": "store", "times": [1e-7] * 1000}, "times", 1000),
+    ({"kind": "rates", "k_list": [1.0] * 1000}, "k_list", 1000),
+    ({"kind": "rates", "sources": [{"r0": 4e3, "delta": 3e6, "r_bs": 20}] * 1000}, "sources", 1000),
 ], ids=["breed_steps", "breed_steps_vacuum", "bred_steps", "breed_dim", "fig4d_dim", "vacuum_dim", "fock_dim",
-        "cat_dim", "squeezed_single_photon_dim", "bred_dim", "pulse_points", "tomo_n_frames", "wigner_xs", "wigner_ps"])
+        "cat_dim", "squeezed_single_photon_dim", "bred_dim", "pulse_points", "tomo_n_frames", "wigner_xs", "wigner_ps",
+        "tomo_phases_deg", "store_times", "rates_k_list", "rates_sources"])
 def test_sizes_are_capped_in_the_schema(config, key, cap):
     # the cap passes and one more is a config error that quotes it; only validated, never run
     cli.validate_config(config)
-    over = list(range(cap + 1)) if key in ("xs", "ps") else cap + 1
+    value = config["state"][key] if key in config.get("state", {}) else config[key]
+    if key in ("xs", "ps"):
+        over = list(range(cap + 1))
+    elif isinstance(value, list):
+        over = value + value[-1:]  # one more valid item
+    else:
+        over = cap + 1
     if key in config.get("state", {}):
         config = {**config, "state": {**config["state"], key: over}}
     else:
@@ -505,20 +516,41 @@ def test_validate_config_returns_settings_or_config_error(config):
 
 
 def test_rates_sources_schema(tmp_path, capsys):
-    for i, src in enumerate([
-        {"r0": None, "delta": 1e6, "r_bs": 10},
-        {"r0": 1e5},
-        "r0",
-        {"r0": True, "delta": 1e6, "r_bs": 10},
-        {"r0": 10**400, "delta": 1e6, "r_bs": 10},
+    # each source is checked key by key, and the message names the source and the key
+    for i, (src, message) in enumerate([
+        ({"r0": None, "delta": 1e6, "r_bs": 10}, "sources[0] r0 must be a finite number > 0"),
+        ({"r0": 1e5}, "sources[0] needs delta"),
+        ("r0", "sources must be a list of at most 1000 objects with keys r0, delta and r_bs"),
+        ({"r0": True, "delta": 1e6, "r_bs": 10}, "sources[0] r0 must be a finite number > 0"),
+        ({"r0": 10**400, "delta": 1e6, "r_bs": 10}, "sources[0] r0 must be a finite number > 0"),
     ]):
         cfg = tmp_path / f"rates{i}.json"
         cfg.write_text(json.dumps({"kind": "rates", "sources": [src]}))
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, src
-        assert "r0, delta and r_bs" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     cfg.write_text(json.dumps({"kind": "rates", "sources": [{"r0": 4000, "delta": 3e6, "r_bs": 20}]}))
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
     assert (tmp_path / "ok" / "k_values.csv").read_text().splitlines()[1].startswith("4000,3000000,20,3.75,")
+
+
+@pytest.mark.parametrize("kind", ["rates", "edfig_rates"])
+@pytest.mark.parametrize("source, message", [
+    ({"r0": 4e3, "delta": 3e6, "rbs": 20}, r"unknown keys for sources\[1\]: \['rbs'\]"),
+    ({"r0": 4e3, "delta": 3e6, "r_bs": -5}, r"sources\[1\] r_bs must be a finite number >= 0, got -5$"),
+    ({"r0": -1, "delta": 3e6, "r_bs": 20}, r"sources\[1\] r0 must be a finite number > 0, got -1$"),
+    ({"r0": 4e3, "delta": 0, "r_bs": 20}, r"sources\[1\] delta must be a finite number > 0, got 0$"),
+], ids=["misspelled_key", "negative_r_bs", "negative_r0", "zero_delta"])
+def test_rates_sources_are_checked_key_by_key(tmp_path, capsys, kind, source, message):
+    config = {"kind": kind, "sources": [{"r0": 2e5, "delta": 1.2e8, "r_bs": 0}, source]}
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.validate_config(config)
+    cfg = tmp_path / "rates.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert re.search(message, capsys.readouterr().err.strip())
+    assert not (tmp_path / "out").exists()
+    # r_bs = 0 is a source that never interferes; the sources come back as given
+    assert cli.validate_config({"kind": kind, "sources": config["sources"][:1]})["sources"] == config["sources"][:1]
 
 
 @pytest.mark.parametrize("config, key", [

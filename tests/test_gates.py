@@ -15,12 +15,13 @@ from resomem.gates import (
     PROJECTION_GRID_BOUND,
     JointState,
     beamsplitter_apply,
+    beamsplitter_apply_joint,
     condition_on_quadrature,
+    fifty_fifty_image,
     gauss_hermite,
     hermite_functions,
     homodyne_project,
     phase_matrix,
-    product_coefficients,
     product_table,
     projection_rule,
     quadrature_density,
@@ -121,39 +122,42 @@ def test_quadrature_density_matches_complex_contraction(theta):
         assert np.max(np.abs(off - np.einsum("iv,iv->v", bras, rho @ kets.conj()))) < 1e-13
 
 
-def dense_product_table(dim):
-    """T[k, (m, n)]: `product_coefficients` of the dim^2 unit matrices."""
-    return product_coefficients(np.eye(dim * dim).reshape(dim * dim, dim, dim)).T
-
-
 @pytest.mark.parametrize("dim", [2, 20, 30, 40])
 def test_product_rule_of_hermite_functions(dim):
     # psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x); 2.3e-15 measured at dim 20, 4.3e-15 at 40
     x = np.linspace(-12, 12, 2401)
     psi = hermite_functions(x, dim)
     products = (psi[:, None] * psi[None, :]).reshape(dim * dim, -1)
-    expansion = dense_product_table(dim).T @ hermite_functions(np.sqrt(2.0) * x, 2 * dim - 1)
+    expansion = product_table(dim).T @ hermite_functions(np.sqrt(2.0) * x, 2 * dim - 1)
     assert np.max(np.abs(products - expansion)) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", [2, 7, 20, 30])
-def test_product_coefficients_blockwise_match_dense_table(dim):
+def test_fifty_fifty_image_matches_fock_beamsplitter(dim):
+    # U = U_{pi/4} SWAP on the zero-padded two-mode state sum S[m, n] |m, n>, U_{pi/4} through scipy's expm
     rng = np.random.default_rng(dim)
-    S = rng.normal(size=(3, dim, dim))
-    g = product_coefficients(S)
-    assert g.shape == (3, 2 * dim - 1)
-    T = dense_product_table(dim)
-    assert np.max(np.abs(g - S.reshape(3, -1) @ T.T)) <= 1e-14
-    assert np.max(np.abs(product_coefficients(S[1]) - T @ S[1].ravel())) <= 1e-14
-    # both maps read the blocks of product_blocks: the scattered table is the blockwise one byte for byte
-    assert product_table(dim).tobytes() == T.tobytes()
+    S = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    S /= np.linalg.norm(S, axis=(1, 2))[:, None, None]  # normalized two-mode states; 1.9e-14 measured at dim 30
+    M = 2 * dim - 1
+    H = fifty_fifty_image(S)
+    assert H.shape == (3, M, M) and H.dtype == complex
+    for S_s, H_s in zip(S, H):
+        swapped = np.zeros((M, M), dtype=complex)
+        swapped[:dim, :dim] = S_s.T
+        ref = beamsplitter_apply_joint(JointState(M, M, swapped), 0.5).amp
+        assert np.max(np.abs(H_s - ref)) <= 1e-13
+    # a real stack has a real image, each matrix as alone
+    real = fifty_fifty_image(S.real)
+    assert real.dtype == float
+    assert np.array_equal(real[1], fifty_fifty_image(S[1].real))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 20, 30])
 def test_tomography_table_is_the_dense_table_bit_for_bit(dim):
-    # the ML loop's T, scattered from the product blocks, reads as product_coefficients' T
+    # the ML loop's T, scattered from the blocks, is the 50:50 image of the dim^2 unit matrices times psi(0)
+    units = np.eye(dim * dim).reshape(dim * dim, dim, dim)
+    ref = (fifty_fifty_image(units) @ hermite_functions(0.0, 2 * dim - 1)).T
     T = product_table(dim)
-    ref = dense_product_table(dim)
     assert T.shape == ref.shape and T.strides == ref.strides
     assert np.array_equal(T.view(np.uint64), ref.view(np.uint64))
 
