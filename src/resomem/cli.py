@@ -7,7 +7,8 @@ path: `--figure K` is the config {"kind": K}, and `emit_figure_data` passes
 its params as the other keys of that config. A manifest records the config
 it was run from, and that config runs again with `--config`. A state type,
 like a kind, is one table entry: its builder and the table of its keys; a
-`rates` source is checked against its own table the same way.
+`rates` source is checked against its own table the same way, and a `pulse`
+wavepacket is one `_WAVEPACKETS` entry: its grid and its pulse without `Tf`.
 Each scenario only computes: it returns its tables (file name -> columns, or
 a Wigner grid) and its results, and `_write_outputs` is the one place that
 writes them, then the manifest.
@@ -88,6 +89,7 @@ MAX_PHASES = 180  # tomo phases; theta and theta + pi measure mirrored quadratur
 MAX_TIMES = 1000  # store storage times
 MAX_K_LIST = 1000  # rates k_match values of scaling.csv
 MAX_SOURCES = 1000  # rates source pairs of k_values.csv
+MAX_INPUTS = 64  # rates n_max, the largest input count n of scaling.csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -263,19 +265,14 @@ def _stack(columns: list) -> list:
     return parts
 
 
-def _format_parts(parts: list) -> bytes:
-    """One CSV line per row of the parts of `_stack`: a str value printed as
-    is, a number with FLOAT_FMT (which prints integers up to 2**53 as str()
-    does)."""
-    cells = [_str_cells(p) if p.ndim == 1 else _number_cells(p.ravel()).reshape(len(p), -1) for p in parts]
+def _format_rows(columns: list) -> bytes:
+    """One CSV line per row of the equal-length arrays `columns` (see `_stack`):
+    a str value printed as is, a number with FLOAT_FMT (which prints integers
+    up to 2**53 as str() does)."""
+    cells = [_str_cells(p) if p.ndim == 1 else _number_cells(p.ravel()).reshape(len(p), -1) for p in _stack(columns)]
     block = np.hstack(cells) if len(cells) > 1 else cells[0]
     block[:, -1] = ord("\n")
     return block.tobytes().translate(None, b"\0")
-
-
-def _format_rows(columns: list) -> bytes:
-    """One CSV line per row of the equal-length arrays `columns` (see `_stack`)."""
-    return _format_parts(_stack(columns))
 
 
 def _write_rows(path: Path, head: bytes, columns) -> str:
@@ -492,25 +489,23 @@ def build_state(spec: dict):
 # ---------------------------------------------------------------------------
 # scenarios
 
+# (its grid [lo, hi] in units of 1/gamma0 from the config, its pulse without Tf)
+# per wavepacket; a pulse is called by its name in this module when it runs,
+# where the benchmark's tracer patches it
+_WAVEPACKETS = {
+    "exp_rising": (lambda c: (-c["span"], 2.0), lambda mode: write_pulse(mode)),
+    "exp_decaying": (lambda c: (0.0, c["span"]), lambda mode: read_pulse(mode)),
+    "time_bin": (lambda c: (0.0, c["t0"]), lambda mode: read_pulse(mode)),
+}
+
+
 def _scenario_pulse(c: dict) -> tuple[dict, dict]:
     gamma0 = float(c["gamma0"])
-    wp = c["wavepacket"]
-    span = float(c["span"]) / gamma0
-    t0 = float(c["t0"]) / gamma0
-    if wp == "exp_rising":
-        grid = np.linspace(-span, 2.0 / gamma0, c["points"])
-    elif wp == "time_bin":
-        grid = np.linspace(0.0, t0, c["points"])
-    else:
-        grid = np.linspace(0.0, span, c["points"])
-    mode = standard_wavepacket(wp, gamma0, grid, t0=t0)
-    Tf = c["Tf"]
-    if wp == "exp_rising":
-        sched = write_pulse(mode)
-    elif Tf is not None:
-        sched = entangle_pulse(mode, float(Tf))
-    else:
-        sched = read_pulse(mode)
+    grid_of, pulse = _WAVEPACKETS[c["wavepacket"]]
+    lo, hi = (float(x) / gamma0 for x in grid_of(c))
+    mode = standard_wavepacket(c["wavepacket"], gamma0, np.linspace(lo, hi, c["points"]), t0=float(c["t0"]) / gamma0)
+    Tf = c["Tf"]  # read only by the releasing wavepackets, whose pulse it turns into an entangle pulse
+    sched = pulse(mode) if Tf is None else entangle_pulse(mode, float(Tf))
     tables = {
         "mode.csv": {"t": mode.t, "g": mode.g},
         "schedule.csv": {"t": sched.t, "gamma": sched.gamma},
@@ -667,8 +662,8 @@ def _fig_wigner_panels(c: dict) -> tuple[dict, dict]:
 # (scenario, its table) per kind
 _SCENARIOS = {
     "pulse": (_scenario_pulse, {
-        "wavepacket": ((lambda v: v in ("exp_rising", "exp_decaying", "time_bin"),
-                        "'exp_rising', 'exp_decaying' or 'time_bin'"), "exp_rising"),
+        "wavepacket": ((lambda v: isinstance(v, str) and v in _WAVEPACKETS, " or ".join(map(repr, _WAVEPACKETS))),
+                       "exp_rising"),
         "gamma0": (_POSITIVE, GAMMA0),
         # t0 and span in units of 1/gamma0
         "t0": ((lambda v: v is None or _POSITIVE[0](v), "null or a finite number > 0"), 1.0,
@@ -711,7 +706,7 @@ _SCENARIOS = {
         "sources": (_SOURCES, ({"r0": 2e5, "delta": 1.2e8, "r_bs": 10.0}, {"r0": 4e3, "delta": 3e6, "r_bs": 20.0})),
         "k_list": (_numbers(1, MAX_K_LIST, _NONNEGATIVE[0], "finite numbers >= 0"), (0.03, 1.0, 3.8, 10.0, 100.0)),
         "p1": ((lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"), 0.25),
-        "n_max": (_integer(1, 64), 20),
+        "n_max": (_integer(1, MAX_INPUTS), 20),
     }),
     "validate": (_scenario_validate, {}),
     "fig3e": (_fig_decay, _NOISE),

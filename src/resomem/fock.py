@@ -20,8 +20,8 @@ from .errors import ContractError, DimensionError, DomainError
 DEFAULT_DIM = 60
 
 NORM_TOL = 1e-9
-# Fock weight a truncation may drop (a squeezed constructor raises above it)
-# or leave in the top levels (noise warns above it)
+# Fock weight a squeezed constructor's cut may drop (it raises above it); a
+# cut is judged only where it is made, as the noise channel is exact on it
 EDGE_WEIGHT_TOL = 1e-6
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
@@ -55,11 +55,6 @@ class FockVector:
 
     def to_density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(self.dim, np.outer(self.amp, self.amp.conj()))
-
-    def overlap(self, other: "FockVector") -> complex:
-        if other.dim != self.dim:
-            raise DimensionError("dimension mismatch")
-        return complex(np.vdot(self.amp, other.amp))
 
 
 @dataclass(frozen=True)
@@ -299,16 +294,13 @@ def vacuum(dim: int = DEFAULT_DIM) -> FockVector:
 # fidelity
 
 def fidelity(a, b) -> float:
-    """|<a|b>|^2 for pure states, Uhlmann fidelity when either is mixed.
+    """<psi|rho|psi> when either state is pure (|<a|b>|^2 when both are),
+    Uhlmann fidelity when both are mixed.
 
     Clamped to at most 1 by np.minimum, which keeps NaN: a state holding NaN
     gets fidelity NaN, which fails every threshold check."""
     pure_a = isinstance(a, FockVector)
     pure_b = isinstance(b, FockVector)
-    if pure_a and pure_b:
-        if a.dim != b.dim:
-            raise DimensionError("dimension mismatch")
-        return float(np.minimum(1.0, abs(a.overlap(b)) ** 2))
     ra, rb = as_density_matrix(a), as_density_matrix(b)
     if ra.dim != rb.dim:
         raise DimensionError("dimension mismatch")

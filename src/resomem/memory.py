@@ -197,12 +197,14 @@ def simulate_network(sched: CouplingSchedule) -> NetworkResult:
     # b_i -> final a weight; initial a -> out_i weight
     w_in = s * np.exp(-after / 2)
     v_out = -s * np.exp(-before / 2)
-    # analytic modes at the slice centres: g_in ~ sqrt(gamma)/F, g_out ~ sqrt(gamma) F
-    u_in = np.sqrt(gw) * np.exp(-(after + gw / 2) / 2)
-    u_out = np.sqrt(gw) * np.exp(-(before + gw / 2) / 2)
     win_norm = np.linalg.norm(w_in)
     if win_norm == 0:
         return NetworkResult(eff_Tf, 1.0, 1.0, None)
+    # analytic modes at the slice centres, g_in ~ sqrt(gamma)/F and g_out ~ sqrt(gamma) F; each
+    # exponent is shifted to peak at 0 over the slices with gw > 0 (some exist, as w_in is not 0;
+    # the others carry neither mode), so a mode whose every sample would underflow keeps its shape
+    expo = np.where(gw > 0, -(np.stack((after, before)) + gw / 2) / 2, -np.inf)
+    u_in, u_out = np.sqrt(gw) * np.exp(expo - expo.max(axis=1, keepdims=True))
     in_overlap = float(np.dot(u_in / np.linalg.norm(u_in), w_in / win_norm) ** 2)
     vnorm = np.linalg.norm(v_out)
     out_overlap = float(np.dot(u_out / np.linalg.norm(u_out), -v_out / vnorm) ** 2)

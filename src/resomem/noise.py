@@ -15,13 +15,12 @@ against an independent RK4 integration of that equation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalAccuracyWarning
-from .fock import EDGE_WEIGHT_TOL, DensityMatrix, as_density_matrix, log_factorial
+from .errors import DomainError
+from .fock import DensityMatrix, as_density_matrix, log_factorial
 
 
 @dataclass(frozen=True)
@@ -56,19 +55,17 @@ class CoherenceSeries:
 
 
 def evolve_closed_form(rho: DensityMatrix, t: float, params: NoiseParams) -> DensityMatrix:
-    """Evolve `rho` for time t under amplitude damping (T1) and dephasing (Tphi)."""
+    """Evolve `rho` for time t under amplitude damping (T1) and dephasing (Tphi).
+
+    Damping only lowers n, so the channel maps the span of |0> .. |dim-1> into
+    itself: the result is exact on the cut, the evolution at any larger dim
+    with zeros outside."""
     if not (math.isfinite(t) and t >= 0):  # an infinite or NaN t gives a NaN state
         raise DomainError(f"t={t} must be finite and >= 0")
     rho.require_normalized()
     if t == 0:
         return rho
     dim = rho.dim
-    edge = float(np.sum(np.diag(rho.rho).real[-5:])) if dim > 5 else 0.0
-    if edge > EDGE_WEIGHT_TOL:
-        warnings.warn(
-            f"weight {edge:.2e} in the top 5 Fock levels; the k-sum is truncated there",
-            NumericalAccuracyWarning,
-        )
     n = np.arange(dim)
     # an infinite lifetime switches its channel off: its exponents read t = 0, as
     # n t / T1 would be inf/inf = NaN where n t overflows
@@ -136,7 +133,7 @@ def normalized_coherence(rho) -> float:
     r00 = rho.rho[0, 0].real
     r22 = rho.rho[2, 2].real
     r02 = abs(rho.rho[0, 2])
-    if r02 == 0:
+    if r02 == 0 or not r00 * r22 > 0:  # |rho02|^2 <= rho00 rho22: rho22 can underflow to 0 first
         raise DomainError("zero (0,2) coherence; R undefined")
     return float((r02 / np.sqrt(r00 * r22)) ** 0.25)
 

@@ -286,8 +286,14 @@ def test_store_readout_pulses_do_not_warn(tmp_path, Tf):
     ({"kind": "wigner", "state": {"type": "squeezed_single_photon", "alpha": 1e300, "dim": 40}}, 3),
     ({"kind": "breed", "alpha": 1e300, "dim": 40}, 3),
     ({"kind": "breed", "alpha": 1.7e308, "steps": 3}, 3),  # sqrt(steps + 1) * alpha overflows
+    # every sample of the analytic output mode underflows: its exponents are shifted to peak at 0
+    ({"kind": "pulse", "wavepacket": "exp_decaying", "Tf": 1e-12}, 0),
+    ({"kind": "pulse", "wavepacket": "time_bin", "points": 3, "t0": 0.5, "Tf": 1e-4}, 0),
+    ({"kind": "pulse", "wavepacket": "time_bin", "Tf": 1e-300}, 0),
+    ({"kind": "fig3e", "T1": 1e-9}, 3),  # rho22 underflows to 0 before rho02 does
 ], ids=["pulse", "pulse_long_time_bin", "store", "wigner", "wigner_cat", "tomo_cat", "store_cat", "fig4d",
-        "wigner_squeezed", "breed", "breed_final_amplitude"])
+        "wigner_squeezed", "breed", "breed_final_amplitude", "pulse_tiny_Tf", "pulse_three_points",
+        "pulse_Tf_1e-300", "fig3e_short_T1"])
 def test_overflow_prints_no_runtime_warning(tmp_path, capsys, config, code):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -318,9 +324,10 @@ def test_overflow_prints_no_runtime_warning(tmp_path, capsys, config, code):
     ({"kind": "store", "times": [1e-7] * 1000}, "times", 1000),
     ({"kind": "rates", "k_list": [1.0] * 1000}, "k_list", 1000),
     ({"kind": "rates", "sources": [{"r0": 4e3, "delta": 3e6, "r_bs": 20}] * 1000}, "sources", 1000),
+    ({"kind": "rates", "n_max": 64}, "n_max", 64),
 ], ids=["breed_steps", "breed_steps_vacuum", "bred_steps", "breed_dim", "fig4d_dim", "vacuum_dim", "fock_dim",
         "cat_dim", "squeezed_single_photon_dim", "bred_dim", "pulse_points", "tomo_n_frames", "wigner_xs", "wigner_ps",
-        "tomo_phases_deg", "store_times", "rates_k_list", "rates_sources"])
+        "tomo_phases_deg", "store_times", "rates_k_list", "rates_sources", "rates_n_max"])
 def test_sizes_are_capped_in_the_schema(config, key, cap):
     # the cap passes and one more is a config error that quotes it; only validated, never run
     cli.validate_config(config)
@@ -948,6 +955,38 @@ _RUNS = st.one_of(
                                                                       "r_bs": _FINITE}), max_size=3)}),
     st.just({"kind": "validate"}),
 )
+
+
+_LOG_LIFETIMES = st.floats(-12, -3).map(lambda e: 10.0**e) | st.just("Infinity")
+_LIFETIME_RESULTS = ("T1", "Tphi", "fit_T1", "fit_Tphi")
+_RELEASES = st.floats(-300, 0, exclude_max=True).map(lambda e: 10.0**e) | st.none()  # Tf in [1e-300, 1) or null
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.builds(_pulse, st.sampled_from(list(cli._WAVEPACKETS)), st.integers(3, 2001), st.just(cli.GAMMA0),
+              st.floats(0.5, 60), st.floats(0.01, 30), _RELEASES),
+    st.fixed_dictionaries({"kind": st.sampled_from(["fig3e", "store"]), "T1": _LOG_LIFETIMES, "Tphi": _LOG_LIFETIMES}),
+))
+@example({"kind": "pulse", "wavepacket": "exp_decaying", "Tf": 1e-12})
+@example({"kind": "pulse", "wavepacket": "time_bin", "points": 3, "t0": 0.5, "Tf": 1e-4})
+@example({"kind": "fig3e", "T1": 1e-9})
+def test_pulse_and_storage_runs_are_finite_or_refused(config):
+    # a run either writes finite numbers only, or stops with a numeric or config error; never a RuntimeWarning
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            manifest = read_manifest(cli.run_scenario(config, tmp))
+        except (cli.ResomemError, cli.ConfigError):
+            return
+        for key, value in manifest["results"].items():  # an infinite lifetime, given or fitted, reads "Infinity"
+            assert _is_finite_number(value) or (value == "Infinity" and key in _LIFETIME_RESULTS), (key, value)
+        for name in manifest["files"]:
+            assert np.isfinite(np.loadtxt(Path(tmp) / name, delimiter=",", skiprows=1, ndmin=2)).all(), name
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _reject_constant(name):

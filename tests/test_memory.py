@@ -241,6 +241,18 @@ def test_network_meets_Tf_at_default_points(kind, Tf):
     assert net.in_overlap >= 0.999 and net.out_overlap >= 0.999
 
 
+@pytest.mark.parametrize("kind", ["time_bin", "exp_decaying"])
+@pytest.mark.parametrize("Tf", [1e-12, 1e-300])
+def test_network_output_overlap_when_every_mode_sample_underflows(kind, Tf):
+    # the first slice's gamma * w is 3e7 or more, so e^{-gamma w / 4} underflows in every sample of
+    # the analytic output mode; shifted to peak at 0, the mode keeps its shape
+    t0 = 1.0 / GAMMA0
+    mode = make_mode("time_bin", points=20001, t0=t0) if kind == "time_bin" else make_mode(kind, 20001, 20.0)
+    net = rm.simulate_network(rm.entangle_pulse(mode, Tf))
+    assert net.out_overlap == pytest.approx(1.0, abs=1e-12)
+    assert 0 < net.in_overlap <= 1
+
+
 def test_network_converges_second_order():
     t0 = 1.0 / GAMMA0
     errs = [abs(rm.simulate_network(rm.entangle_pulse(make_mode("time_bin", points, t0=t0), 0.5)).effective_Tf - 0.5)

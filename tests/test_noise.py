@@ -80,9 +80,8 @@ def test_pure_dephasing_coherence_factor():
 
 def test_semigroup_property():
     rho = random_state(3)
-    with pytest.warns(NumericalAccuracyWarning):
-        a = rm.evolve_closed_form(rm.evolve_closed_form(rho, 1e-6, PARAMS), 0.5e-6, PARAMS)
-        b = rm.evolve_closed_form(rho, 1.5e-6, PARAMS)
+    a = rm.evolve_closed_form(rm.evolve_closed_form(rho, 1e-6, PARAMS), 0.5e-6, PARAMS)
+    b = rm.evolve_closed_form(rho, 1.5e-6, PARAMS)
     assert np.max(np.abs(a.rho - b.rho)) < 1e-9
 
 
@@ -161,10 +160,22 @@ def test_fit_Tphi_constant_returns_inf():
     assert rm.fit_Tphi(rhos, t) == np.inf
 
 
-def test_edge_weight_warning():
-    rho = rm.DensityMatrix(6, np.diag([0, 0, 0, 0, 0, 1.0]).astype(complex))
-    with pytest.warns(NumericalAccuracyWarning):
-        rm.evolve_closed_form(rho, 1e-7, PARAMS)
+@pytest.mark.parametrize("T1_, Tphi", [(T1, TPHI), (math.inf, TPHI), (T1, math.inf), (math.inf, math.inf),
+                                       (1e-9, 1e-9)])
+def test_channel_is_exact_on_the_cut(T1_, Tphi):
+    # damping only lowers n: the evolution at dim d is, bit for bit, that of the state zero-padded
+    # to a larger dim, with zeros outside the kept block, however much weight sits at the top
+    params = rm.NoiseParams(T1_, Tphi)
+    top = rm.fock_basis_state(5, 6).to_density_matrix()
+    for rho in [top, *(random_state(seed, dim) for seed, dim in enumerate((7, 16, 40)))]:
+        dim = rho.dim
+        out = rm.evolve_closed_form(rho, 1e-6, params).rho
+        for pad in (1, 7, 30):
+            padded = np.zeros((dim + pad, dim + pad), complex)
+            padded[:dim, :dim] = rho.rho
+            big = rm.evolve_closed_form(rm.DensityMatrix(dim + pad, padded), 1e-6, params).rho
+            assert np.array_equal(big[:dim, :dim], out), (dim, pad)
+            assert not big[dim:].any() and not big[:, dim:].any(), (dim, pad)
 
 
 def test_params_validation():
