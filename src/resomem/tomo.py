@@ -11,7 +11,13 @@ psi_m(x) psi_n(x) = sum_k T[k, (m, n)] psi_k(sqrt2 x), the diagonal of the
 phi(x) the 2 dim - 1 functions psi_k(sqrt2 x), and the ML operator
 R = sum_theta conj(F_theta) o unvec(T^T Phi_theta (c / pr)): each sample
 costs 2 dim - 1 instead of dim^2, and every contraction over the samples is
-real.
+real. Every frame is binned once, and all phases share one table phi, taken
+at the union U of the bins any frame occupies. One product
+Re(rho o F) T^T phi over the stack of the P phases gives pr at every
+(phase, bin) cell of U. R is one product back and one sum over the stack.
+Neither loops over phases. A cell no frame occupies still costs
+2 (2 dim - 1) multiplications per evaluation, which is most of the work when
+each phase has few frames.
 
 R is the gradient of the log-likelihood L(rho) = sum c log pr, and Tr(R rho)
 = N for N frames. L is concave, so L_max - L(rho) <= lambda_max(R) - N
@@ -25,6 +31,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,43 +129,72 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     return HomodyneDataset(frame_phase, xs)
 
 
-def _binned_projectors(data: HomodyneDataset, dim: int) -> tuple[np.ndarray, list]:
-    """Bin samples onto the projection grid (bin width PROJECTION_GRID_STEP,
-    far below the sampling noise) per phase; returns (T, bins): T the dense
-    product table (2 dim - 1, dim^2) of `gates.product_table`, built here, once
-    per call, and one (F_theta, phi, counts) per phase, phi the functions
-    psi_k(sqrt2 x) of the occupied bins, shape (2 dim - 1, n_bins). T holds
-    (2 dim - 1) dim^2 numbers, 0.42 MB at MLE_MAX_DIM."""
+class _BinnedModel(NamedTuple):
+    """Binned homodyne data for the ML loop. T is the dense product table
+    (2 dim - 1, dim^2) of `gates.product_table`: (2 dim - 1) dim^2 numbers,
+    0.42 MB at MLE_MAX_DIM. F stacks the F_theta of the P distinct phases,
+    shape (P, dim, dim). phi is the one Hermite table every phase shares:
+    psi_k(sqrt2 x) at the union U of the bins any frame occupies, shape
+    (2 dim - 1, |U|). Each occupied (phase, bin) pair is the flat index
+    p |U| + u into a P x |U| array, in `flat` (sorted), with its frame count
+    in `counts`."""
+
+    T: np.ndarray
+    F: np.ndarray
+    phi: np.ndarray
+    flat: np.ndarray
+    counts: np.ndarray
+
+
+def _binned_projectors(data: HomodyneDataset, dim: int) -> _BinnedModel:
+    """Bin every frame once onto the projection grid (bin width
+    PROJECTION_GRID_STEP, far below the sampling noise): one sort of the
+    (phase, bin) keys of all frames gives the occupied pairs and their counts,
+    their bins the union U, and one `hermite_functions` call its table phi.
+    Every phase shares phi, so `_log_likelihood` and `_ml_operator` each
+    evaluate all phases in one product. T is built here, once per call."""
     if dim > MLE_MAX_DIM:
         raise DomainError(f"dim must be <= MLE_MAX_DIM = {MLE_MAX_DIM}")
-    T = product_table(dim)
-    bins = []
-    for theta in data.phase_set:
-        x = data.xs[data.thetas == theta]
-        idx = np.round(x / PROJECTION_GRID_STEP).astype(np.int64)
-        uniq, cnt = np.unique(idx, return_counts=True)
-        phi = hermite_functions(np.sqrt(2.0) * (uniq * PROJECTION_GRID_STEP), 2 * dim - 1)
-        bins.append((phase_matrix(theta, dim), phi, cnt.astype(float)))
-    return T, bins
+    phases = data.phase_set
+    idx = np.round(data.xs / PROJECTION_GRID_STEP).astype(np.int64)
+    lo = int(idx.min())
+    span = int(idx.max()) - lo + 1
+    if len(phases) * span > np.iinfo(np.int64).max:
+        raise DomainError(f"samples span {span} bins at {len(phases)} phases: too many to index")
+    key = np.searchsorted(phases, data.thetas)  # in place below: one frame-sized array beside idx
+    key *= span
+    key += idx
+    key -= lo
+    del idx
+    pairs, counts = np.unique(key, return_counts=True)
+    p, b = np.divmod(pairs, span)
+    union, u = np.unique(b, return_inverse=True)
+    phi = hermite_functions(np.sqrt(2.0) * ((union + lo) * PROJECTION_GRID_STEP), 2 * dim - 1)
+    return _BinnedModel(product_table(dim), phase_matrix(phases, dim), phi, p * len(union) + u,
+                        counts.astype(float))
 
 
-def _log_likelihood(model: tuple, rho: np.ndarray) -> tuple[float, list]:
-    """Binned log-likelihood sum c log pr of `rho` under the (T, bins) of
-    `_binned_projectors`, and the densities pr of the occupied bins per phase
-    (floored at 1e-300)."""
-    T, bins = model
-    prs = [np.maximum((T @ (rho * F).real.ravel()) @ phi, 1e-300) for F, phi, _ in bins]
-    return float(sum(np.sum(cnt * np.log(pr)) for (_, _, cnt), pr in zip(bins, prs))), prs
+def _log_likelihood(model: _BinnedModel, rho: np.ndarray) -> tuple[float, np.ndarray]:
+    """Binned log-likelihood sum c log pr of `rho` under the model of
+    `_binned_projectors`, and the densities pr of the occupied (phase, bin)
+    pairs (floored at 1e-300). One product Re(rho o F) T^T phi evaluates
+    every phase at every bin of U; pr is read from it at the occupied pairs."""
+    T, F, phi, flat, counts = model
+    V = (rho * F).real.reshape(len(F), -1)
+    pr = np.maximum(((V @ T.T) @ phi).ravel()[flat], 1e-300)
+    return float(counts @ np.log(pr)), pr
 
 
-def _ml_operator(model: tuple, prs: list) -> np.ndarray:
+def _ml_operator(model: _BinnedModel, pr: np.ndarray) -> np.ndarray:
     """R = sum_theta conj(F_theta) o unvec(T^T Phi_theta (c / pr)), the
-    gradient of the log-likelihood with respect to rho; Tr(R rho) = N."""
-    T, bins = model
-    return sum(
-        F.conj() * (T.T @ (phi @ (cnt / pr))).reshape(F.shape)
-        for (F, phi, cnt), pr in zip(bins, prs)
-    )
+    gradient of the log-likelihood with respect to rho; Tr(R rho) = N. c / pr
+    is scattered into the P x |U| array W, and G = W phi^T T holds
+    vec T^T Phi_theta (c / pr) of every phase in its rows."""
+    T, F, phi, flat, counts = model
+    W = np.zeros(len(F) * phi.shape[1])
+    W[flat] = counts / pr
+    G = (W.reshape(len(F), -1) @ phi.T) @ T
+    return np.einsum("pij,pij->ij", F, G.reshape(F.shape)).conj()  # G is real
 
 
 def _gap(R: np.ndarray, n_frames: int) -> float:
@@ -214,18 +250,18 @@ def mle_reconstruct(data: HomodyneDataset, dim: int, iterations: int = 300) -> D
     if dim < 2:
         raise DimensionError("dim must be >= 2")
     model = _binned_projectors(data, dim)  # refuses dim > MLE_MAX_DIM
-    if len(data.phase_set) < 2:
+    if len(model.F) < 2:
         warnings.warn("single measurement phase: reconstruction is ill-conditioned", NumericalAccuracyWarning)
     n = len(data)
 
-    def gradient(A, prs):
-        R = _ml_operator(model, prs)
+    def gradient(A, pr):
+        R = _ml_operator(model, pr)
         return 2.0 * (n * A - R @ A) / (n * _dot(A, A)), _gap(R, n)
 
     A = np.eye(dim, dtype=complex) / np.sqrt(dim)
     rho = _normalized(A)
-    ll, prs = _log_likelihood(model, rho)
-    grad, gap = gradient(A, prs)
+    ll, pr = _log_likelihood(model, rho)
+    grad, gap = gradient(A, pr)
     pairs = deque(maxlen=_LBFGS_PAIRS)
     for _ in range(iterations):
         if gap <= MLE_GAP:
@@ -236,7 +272,7 @@ def mle_reconstruct(data: HomodyneDataset, dim: int, iterations: int = 300) -> D
         for _ in range(40):
             trial = A + t * direction
             rho_t = _normalized(trial)
-            ll_t, prs_t = _log_likelihood(model, rho_t)
+            ll_t, pr_t = _log_likelihood(model, rho_t)
             if ll_t >= ll - _ARMIJO * t * slope:
                 break
             t /= 2
@@ -244,7 +280,7 @@ def mle_reconstruct(data: HomodyneDataset, dim: int, iterations: int = 300) -> D
             break  # no increase left at double precision
         if ll_t < ll - 1e-9 * abs(ll):  # the Armijo test lets this through only if slope >= 0
             raise ContractError("MLE log-likelihood decreased")
-        grad_t, gap = gradient(trial, prs_t)
+        grad_t, gap = gradient(trial, pr_t)
         s, y = trial - A, grad_t - grad
         if _dot(s, y) > 0:
             pairs.append((s, y, 1.0 / _dot(s, y)))

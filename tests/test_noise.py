@@ -6,7 +6,7 @@ import pytest
 
 import resomem as rm
 from oracles import annihilation_operator, check_physical, lindblad_oracle
-from resomem.errors import DomainError, NumericalAccuracyWarning
+from resomem.errors import DomainError
 from resomem.gates import beamsplitter_apply
 from resomem.noise import normalized_coherence
 
@@ -41,7 +41,6 @@ def test_one_photon_decay():
     assert out.rho[0, 0].real == pytest.approx(1 - np.exp(-1), abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::resomem.errors.NumericalAccuracyWarning")
 def test_closed_form_vs_lindblad_oracle():
     for seed in range(10):
         rho = random_state(seed)
@@ -195,7 +194,6 @@ def test_infinite_lifetime_at_the_float_range_edge(T1_, Tphi):
     # n t and (n - m)^2 t overflow to inf at t = 1.7e308; an infinite lifetime still switches its channel off
     rho = random_state(4)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NumericalAccuracyWarning)
         warnings.simplefilter("error", RuntimeWarning)
         out = rm.evolve_closed_form(rho, 1.7e308, rm.NoiseParams(T1_, Tphi))
     if math.isinf(T1_):  # the diagonal stays; infinite Tphi keeps the coherences, finite Tphi ends them
