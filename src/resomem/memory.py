@@ -120,14 +120,15 @@ def standard_wavepacket(kind: str, gamma0: float, grid, t0: float | None = None)
     return TemporalMode(t, g / norm)
 
 
-def _coupling(mode: TemporalMode, Tf: float | None, warning: str = "") -> CouplingSchedule:
+def _coupling(mode: TemporalMode, Tf: float | None) -> CouplingSchedule:
     """The one design relation gamma = g^2 / D.
 
     Absorbing (Tf in [0, 1)): D = Tf/(1-Tf) + int_{t0}^t g^2.
     Releasing (Tf None):      D = int_t^end g^2, and gamma = 0 where D < NORM_TRUNCATION.
     D reaches 0 only when absorbing with Tf = 0 (at the support onset) or when
     releasing (at the support end); there gamma is clipped at GAMMA_CAP_FACTOR
-    times the peak of g^2, and `warning` is raised when the clipped samples
+    times the peak of g^2, and a NumericalAccuracyWarning naming the pulse
+    (write for Tf = 0, read for Tf None) is raised when the clipped samples
     carry more than NORM_TRUNCATION of int g^2 = 1.  With Tf > 0 the schedule
     is finite (peak g(0)^2 (1-Tf)/Tf) and never clipped.
     """
@@ -144,20 +145,21 @@ def _coupling(mode: TemporalMode, Tf: float | None, warning: str = "") -> Coupli
         return CouplingSchedule(mode.t, gam)
     cap = GAMMA_CAP_FACTOR * float(np.max(g2))
     if np.sum(g2[gam > cap]) * mode.dt > NORM_TRUNCATION:
-        warnings.warn(warning, NumericalAccuracyWarning)
+        warnings.warn("read_pulse: gamma capped near support end" if Tf is None
+                      else "write_pulse: gamma capped at support onset", NumericalAccuracyWarning)
     return CouplingSchedule(mode.t, np.minimum(gam, cap))
 
 
 def write_pulse(g_in: TemporalMode) -> CouplingSchedule:
     """gamma(t) = g_in^2 / int_{-inf}^t g_in^2; absorbs the wavepacket fully."""
-    return _coupling(g_in, 0.0, "write_pulse: gamma capped at support onset")
+    return _coupling(g_in, 0.0)
 
 
 def read_pulse(g_out: TemporalMode) -> CouplingSchedule:
     """gamma(t) = g_out^2 / int_t^inf g_out^2; releases the stored state into
     g_out.  The tail where the remaining norm is below the truncation
     threshold is zeroed."""
-    return _coupling(g_out, None, "read_pulse: gamma capped near support end")
+    return _coupling(g_out, None)
 
 
 def entangle_pulse(g_in: TemporalMode, Tf: float) -> CouplingSchedule:

@@ -2,6 +2,9 @@
 PCA temporal-mode extraction from time traces, and maximum-likelihood state
 reconstruction that stops at a certified optimum.
 
+A `HomodyneDataset` records its phase cycle: frame i was measured at
+phases[i % P], and a phase listed twice is two slots, drawn once each.
+
 Every quadrature bra is <x_theta| = e^{i n theta} psi_n(x) with real Hermite
 functions psi_n, so the density is pr(x) = psi(x)^T Re(rho o F_theta) psi(x)
 with F_theta[m, n] = e^{i (m - n) theta}. The product rule
@@ -57,26 +60,33 @@ MLE_MAX_DIM = 30
 
 @dataclass(frozen=True)
 class HomodyneDataset:
-    """Quadrature samples: frame i was measured at phase thetas[i] (radians)
-    with outcome xs[i]."""
+    """Quadrature samples xs[i], frame i measured at phases[i % P] (radians,
+    P = len(phases) <= len(xs); a per-frame record has P = len(xs))."""
 
-    thetas: np.ndarray
+    phases: np.ndarray
     xs: np.ndarray
 
     def __post_init__(self):
-        th = np.asarray(self.thetas, dtype=float)
+        phases = np.asarray(self.phases, dtype=float)
         xs = np.asarray(self.xs, dtype=float)
-        if th.shape != xs.shape or th.ndim != 1:
-            raise DomainError("thetas and xs must be matching 1d arrays")
-        object.__setattr__(self, "thetas", th)
+        if phases.ndim != 1 or xs.ndim != 1 or len(phases) > len(xs) or len(phases) == 0 < len(xs):
+            raise DomainError("phases must be a 1d cycle of 1 to len(xs) entries, xs a 1d array")
+        for name, a in (("phases", phases), ("xs", xs)):
+            if not np.all(np.isfinite(a)):
+                raise DomainError(f"{name} must be finite")
+        object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "xs", xs)
 
     def __len__(self) -> int:
         return len(self.xs)
 
     @property
+    def thetas(self) -> np.ndarray:
+        return np.resize(self.phases, len(self.xs))
+
+    @property
     def phase_set(self) -> np.ndarray:
-        return np.unique(self.thetas)
+        return np.unique(self.phases)
 
 
 @dataclass(frozen=True)
@@ -108,25 +118,25 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     """Draw n_frames quadrature samples, cycling round-robin through `phases`
     (radians), each drawn from marginal(rho, theta) by inverse CDF on the
     projection grid, [-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND] at
-    PROJECTION_GRID_STEP. One `marginal` call gives the densities of every
-    phase."""
+    PROJECTION_GRID_STEP. One `marginal` call gives a row per phase, and
+    slot j, the frames xs[j::P], draws from row j, in list order. Phases past
+    the n_frames-th get no frame and are not recorded."""
     rho = as_density_matrix(rho)
     rho.require_normalized()
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or len(phases) == 0:
         raise DomainError("phases must be a nonempty 1d array")
+    phases = phases[:n_frames]
     grid = np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND,
                        int(round(2 * PROJECTION_GRID_BOUND / PROJECTION_GRID_STEP)) + 1)
     rng = np.random.default_rng(seed)
-    frame_phase = np.resize(phases, n_frames)
     xs = np.empty(n_frames)
-    for theta, dens in zip(phases, marginal(rho, phases, grid)):
-        sel = frame_phase == theta
+    for j, dens in enumerate(marginal(rho, phases, grid)):
         cdf = np.cumsum(dens)
         cdf = cdf / cdf[-1]
-        u = rng.random(int(np.sum(sel)))
-        xs[sel] = np.interp(u, cdf, grid)
-    return HomodyneDataset(frame_phase, xs)
+        slot = xs[j::len(phases)]
+        slot[:] = np.interp(rng.random(len(slot)), cdf, grid)
+    return HomodyneDataset(phases, xs)
 
 
 class _BinnedModel(NamedTuple):
@@ -148,24 +158,25 @@ class _BinnedModel(NamedTuple):
 
 def _binned_projectors(data: HomodyneDataset, dim: int) -> _BinnedModel:
     """Bin every frame once onto the projection grid (bin width
-    PROJECTION_GRID_STEP, far below the sampling noise): one sort of the
-    (phase, bin) keys of all frames gives the occupied pairs and their counts,
+    PROJECTION_GRID_STEP, far below the sampling noise). Frame i's key is its
+    bin plus the offset of slot i % P's distinct phase; one sort of the keys
+    of all frames gives the occupied (phase, bin) pairs and their counts,
     their bins the union U, and one `hermite_functions` call its table phi.
     Every phase shares phi, so `_log_likelihood` and `_ml_operator` each
     evaluate all phases in one product. T is built here, once per call."""
     if dim > MLE_MAX_DIM:
         raise DomainError(f"dim must be <= MLE_MAX_DIM = {MLE_MAX_DIM}")
-    phases = data.phase_set
-    idx = np.round(data.xs / PROJECTION_GRID_STEP).astype(np.int64)
-    lo = int(idx.min())
-    span = int(idx.max()) - lo + 1
+    phases, slot = np.unique(data.phases, return_inverse=True)
+    key = np.round(data.xs / PROJECTION_GRID_STEP).astype(np.int64)
+    lo = int(key.min())
+    span = int(key.max()) - lo + 1
     if len(phases) * span > np.iinfo(np.int64).max:
         raise DomainError(f"samples span {span} bins at {len(phases)} phases: too many to index")
-    key = np.searchsorted(phases, data.thetas)  # in place below: one frame-sized array beside idx
-    key *= span
-    key += idx
     key -= lo
-    del idx
+    offset = slot * span  # frame i takes slot i % P's, in place: whole cycles, then the tail
+    whole = len(key) - len(key) % len(offset)
+    key[:whole].reshape(-1, len(offset))[...] += offset
+    key[whole:] += offset[:len(key) - whole]
     pairs, counts = np.unique(key, return_counts=True)
     p, b = np.divmod(pairs, span)
     union, u = np.unique(b, return_inverse=True)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -22,7 +23,17 @@ from resomem.fock import cat_state
 from resomem.noise import NoiseParams, evolve_closed_form
 from resomem.wigner import WignerGrid, wigner_grid
 
-pytestmark = pytest.mark.filterwarnings("ignore::resomem.errors.NumericalAccuracyWarning")
+pytestmark = pytest.mark.filterwarnings("error::resomem.errors.NumericalAccuracyWarning")
+
+
+@contextlib.contextmanager
+def accuracy_warnings_ignored():
+    """Ignore NumericalAccuracyWarning, for the runs that raise it by design.
+    A test's own filterwarnings mark cannot: pytest applies the module's mark
+    after it, so the module's error filter matches first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cli.NumericalAccuracyWarning)
+        yield
 
 
 def read_manifest(path):
@@ -108,8 +119,9 @@ def test_wigner_scenario_format(tmp_path):
 def test_determinism_byte_identical(tmp_path):
     cfg = {"kind": "tomo", "state": {"type": "fock", "n": 1, "dim": 12}, "n_frames": 3000, "dim": 12, "iterations": 30, "seed": 5}
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    cli.run_scenario(dict(cfg), d1)
-    cli.run_scenario(dict(cfg), d2)
+    with accuracy_warnings_ignored():  # 30 iterations stop short of the certified optimum
+        cli.run_scenario(dict(cfg), d1)
+        cli.run_scenario(dict(cfg), d2)
     for f in sorted(d1.iterdir()):
         if f.name == "manifest.json":
             assert read_manifest(f)["files"] == read_manifest(d2 / f.name)["files"]
@@ -621,8 +633,9 @@ def test_tomo_of_a_larger_input_state(tmp_path):
 def test_seed_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "tomo", "state": {"type": "vacuum", "dim": 8}, "n_frames": 2000, "dim": 8, "iterations": 10, "seed": 1}))
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o1"), "--seed", "2"]) == 0
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o2"), "--seed", "3"]) == 0
+    with accuracy_warnings_ignored():  # 10 iterations stop short of the certified optimum
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o1"), "--seed", "2"]) == 0
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o2"), "--seed", "3"]) == 0
     assert (tmp_path / "o1" / "samples.csv").read_bytes() != (tmp_path / "o2" / "samples.csv").read_bytes()
 
 
@@ -878,9 +891,12 @@ def test_perfbench_tracer_spans_one_pulse(tmp_path, monkeypatch, wavepacket):
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
+    # the time-bin read pulse is capped near its support end and misses target_Tf
+    quiet = accuracy_warnings_ignored() if wavepacket == "time_bin" else contextlib.nullcontext()
     try:
         tracer.install()
-        cli.run_scenario({"kind": "pulse", "wavepacket": wavepacket, "points": 1001}, tmp_path)
+        with quiet:
+            cli.run_scenario({"kind": "pulse", "wavepacket": wavepacket, "points": 1001}, tmp_path)
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
@@ -973,7 +989,7 @@ _RELEASES = st.floats(-300, 0, exclude_max=True).map(lambda e: 10.0**e) | st.non
 @example({"kind": "fig3e", "T1": 1e-9})
 def test_pulse_and_storage_runs_are_finite_or_refused(config):
     # a run either writes finite numbers only, or stops with a numeric or config error; never a RuntimeWarning
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+    with tempfile.TemporaryDirectory() as tmp, accuracy_warnings_ignored():
         warnings.simplefilter("error", RuntimeWarning)
         try:
             manifest = read_manifest(cli.run_scenario(config, tmp))
@@ -1001,7 +1017,7 @@ def test_small_runs_exit_cleanly_with_strict_json_manifests(config):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         path.write_text(json.dumps(config))
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), accuracy_warnings_ignored():
             code = cli.main(["--config", str(path), "--out", str(out)])
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), config
         if (out / "manifest.json").exists():

@@ -195,6 +195,47 @@ def test_binning_refuses_keys_past_int64():
         _binned_projectors(HomodyneDataset(thetas, xs), 4)
 
 
+def test_dataset_refuses_non_finite_data():
+    thetas, xs = np.resize(PHASES, 3000), np.zeros(3000)
+    xs[5] = np.nan
+    with pytest.raises(DomainError, match="xs must be finite"):
+        HomodyneDataset(thetas, xs)
+    with pytest.raises(DomainError, match="phases must be finite"):
+        HomodyneDataset([0.0, np.inf, 1.0], np.zeros(3000))
+
+
+def test_repeated_phase_draws_each_slot_once_from_one_stream():
+    phases = np.deg2rad([150.0, 0.0, 60.0, 0.0, 90.0])
+    cat = rm.cat_state(1.0, -1, 20)
+    data = rm.sample_homodyne(cat, phases, 2003, seed=3)
+    # slot j, frames j, j + 5, ..., draws from row j of one marginal call, in list order
+    grid = np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND,
+                       int(round(2 * PROJECTION_GRID_BOUND / PROJECTION_GRID_STEP)) + 1)
+    rng = np.random.default_rng(3)
+    ref = np.empty(2003)
+    for j, dens in enumerate(rm.marginal(cat, phases, grid)):
+        cdf = np.cumsum(dens)
+        ref[j::5] = np.interp(rng.random(len(range(j, 2003, 5))), cdf / cdf[-1], grid)
+    assert np.array_equal(data.xs, ref)
+    assert np.array_equal(data.phases, phases) and np.array_equal(data.thetas, np.resize(phases, 2003))
+
+
+def test_cycle_bins_as_its_per_frame_record():
+    cat = rm.cat_state(1.0, -1, 20)
+    data = rm.sample_homodyne(cat, np.deg2rad([150.0, 0.0, 60.0, 0.0, 90.0]), 6003, seed=4)  # a 3-frame tail
+    per_frame = HomodyneDataset(data.thetas, data.xs)
+    assert len(per_frame.phases) == len(data) and np.array_equal(per_frame.phase_set, data.phase_set)
+    for cycled, listed in zip(_binned_projectors(data, 12), _binned_projectors(per_frame, 12)):
+        assert np.array_equal(cycled, listed)
+
+
+def test_phases_without_a_frame_are_not_recorded():
+    data = rm.sample_homodyne(rm.vacuum(6), PHASES, 4, seed=1)
+    assert np.array_equal(data.phases, PHASES[:4]) and len(data) == 4
+    with pytest.raises(DomainError, match="cycle"):
+        HomodyneDataset(PHASES, np.zeros(4))
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("state", [
     rm.squeezed_single_photon(rm.cat_squeezing_for_alpha(1.0), 20),
