@@ -5,7 +5,7 @@ Step k mixes the memory with a fresh input on transmittance T_k = k/(k+1) and
 conditions the output port: p = 0 for cat breeding, x = 0 for GKP breeding.
 In the quadrature picture the step is a pointwise product of wavefunctions,
 evaluated exactly by `gates.condition_on_quadrature` for pure and mixed
-memories, ideal projections and acceptance windows alike.
+memories and inputs, ideal projections and acceptance windows alike.
 The x = 0 projection is exact for superpositions of imaginary-axis coherent
 states (<x=0|i gamma> = pi^{-1/4} for every real gamma), so the GKP closed
 forms are reproduced to machine precision. The cat closed form is only the
@@ -74,24 +74,22 @@ class BreedingTrajectory:
     success_densities: list  # length steps
 
 
-def breed_step(memory, input_state: FockVector, k: int, protocol: str, window=None):
+def breed_step(memory, input_state, k: int, protocol: str, window=None):
     """One breeding step: beamsplitter T_k = k/(k+1), then condition the
     output port on the protocol's quadrature, ideally at 0 or over `window`.
 
-    `memory` may be pure or mixed. Returns (normalized survivor
-    DensityMatrix, success density or window acceptance probability).
+    `memory` and `input_state` are each a FockVector or a DensityMatrix. Returns
+    (normalized survivor DensityMatrix, success density or window acceptance probability).
     """
     if k < 1:
         raise DomainError("step index k must be >= 1")
     if protocol not in PROJECTION_THETA:
         raise DomainError(f"unknown protocol {protocol!r}")
-    mem = as_density_matrix(memory)
-    out, total = condition_on_quadrature(
-        mem.rho, input_state.amp, k / (k + 1), PROJECTION_THETA[protocol], *projection_rule(window)
-    )
+    ports = [s.amp if isinstance(s, FockVector) else s.rho for s in (memory, input_state)]
+    out, total = condition_on_quadrature(*ports, k / (k + 1), PROJECTION_THETA[protocol], *projection_rule(window))
     if total <= 0:
         raise DomainError("zero success density; conditioning annihilated the state")
-    return DensityMatrix(mem.dim, out / total), total
+    return DensityMatrix(memory.dim, out / total), total
 
 
 def run_breeding(plan: BreedingPlan) -> BreedingTrajectory:

@@ -263,37 +263,44 @@ def projection_rule(window: tuple[float, float] | None = None):
     return (mid[:, None] + half * x).ravel(), np.tile(half * w, panels)
 
 
+def _eigen_factors(state) -> np.ndarray:
+    """F with F F^dag = rho, shape (dim, rank); amplitudes are their own single column."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        return state[:, None]
+    lam, vec = np.linalg.eigh((state + state.conj().T) / 2)
+    keep = lam > 1e-12 * lam[-1]
+    return vec[:, keep] * np.sqrt(lam[keep])
+
+
 def condition_on_quadrature(
-    rho: np.ndarray,
+    memory: np.ndarray,
     ancilla: np.ndarray,
     T: float,
     theta: float,
     nodes: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """Mix `rho` (mode A) with the pure `ancilla` (mode B) on a beamsplitter
-    of transmittance T, project B on x_theta = x_g for each outcome node and
-    sum: returns (sum_g w_g K(x_g) rho K(x_g)^dag, its trace).
-
-    On x_theta wavefunctions the beamsplitter only rotates the arguments:
+    """Mix `memory` (mode A) with `ancilla` (mode B), each amplitudes (1-d) or a
+    density matrix (2-d), on a beamsplitter of transmittance T, project B on
+    x_theta = x_g for each outcome node and sum over the nodes and both ports'
+    eigen-factors F (rho = F F^dag; a density matrix keeps the eigenvalues of
+    its Hermitian part above 1e-12 of the largest): returns (the unnormalized
+    conditioned memory, its trace). For a memory column psi and an ancilla column phi,
         (K(x0) psi)(x) = psi(sqrt(T) x - sqrt(1-T) x0) phi(sqrt(1-T) x + sqrt(T) x0),
-    phi being the ancilla's. The Fock amplitudes of K(x0) psi are integrals
-    of a polynomial of degree <= 3(dim-1) times e^{-x^2}, so Gauss-Hermite
-    quadrature gives them exactly; only the output is truncated to `dim`.
-    rho enters through its eigen-factors, rho = F F^dag. The factors and the
-    ancilla carry the phase e^{i n theta}, the sum is rotated back by
-    conj(F_theta), and the nodes are summed NODE_BLOCK at a time, with the
-    memory and the ancilla table of a block from one `hermite_functions` call.
+    as the beamsplitter only rotates x_theta wavefunctions' arguments. The Fock
+    amplitudes of K(x0) psi are integrals of a polynomial of degree <= 3(dim-1)
+    times e^{-x^2}, so Gauss-Hermite quadrature gives them exactly; only the output
+    is truncated to `dim`. The factors carry the phase e^{i n theta}, the sum is
+    rotated back by conj(F_theta), and the nodes are summed NODE_BLOCK at a time,
+    with the memory and the ancilla table of a block from one `hermite_functions` call.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    if np.shape(ancilla) != (dim,):
+    mem, anc = _eigen_factors(memory), _eigen_factors(ancilla)
+    dim = len(mem)
+    if len(anc) != dim:
         raise DimensionError("memory and input dims must match")
-    lam, vec = np.linalg.eigh((rho + rho.conj().T) / 2)
-    keep = lam > 1e-12 * lam[-1]
     phase = np.exp(1j * theta * np.arange(dim))
-    factors = vec[:, keep] * np.sqrt(lam[keep]) * phase[:, None]
-    ancilla = ancilla * phase
+    mem, anc = mem * phase[:, None], anc * phase[:, None]
     x, wx = gauss_hermite(3 * (dim - 1))
     psi_out = hermite_functions(x, dim) * wx
     nodes = np.asarray(nodes, dtype=float)
@@ -302,9 +309,9 @@ def condition_on_quadrature(
     for lo in range(0, len(nodes), NODE_BLOCK):
         x0 = nodes[lo : lo + NODE_BLOCK, None]
         psi = hermite_functions(np.stack((t * x - r * x0, r * x + t * x0)), dim)  # memory, ancilla
-        mem = np.tensordot(factors, psi[:, 0], axes=(0, 0))
-        anc = np.tensordot(ancilla, psi[:, 1], axes=(0, 0))
-        out = np.tensordot(psi_out, mem * anc, axes=(1, 2))  # (dim, rank, block)
+        m = np.tensordot(mem, psi[:, 0], axes=(0, 0))
+        a = np.tensordot(anc, psi[:, 1], axes=(0, 0))
+        out = np.tensordot(psi_out, m[:, None] * a, axes=(1, 3))  # (dim, memory rank, ancilla rank, block)
         part = (out * weights[lo : lo + NODE_BLOCK]).reshape(dim, -1) @ out.reshape(dim, -1).conj().T
         cond = part if cond is None else cond + part
     cond = cond * phase_matrix(theta, dim).conj()

@@ -126,6 +126,8 @@ def sample_homodyne(rho, phases, n_frames: int, seed: int) -> HomodyneDataset:
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or len(phases) == 0:
         raise DomainError("phases must be a nonempty 1d array")
+    if not isinstance(n_frames, (int, np.integer)) or n_frames < 0:
+        raise DomainError(f"n_frames must be an integer >= 0, got {n_frames!r}")
     phases = phases[:n_frames]
     grid = np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND,
                        int(round(2 * PROJECTION_GRID_BOUND / PROJECTION_GRID_STEP)) + 1)

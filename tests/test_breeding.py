@@ -115,6 +115,19 @@ def test_breed_step_mixed_memory_matches_pure():
     assert abs(d1 - d2) < 1e-10
 
 
+@pytest.mark.parametrize("window", [None, (-0.1, 0.1)])
+def test_breed_step_mixed_input_is_the_weighted_mixture_of_pure_inputs(window):
+    memory = rm.cat_state(1.0, -1, 40).to_density_matrix()
+    parts = [(0.7, rm.cat_state(1.0, -1, 40)), (0.3, rm.coherent_state(0.8 + 0.5j, 40))]
+    mixed = rm.DensityMatrix(40, sum(p * state.to_density_matrix().rho for p, state in parts))
+    out, density = rm.breed_step(memory, mixed, 1, "gkp", window)
+    runs = [(p, *rm.breed_step(memory, state, 1, "gkp", window)) for p, state in parts]
+    ref_density = sum(p * d for p, _, d in runs)
+    ref = sum(p * d * rho.rho for p, rho, d in runs) / ref_density
+    assert np.max(np.abs(out.rho - ref)) <= 1e-12
+    assert abs(density - ref_density) <= 1e-12 * ref_density
+
+
 def test_gkp_peak_recursion():
     grid = np.linspace(-7, 7, 1401)
     traj = rm.run_breeding(rm.BreedingPlan("gkp", 3, 1.0, -1, 60))

@@ -198,6 +198,50 @@ def test_kernel_matches_fock_oracle_at_generic_phase(theta, window):
     assert abs(dens - ref_dens) <= 1e-10 * ref_dens
 
 
+@pytest.mark.parametrize("window", [None, (0.2, 0.4)])
+def test_mixed_ancilla_is_the_weighted_sum_of_its_pure_parts(window):
+    # a rank-2 ancilla at a generic phase: each eigen-factor pair is one term,
+    # so the sum equals the Fock-oracle runs of its two (non-orthogonal) parts
+    mem = rm.coherent_state(0.8 + 0.5j, 30)
+    parts = [(0.7, rm.coherent_state(-0.4 + 0.9j, 30)), (0.3, rm.cat_state(0.7, +1, 30))]
+    T, theta = 2 / 3, 0.3
+    ref = np.zeros((30, 30), dtype=complex)
+    for p, anc in parts:
+        j = beamsplitter_apply(mem, anc, T)
+        if window is None:
+            surv, _ = homodyne_project(j, "B", theta, 0.37)
+            ref += p * np.outer(surv.amp, surv.amp.conj())
+        else:
+            rho, acceptance = window_condition(j, "B", theta, *window)
+            ref += p * acceptance * rho.rho
+    rule = (np.array([0.37]), np.ones(1)) if window is None else projection_rule(window)
+    ancilla = sum(p * anc.to_density_matrix().rho for p, anc in parts)
+    cond, total = condition_on_quadrature(mem.amp, ancilla, T, theta, *rule)
+    ref_total = np.trace(ref).real
+    assert np.max(np.abs(cond / total - ref / ref_total)) <= 1e-12
+    assert abs(total - ref_total) <= 1e-10 * ref_total
+
+
+@pytest.mark.parametrize("window", [None, (0.2, 0.4)])
+def test_pure_memory_as_amplitudes_matches_its_density_matrix(window):
+    mem = rm.cat_state(1.0, -1, 30)
+    anc = rm.coherent_state(-0.4 + 0.9j, 30)
+    rule = (np.array([0.37]), np.ones(1)) if window is None else projection_rule(window)
+    cond, total = condition_on_quadrature(mem.amp, anc.amp, 2 / 3, 0.3, *rule)
+    ref, ref_total = condition_on_quadrature(mem.to_density_matrix().rho, anc.amp, 2 / 3, 0.3, *rule)
+    assert np.max(np.abs(cond - ref)) <= 1e-14
+    assert abs(total - ref_total) <= 1e-14
+
+
+def test_conditioning_ports_of_different_dims_raise():
+    rule = projection_rule(None)
+    big, small = rm.cat_state(1.0, -1, 30), rm.cat_state(1.0, -1, 20)
+    for memory, ancilla in [(big.amp, small.amp), (small.to_density_matrix().rho, big.amp),
+                            (big.amp, small.to_density_matrix().rho)]:
+        with pytest.raises(DimensionError):
+            condition_on_quadrature(memory, ancilla, 0.5, 0.0, *rule)
+
+
 def per_table_conditioning(rho, ancilla, T, theta, nodes, weights):
     """`condition_on_quadrature` with the memory and the ancilla table of
     each node block from separate `hermite_functions` calls, as it computed

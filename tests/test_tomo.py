@@ -236,6 +236,15 @@ def test_phases_without_a_frame_are_not_recorded():
         HomodyneDataset(PHASES, np.zeros(4))
 
 
+def test_sampler_refuses_a_bad_frame_count():
+    for n_frames in (-1, 2.5, "10"):
+        with pytest.raises(DomainError, match="n_frames"):
+            rm.sample_homodyne(rm.vacuum(6), PHASES, n_frames, seed=1)
+    empty = rm.sample_homodyne(rm.vacuum(6), PHASES, 0, seed=1)
+    assert len(empty) == 0 and len(empty.phases) == 0 and len(empty.xs) == 0
+    assert len(rm.sample_homodyne(rm.vacuum(6), PHASES, np.int64(3), seed=1)) == 3
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("state", [
     rm.squeezed_single_photon(rm.cat_squeezing_for_alpha(1.0), 20),
