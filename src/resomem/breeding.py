@@ -141,8 +141,8 @@ def gkp_stabilizer_expectation(state, g: float) -> tuple[float, float]:
     quadrature is exact. The four shifted tables u +- c/2 come from one
     `hermite_functions` call, whose cost is set by its loop over the dim rows.
     """
-    if g <= 0:
-        raise DomainError("g must be positive")
+    if not 0 < g < math.inf:  # a NaN or infinite g would give NaN stabilizers
+        raise DomainError(f"g={g} must be positive and finite")
     rho = as_density_matrix(state)
     u, w = gauss_hermite(2 * (rho.dim - 1))
     cx, cp = g, 2 * np.pi / g

@@ -54,14 +54,16 @@ class CoherenceSeries:
         object.__setattr__(self, "value", v)
 
 
-def evolve_closed_form(rho: DensityMatrix, t: float, params: NoiseParams) -> DensityMatrix:
-    """Evolve `rho` for time t under amplitude damping (T1) and dephasing (Tphi).
+def evolve_closed_form(rho, t: float, params: NoiseParams) -> DensityMatrix:
+    """Evolve `rho`, a FockVector or DensityMatrix, for time t under amplitude
+    damping (T1) and dephasing (Tphi).
 
     Damping only lowers n, so the channel maps the span of |0> .. |dim-1> into
     itself: the result is exact on the cut, the evolution at any larger dim
     with zeros outside."""
     if not (math.isfinite(t) and t >= 0):  # an infinite or NaN t gives a NaN state
         raise DomainError(f"t={t} must be finite and >= 0")
+    rho = as_density_matrix(rho)
     rho.require_normalized()
     if t == 0:
         return rho

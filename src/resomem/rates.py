@@ -25,6 +25,8 @@ def k_from_rates(r0: float, delta: float, r_bs: float) -> float:
     whose interference rate is r_bs."""
     if r0 <= 0 or delta <= 0:
         raise DomainError("r0 and delta must be positive")
+    if not r_bs >= 0:
+        raise DomainError(f"r_bs={r_bs} must be >= 0")
     try:
         k = r_bs * delta / r0**2
     except (OverflowError, ZeroDivisionError):  # r0**2 beyond the float range
@@ -38,6 +40,8 @@ def heralding_probability(r0: float, delta: float) -> float:
     """Single-mode heralding probability p1 = r0 / delta."""
     if delta <= 0:
         raise DomainError("delta must be positive")
+    if not r0 >= 0:
+        raise DomainError(f"r0={r0} must be >= 0")
     p1 = r0 / delta
     if p1 > 1:
         raise DomainError(f"p1 = r0/delta = {p1} > 1; model domain violated")

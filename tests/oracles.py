@@ -2,12 +2,13 @@
 operators, the complex quadrature eigenbras, the RK4 Lindblad integrator, the
 exact finite-alpha bred state, the first-order (Euler) memory network, the
 continuum survival amplitude and the round-trip staircase overlap, the
-Laguerre-series Wigner function, peak
-counting, a windowed breeding step of coherent superpositions in closed form,
-and checks on density matrices and two-mode Fock states.
+Laguerre-series Wigner function, peak counting, and checks on density
+matrices and two-mode Fock states.
 
 Each one is derived apart from the library kernel it checks, and some use
-scipy, a dependency of the tests alone.
+scipy, a dependency of the tests alone. Coherent-state algebra (overlaps,
+<x_theta|gamma>, window integrals) lives in `dyads` alone; the exact bred
+state here is a wrapper over its `Dyads` type.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import find_peaks
-from scipy.special import erf
 
+from dyads import Dyads
+from resomem.breeding import PROJECTION_THETA
 from resomem.errors import ContractError, DomainError
-from resomem.fock import DensityMatrix, FockVector, coherent_amplitudes, guard_dim, log_factorial
+from resomem.fock import DensityMatrix, FockVector, guard_dim, log_factorial
 from resomem.gates import PROJECTION_GRID_BOUND, JointState, hermite_functions, window_condition
 from resomem.memory import CouplingSchedule, NetworkResult
 from resomem.noise import NoiseParams
@@ -131,80 +133,20 @@ def lindblad_oracle(
 # breeding: the exact finite-alpha bred state
 
 
-# the quadrature angle theta each protocol projects its ancilla on: p for cat, x for gkp
-_PROJECTION_THETA = {"cat": np.pi / 2, "gkp": 0.0}
-
-
-def _quadrature_zero_overlap(gamma: complex, theta: float) -> complex:
-    """<x_theta = 0|gamma> = pi^{-1/4} exp(-|gamma|^2/2 - gamma^2 e^{2i theta}/2)."""
-    return np.pi**-0.25 * np.exp(-abs(gamma) ** 2 / 2 - gamma**2 * np.exp(2j * theta) / 2)
-
-
 def exact_bred_state(k: int, alpha: float, s: int, protocol: str, dim: int) -> FockVector:
-    """Exact state after breeding k input cats of amplitude alpha, at any alpha.
-
-    The state is tracked as a superposition sum_n c_n |i alpha n / sqrt(j)>
-    over the integer lattice n after j cats, with no Fock truncation until the
-    end. Step j (T = j/(j+1)) maps |i m>|i eps alpha> to
-    |i(sqrt(T) m + sqrt(1-T) eps alpha)> |i(-sqrt(1-T) m + sqrt(T) eps alpha)>,
-    so n -> n + eps, and the ancilla is projected with the closed-form
-    <x_theta = 0|gamma> (theta = pi/2 for cat, 0 for gkp).
-    """
+    """Exact state after breeding k cats |i alpha> + s|-i alpha>, at any alpha: coherent dyads through
+    the ideal steps j = 1 .. k-1 (T = j/(j+1), x_theta = 0), with no Fock truncation until the end."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if s not in (+1, -1):
         raise DomainError("parity s must be +1 or -1")
-    if protocol not in _PROJECTION_THETA:
+    if protocol not in PROJECTION_THETA:
         raise DomainError(f"unknown protocol {protocol!r}")
-    theta = _PROJECTION_THETA[protocol]
     guard_dim(np.sqrt(k) * alpha, dim)
-    coeffs = {1: 1.0 + 0j, -1: complex(s)}
+    state = cat = Dyads.superposition([1, s], [1j * alpha, -1j * alpha])
     for j in range(1, k):
-        nxt: dict[int, complex] = {}
-        for n, c in coeffs.items():
-            for eps, w in ((1, 1), (-1, s)):
-                anc = 1j * alpha * (j * eps - n) / np.sqrt(j * (j + 1))
-                nxt[n + eps] = nxt.get(n + eps, 0j) + c * w * _quadrature_zero_overlap(anc, theta)
-        coeffs = nxt
-    amp = sum(c * coherent_amplitudes(1j * alpha * n / np.sqrt(k), dim) for n, c in coeffs.items())
-    return FockVector(dim, amp).normalized()
-
-
-def windowed_superposition_step(memory, ancilla, T: float, theta: float, lo: float, hi: float, dim: int):
-    """Mix the coherent superpositions `memory` and `ancilla`, each a list of
-    (coefficient, amplitude) pairs, on a beamsplitter of transmittance T,
-    condition the ancilla port on x_theta in [lo, hi], and return (normalized
-    DensityMatrix of the memory, acceptance probability), exactly.
-
-    |beta>|gamma> -> |sqrt(T) beta + sqrt(1-T) gamma>|-sqrt(1-T) beta + sqrt(T) gamma>,
-    so the joint state is a sum of coherent product terms |mu>|nu>. The bra
-    <x_theta| = <x| e^{i theta n} turns |nu> into |u>, u = nu e^{i theta}, and
-    <x|u> = pi^{-1/4} exp(-x^2/2 + sqrt2 u x - u^2/2 - |u|^2/2), so each pair of
-    terms contributes |mu><mu'| times
-        int_lo^hi <x|u> conj(<x|u'>) dx = pi^{-1/2} int_lo^hi exp(-x^2 + b x + c) dx
-            = (1/2) e^{b^2/4 + c} [erf(hi - b/2) - erf(lo - b/2)],
-    b = sqrt2 (u + conj(u')), c = -(u^2 + conj(u')^2 + |u|^2 + |u'|^2)/2, with
-    scipy's complex erf. The inputs are normalized exactly, and only the output
-    kets are truncated to `dim`.
-    """
-    def normalized(terms):
-        gram = sum(c * np.conj(c2) * np.exp(-abs(a) ** 2 / 2 - abs(a2) ** 2 / 2 + np.conj(a2) * a)
-                   for c, a in terms for c2, a2 in terms)
-        return [(c / np.sqrt(gram.real), a) for c, a in terms]
-
-    t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    joint = [(c * d, t * a + r * g, (-r * a + t * g) * np.exp(1j * theta))
-             for c, a in normalized(memory) for d, g in normalized(ancilla)]
-    kets = [coherent_amplitudes(mu, dim) for _, mu, _ in joint]
-    rho = np.zeros((dim, dim), dtype=complex)
-    for (c, _, u), ket in zip(joint, kets):
-        for (c2, _, u2), ket2 in zip(joint, kets):
-            b = np.sqrt(2.0) * (u + np.conj(u2))
-            e = -(u**2 + np.conj(u2) ** 2 + abs(u) ** 2 + abs(u2) ** 2) / 2
-            integral = 0.5 * np.exp(b * b / 4 + e) * (erf(hi - b / 2) - erf(lo - b / 2))
-            rho += c * np.conj(c2) * integral * np.outer(ket, ket2.conj())
-    acceptance = float(np.trace(rho).real)
-    return DensityMatrix(dim, rho / acceptance), acceptance
+        state = state.step(cat, j / (j + 1), PROJECTION_THETA[protocol])
+    return FockVector(dim, state.fock(dim)[:, 0]).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import resomem as rm
-from oracles import count_peaks, exact_bred_state, windowed_superposition_step
+from dyads import Dyads
+from oracles import count_peaks, exact_bred_state
 from resomem.breeding import PROJECTION_THETA, STABILIZER_G
 from resomem.errors import DomainError
 from resomem.fock import as_density_matrix, coherent_amplitudes
@@ -212,10 +213,10 @@ def test_windowed_step_matches_closed_form(protocol, window):
     alpha, s, dim = 1.0, -1, 40
     cat = rm.cat_state(alpha, s, dim)
     out, dens = rm.breed_step(cat, cat, 1, protocol, window)
-    terms = [(1.0, 1j * alpha), (s, -1j * alpha)]
-    theta = PROJECTION_THETA[protocol]
-    ref, ref_dens = windowed_superposition_step(terms, terms, 0.5, theta, *window, dim)
-    assert np.max(np.abs(out.rho - ref.rho)) <= 1e-12
+    terms = Dyads.superposition([1.0, s], [1j * alpha, -1j * alpha])
+    ref = terms.step(terms, 0.5, PROJECTION_THETA[protocol], window)
+    cols, ref_dens = ref.fock(dim), ref.trace() / terms.trace() ** 2
+    assert np.max(np.abs(out.rho - cols @ cols.conj().T / ref.trace())) <= 1e-12
     assert abs(dens - ref_dens) <= 1e-12 * ref_dens
 
 
@@ -251,6 +252,12 @@ def test_stabilizers_vacuum():
     assert sp == pytest.approx(np.exp(-((np.pi / g) ** 2)), abs=1e-9)
 
 
+@pytest.mark.parametrize("g", [0.0, -1.0, np.nan, np.inf])
+def test_stabilizers_refuse_a_nonpositive_or_nonfinite_g(g):
+    with pytest.raises(DomainError, match="positive and finite"):
+        rm.gkp_stabilizer_expectation(rm.vacuum(30), g)
+
+
 def test_stabilizer_x_grows_with_breeding():
     g = 2.46
     vals = [
@@ -260,23 +267,6 @@ def test_stabilizer_x_grows_with_breeding():
         for k in (1, 2, 3)
     ]
     assert vals[0] < vals[1] < vals[2]
-
-
-def coherent_sum_displacement(coeffs, gammas, beta):
-    """<D(beta)> of sum_k c_k |gamma_k> from coherent-state algebra alone:
-    D(beta)|gamma> = e^{(beta gamma* - beta* gamma)/2} |gamma + beta> and
-    <a|b> = exp(-|a|^2/2 - |b|^2/2 + a* b)."""
-
-    def inner(a, b):
-        return np.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + np.conj(a) * b)
-
-    num = norm = 0j
-    for cj, gj in zip(coeffs, gammas):
-        for ck, gk in zip(coeffs, gammas):
-            phase = np.exp((beta * np.conj(gk) - np.conj(beta) * gk) / 2)
-            num += np.conj(cj) * ck * phase * inner(gj, gk + beta)
-            norm += np.conj(cj) * ck * inner(gj, gk)
-    return num / norm
 
 
 @pytest.mark.parametrize(
@@ -292,9 +282,17 @@ def test_stabilizers_match_coherent_gram_sums(coeffs, gammas):
     g = 2.46
     amp = sum(c * coherent_amplitudes(gm, 60) for c, gm in zip(coeffs, gammas))
     state = rm.FockVector(60, amp).normalized()
+    ref = Dyads.superposition(coeffs, gammas)
     sx, sp = rm.gkp_stabilizer_expectation(state.to_density_matrix(), g)
-    assert sx == pytest.approx(abs(coherent_sum_displacement(coeffs, gammas, 1j * g / np.sqrt(2))), abs=1e-10)
-    assert sp == pytest.approx(abs(coherent_sum_displacement(coeffs, gammas, -np.sqrt(2) * np.pi / g)), abs=1e-10)
+    assert sx == pytest.approx(abs(ref.displacement(1j * g / np.sqrt(2))), abs=1e-10)
+    assert sp == pytest.approx(abs(ref.displacement(-np.sqrt(2) * np.pi / g)), abs=1e-10)
+
+
+def test_dyads_import_without_scipy_or_resomem():
+    # an entry of None in sys.modules makes that import fail; the ideal step needs numpy alone
+    code = ("import sys; sys.modules.update(scipy=None, resomem=None); from dyads import Dyads; "
+            "d = Dyads.superposition([1, -1], [1j, -1j]); d.step(d, 0.5, 0.0).fock(20)")
+    subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, check=True)
 
 
 def per_table_stabilizers(state, g):

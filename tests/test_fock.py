@@ -9,15 +9,10 @@ from scipy.linalg import expm
 from scipy.special import gammainc
 
 import resomem as rm
+from dyads import Dyads
 from oracles import annihilation_operator, p_operator, x_operator
 from resomem.errors import DimensionError, DomainError
 from resomem.fock import EDGE_WEIGHT_TOL, coherent_amplitudes, log_factorial, poisson_tail
-
-
-def brute_coherent(alpha, dim):
-    return np.array(
-        [np.exp(-abs(alpha) ** 2 / 2) * alpha**n / math.sqrt(math.factorial(n)) for n in range(dim)]
-    )
 
 
 def test_cat_alpha0_even_is_vacuum():
@@ -33,7 +28,7 @@ def test_cat_odd_parity_support():
 
 def test_cat_matches_brute_force_coherent_sum():
     c = rm.cat_state(1.0, +1, 30)
-    raw = brute_coherent(1j, 30) + brute_coherent(-1j, 30)
+    raw = Dyads.superposition([1, 1], [1j, -1j]).fock(30)[:, 0]
     raw = raw / np.linalg.norm(raw)
     assert np.max(np.abs(c.amp - raw)) < 1e-12
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import erf
 
 import resomem as rm
+from dyads import Dyads
 from oracles import dim_row_density, full_line_window, quadrature_eigenbra, total_photon_distribution
 from resomem.errors import ContractError, DimensionError, DomainError
 from resomem.gates import (
@@ -345,7 +345,8 @@ def test_cat_breeding_step_close_to_asymptotic_form():
 def test_window_vacuum_acceptance():
     j = beamsplitter_apply(rm.vacuum(8), rm.vacuum(8), 0.5)
     _, acc = window_condition(j, "B", np.pi / 2, -0.1, 0.1)
-    assert acc == pytest.approx(erf(0.1), abs=1e-6)
+    vac = Dyads.superposition([1.0], [0.0])
+    assert acc == pytest.approx(vac.step(vac, 0.5, np.pi / 2, (-0.1, 0.1)).trace(), abs=1e-6)
 
 
 def test_full_line_window_is_reduced_state():

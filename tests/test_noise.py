@@ -201,3 +201,11 @@ def test_infinite_lifetime_at_the_float_range_edge(T1_, Tphi):
     else:  # everything has decayed to the vacuum
         expected = np.diag(np.eye(rho.dim)[0]).astype(complex)
     assert np.array_equal(out.rho, expected)
+
+
+def test_closed_form_takes_a_fock_vector():
+    # a pure state is coerced as apply_loss coerces it: the same rho, bit for bit
+    for state in (rm.fock_basis_state(1, 12), rm.cat_state(1.0, -1, 20)):
+        for t in (0.0, 1e-7):
+            out = rm.evolve_closed_form(state, t, PARAMS).rho
+            assert np.array_equal(out, rm.evolve_closed_form(state.to_density_matrix(), t, PARAMS).rho)

@@ -69,3 +69,10 @@ def test_monotonicity(k, p1, n):
     assert 0 <= pn <= 1
     assert rm.success_probability(n + 1, k, p1) <= pn + 1e-15
     assert rm.success_probability(n, k * 1.5, p1) * max(k * 1.5, 1) >= pn * max(k, 1) - 1e-15
+
+
+def test_negative_rates_are_refused():
+    with pytest.raises(DomainError, match="r_bs"):
+        rm.k_from_rates(1e3, 1e6, -5.0)
+    with pytest.raises(DomainError, match="r0"):
+        rm.heralding_probability(-1e3, 1e6)
