@@ -140,12 +140,15 @@ def gkp_stabilizer_expectation(state, g: float) -> tuple[float, float]:
     polynomial of degree <= 2(dim-1) times e^{-u^2}, so Gauss-Hermite
     quadrature is exact. The four shifted tables u +- c/2 come from one
     `hermite_functions` call, whose cost is set by its loop over the dim rows.
+    Past c/2 = max|u| + 39 every psi_n(u +- c/2) underflows to 0, so a shift
+    capped at 1e150, which keeps (u +- c/2)^2 inside the float range, gives
+    the same exact 0 at any larger c, 2 pi / g = inf included.
     """
     if not 0 < g < math.inf:  # a NaN or infinite g would give NaN stabilizers
         raise DomainError(f"g={g} must be positive and finite")
     rho = as_density_matrix(state)
     u, w = gauss_hermite(2 * (rho.dim - 1))
-    cx, cp = g, 2 * np.pi / g
+    cx, cp = min(float(g), 1e150), min(2 * math.pi / float(g), 1e150)
     psi = hermite_functions(np.stack((u + cx / 2, u - cx / 2, u + cp / 2, u - cp / 2)), rho.dim)
     return (
         float(abs(w @ quadrature_density(rho.rho, np.pi / 2, psi[:, 0], psi[:, 1]))),

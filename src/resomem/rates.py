@@ -20,9 +20,16 @@ from .errors import DomainError
 from .fock import poisson_tail
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name}={value} must be finite")
+
+
 def k_from_rates(r0: float, delta: float, r_bs: float) -> float:
     """The mode-match parameter k_match = r_bs delta / r0^2 of a source pair
     whose interference rate is r_bs."""
+    _require_finite(r0=r0, delta=delta, r_bs=r_bs)
     if r0 <= 0 or delta <= 0:
         raise DomainError("r0 and delta must be positive")
     if not r_bs >= 0:
@@ -38,6 +45,7 @@ def k_from_rates(r0: float, delta: float, r_bs: float) -> float:
 
 def heralding_probability(r0: float, delta: float) -> float:
     """Single-mode heralding probability p1 = r0 / delta."""
+    _require_finite(r0=r0, delta=delta)
     if delta <= 0:
         raise DomainError("delta must be positive")
     if not r0 >= 0:
@@ -56,6 +64,7 @@ def success_probability(n: int, k_match: float, p1: float) -> float:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    _require_finite(k_match=k_match)
     if k_match < 0 or not 0 <= p1 <= 1:
         raise DomainError("invalid (k_match, p1)")
     mu = k_match * p1

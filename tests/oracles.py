@@ -1,6 +1,7 @@
 """Independent references that only the tests call: the Fock-basis ladder
-operators, the complex quadrature eigenbras, the RK4 Lindblad integrator, the
-exact finite-alpha bred state, the first-order (Euler) memory network, the
+operators, the complex quadrature eigenbras and the densities they give, the
+Fock-basis conditioning composition, the RK4 Lindblad integrator, the exact
+finite-alpha bred state, the first-order (Euler) memory network, the
 continuum survival amplitude and the round-trip staircase overlap, the
 Laguerre-series Wigner function, peak counting, and checks on density
 matrices and two-mode Fock states.
@@ -21,7 +22,14 @@ from dyads import Dyads
 from resomem.breeding import PROJECTION_THETA
 from resomem.errors import ContractError, DomainError
 from resomem.fock import DensityMatrix, FockVector, guard_dim, log_factorial
-from resomem.gates import PROJECTION_GRID_BOUND, JointState, hermite_functions, window_condition
+from resomem.gates import (
+    PROJECTION_GRID_BOUND,
+    JointState,
+    beamsplitter_apply,
+    hermite_functions,
+    homodyne_project,
+    window_condition,
+)
 from resomem.memory import CouplingSchedule, NetworkResult
 from resomem.noise import NoiseParams
 
@@ -62,6 +70,16 @@ def quadrature_eigenbra(x, theta: float, dim: int) -> np.ndarray:
     return phase * hermite_functions(x, dim)
 
 
+def eigenbra_density(rho: np.ndarray, theta: float, x, xp=None) -> np.ndarray:
+    """<x_theta|rho|x'_theta> from the complex eigenbras, dim rows per point and no
+    product rule; at x' = x (xp None) the quadrature density, with a rounding-size
+    imaginary part."""
+    dim = rho.shape[0]
+    bras = quadrature_eigenbra(x, theta, dim)
+    kets = bras if xp is None else quadrature_eigenbra(xp, theta, dim)
+    return np.einsum("iv,iv->v", bras, rho @ kets.conj())
+
+
 # ---------------------------------------------------------------------------
 # two-mode Fock states
 
@@ -79,6 +97,40 @@ def full_line_window(j: JointState, mode: str, theta: float):
     """Window over the full projection grid [-bound, bound]; the survivor is
     the reduced state of the remaining mode."""
     return window_condition(j, mode, theta, -PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND)
+
+
+def _pure_parts(port):
+    """A port as weighted normalized pure parts: a FockVector is one part, a
+    DensityMatrix its eigen-branches above 1e-12, and a list of (weight,
+    FockVector) pairs is taken as given."""
+    if isinstance(port, FockVector):
+        return [(1.0, port)]
+    if isinstance(port, DensityMatrix):
+        w, v = np.linalg.eigh(port.rho)
+        return [(wi, FockVector(port.dim, vi)) for wi, vi in zip(w, v.T) if wi >= 1e-12]
+    return list(port)
+
+
+def fock_conditioning(memory, ancilla, T: float, theta: float, outcome) -> tuple[np.ndarray, float]:
+    """The conditioning step from the Fock gates: every pair of pure parts of the
+    memory (mode A) and the ancilla (mode B) goes through `beamsplitter_apply`,
+    then B is projected by `homodyne_project` on x_theta = outcome, or kept by
+    `window_condition` for outcome = [lo, hi]. Returns (the unnormalized
+    conditioned memory, its trace): the weighted sum of the projected dyads, or
+    of the windowed states times their acceptances. An independent check of
+    `gates.condition_on_quadrature`."""
+    window = np.ndim(outcome) == 1
+    out = 0.0
+    for wm, m in _pure_parts(memory):
+        for wa, a in _pure_parts(ancilla):
+            joint = beamsplitter_apply(m, a, T)
+            if window:
+                rho, acceptance = window_condition(joint, "B", theta, *outcome)
+                out = out + wm * wa * acceptance * rho.rho
+            else:
+                surv, _ = homodyne_project(joint, "B", theta, outcome)
+                out = out + wm * wa * np.outer(surv.amp, surv.amp.conj())
+    return out, float(np.trace(out).real)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +296,7 @@ def direct_sum_wigner(rho, xs, ps):
 
 
 # ---------------------------------------------------------------------------
-# quadrature marginals
-
-
-def dim_row_density(rho: np.ndarray, theta: float, x) -> np.ndarray:
-    """The quadrature density in the dim-row form psi(x)^T Re(rho o F_theta) psi(x),
-    F_theta[m, n] = e^{i (m - n) theta}: dim^2 work per point, no product rule."""
-    dim = rho.shape[0]
-    e = np.exp(1j * theta * np.arange(dim))
-    psi = hermite_functions(np.asarray(x, dtype=float), dim)
-    return np.einsum("iv,iv->v", psi, (rho * np.outer(e, e.conj())).real @ psi)
+# peaks
 
 
 def count_peaks(density: np.ndarray, prominence: float = 0.05) -> int:

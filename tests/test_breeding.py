@@ -8,18 +8,10 @@ import pytest
 
 import resomem as rm
 from dyads import Dyads
-from oracles import count_peaks, exact_bred_state
-from resomem.breeding import PROJECTION_THETA, STABILIZER_G
+from oracles import count_peaks, exact_bred_state, fock_conditioning
+from resomem.breeding import PROJECTION_THETA
 from resomem.errors import DomainError
-from resomem.fock import as_density_matrix, coherent_amplitudes
-from resomem.gates import (
-    beamsplitter_apply,
-    gauss_hermite,
-    hermite_functions,
-    homodyne_project,
-    quadrature_density,
-    window_condition,
-)
+from resomem.fock import coherent_amplitudes
 
 
 def test_theoretical_k1_is_input_cat():
@@ -166,27 +158,6 @@ def test_window_conditioning_converges_to_ideal():
         assert 0 < acc < 1
 
 
-def fock_oracle_step(memory, inp, k, protocol, window):
-    """breed_step from the Fock gates: every eigen-branch of the memory goes
-    through beamsplitter_apply, then homodyne_project or window_condition."""
-    theta = PROJECTION_THETA[protocol]
-    w, v = np.linalg.eigh(memory.rho)
-    out = np.zeros_like(memory.rho)
-    total = 0.0
-    for wi, vi in zip(w, v.T):
-        if wi < 1e-12:
-            continue
-        joint = beamsplitter_apply(rm.FockVector(memory.dim, vi), inp, k / (k + 1))
-        if window is None:
-            surv, dens = homodyne_project(joint, "B", theta, 0.0)
-            out += wi * np.outer(surv.amp, surv.amp.conj())
-        else:
-            rho, dens = window_condition(joint, "B", theta, *window)
-            out += wi * dens * rho.rho
-        total += wi * dens
-    return rm.DensityMatrix(memory.dim, out / total), total
-
-
 @pytest.mark.parametrize("protocol", ["cat", "gkp"])
 @pytest.mark.parametrize("window", [None, (-0.1, 0.1)])
 def test_breed_step_matches_fock_oracle(protocol, window):
@@ -198,7 +169,9 @@ def test_breed_step_matches_fock_oracle(protocol, window):
     for memory in (cat.to_density_matrix(), coherent.to_density_matrix(), rm.DensityMatrix(40, rank2)):
         for k in (1, 2, 3):
             out, dens = rm.breed_step(memory, cat, k, protocol, window)
-            ref, ref_dens = fock_oracle_step(memory, cat, k, protocol, window)
+            rho, ref_dens = fock_conditioning(memory, cat, k / (k + 1), PROJECTION_THETA[protocol],
+                                              0.0 if window is None else window)
+            ref = rm.DensityMatrix(40, rho / ref_dens)
             assert 1 - rm.fidelity(ref, out) <= 1e-12
             assert np.max(np.abs(ref.rho - out.rho)) <= 1e-12
             assert abs(dens - ref_dens) <= 1e-10 * ref_dens
@@ -250,6 +223,11 @@ def test_stabilizers_vacuum():
     sx, sp = rm.gkp_stabilizer_expectation(rm.vacuum(30), g)
     assert sx == pytest.approx(np.exp(-g * g / 4), abs=1e-9)
     assert sp == pytest.approx(np.exp(-((np.pi / g) ** 2)), abs=1e-9)
+    # at extreme g the vacuum's values are 0 and 1; no shifted table leaves the float range, and a
+    # shift past the underflow of every psi_n(u +- c/2) gives exactly 0
+    for g, ref in ((1e300, (0.0, 1.0)), (1e-154, (1.0, 0.0)), (1e-300, (1.0, 0.0)), (5e-324, (1.0, 0.0))):
+        stabilizers = rm.gkp_stabilizer_expectation(rm.vacuum(10), g)
+        assert np.max(np.abs(np.subtract(stabilizers, ref))) <= 1e-15 and 0.0 in stabilizers
 
 
 @pytest.mark.parametrize("g", [0.0, -1.0, np.nan, np.inf])
@@ -275,15 +253,16 @@ def test_stabilizer_x_grows_with_breeding():
         ([1.0, -1.0], [1.0j, -1.0j]),  # odd cat, alpha = 1
         ([1.0, -3.0, 3.0, -1.0], [1j * (-3 + 2 * m) / np.sqrt(3) for m in range(4)]),  # bred GKP, k = 3
         ([1.0, 0.5j], [0.8 + 0.5j, -0.3 + 1.1j]),  # complex-valued superposition
+        ([[1.0, 0.3j], [-1.0, 0.0], [0.0, 0.8]], [1.0j, -1.0j, 0.8 + 0.5j]),  # rank-2 mixture, one part per column
     ],
 )
 def test_stabilizers_match_coherent_gram_sums(coeffs, gammas):
     # e^{igx} = D(ig/sqrt 2), e^{2 pi i p/g} = D(-sqrt(2) pi/g)
     g = 2.46
-    amp = sum(c * coherent_amplitudes(gm, 60) for c, gm in zip(coeffs, gammas))
-    state = rm.FockVector(60, amp).normalized()
-    ref = Dyads.superposition(coeffs, gammas)
-    sx, sp = rm.gkp_stabilizer_expectation(state.to_density_matrix(), g)
+    ref = Dyads(np.asarray(gammas, dtype=complex), np.asarray(coeffs, dtype=complex).reshape(len(gammas), -1))
+    parts = [sum(c * coherent_amplitudes(gm, 60) for c, gm in zip(column, gammas)) for column in ref.factor.T]
+    rho = sum(np.outer(amp, amp.conj()) for amp in parts)
+    sx, sp = rm.gkp_stabilizer_expectation(rm.DensityMatrix(60, rho / np.trace(rho).real), g)
     assert sx == pytest.approx(abs(ref.displacement(1j * g / np.sqrt(2))), abs=1e-10)
     assert sp == pytest.approx(abs(ref.displacement(-np.sqrt(2) * np.pi / g)), abs=1e-10)
 
@@ -293,29 +272,3 @@ def test_dyads_import_without_scipy_or_resomem():
     code = ("import sys; sys.modules.update(scipy=None, resomem=None); from dyads import Dyads; "
             "d = Dyads.superposition([1, -1], [1j, -1j]); d.step(d, 0.5, 0.0).fock(20)")
     subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, check=True)
-
-
-def per_table_stabilizers(state, g):
-    """The stabilizers with one `hermite_functions` call per shifted table,
-    as `gkp_stabilizer_expectation` computed them before its four tables
-    came from one call."""
-    rho = as_density_matrix(state)
-    u, w = gauss_hermite(2 * (rho.dim - 1))
-
-    def overlap(c, theta):
-        psi = hermite_functions(u + c / 2, rho.dim)
-        kets = hermite_functions(u - c / 2, rho.dim)
-        return float(abs(w @ quadrature_density(rho.rho, theta, psi, kets)))
-
-    return overlap(g, np.pi / 2), overlap(2 * np.pi / g, 0.0)
-
-
-def test_stabilizer_tables_from_one_call_move_no_bit():
-    rng = np.random.default_rng(4)
-    G = np.zeros((40, 2), dtype=complex)
-    G[:15] = rng.normal(size=(15, 2)) + 1j * rng.normal(size=(15, 2))
-    mixed = rm.DensityMatrix(40, G @ G.conj().T / np.sum(np.abs(G) ** 2))
-    window = rm.run_breeding(rm.BreedingPlan("gkp", 2, 1.0, -1, 60, (-0.1, 0.1)))
-    for state in [*window.states, rm.coherent_state(0.8 + 0.5j, 30), mixed]:
-        for g in (STABILIZER_G, 1.3):
-            assert rm.gkp_stabilizer_expectation(state, g) == per_table_stabilizers(state, g)

@@ -606,7 +606,7 @@ def test_tomo_manifest_records_certificate(tmp_path):
 def test_tomo_of_a_larger_input_state(tmp_path):
     # the state is sampled at its own dim 150, where the quadrature density is
     # summed block by block; the reconstruction is at dim 20
-    from oracles import dim_row_density
+    from oracles import eigenbra_density
     from resomem.fock import cat_squeezing_for_alpha, squeezed_single_photon
     from resomem.gates import PROJECTION_GRID_BOUND, PROJECTION_GRID_STEP
 
@@ -616,7 +616,7 @@ def test_tomo_of_a_larger_input_state(tmp_path):
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
     table = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)
-    # the same inverse-CDF draws from the dim-row form of the density
+    # the same inverse-CDF draws from the density of the complex eigenbras
     rho = squeezed_single_photon(cat_squeezing_for_alpha(1.0), 150).to_density_matrix().rho
     grid = np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND,
                        int(round(2 * PROJECTION_GRID_BOUND / PROJECTION_GRID_STEP)) + 1)
@@ -624,7 +624,7 @@ def test_tomo_of_a_larger_input_state(tmp_path):
     thetas = np.resize(np.deg2rad([0.0, 60.0, 120.0]), 2000)
     xs = np.empty(2000)
     for theta in np.deg2rad([0.0, 60.0, 120.0]):
-        cdf = np.cumsum(dim_row_density(rho, theta, grid))
+        cdf = np.cumsum(eigenbra_density(rho, theta, grid).real)
         sel = thetas == theta
         xs[sel] = np.interp(rng.random(int(np.sum(sel))), cdf / cdf[-1], grid)
     assert np.max(np.abs(table[:, 1] - xs)) <= 1e-12

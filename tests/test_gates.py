@@ -8,10 +8,15 @@ from scipy.linalg import expm
 
 import resomem as rm
 from dyads import Dyads
-from oracles import dim_row_density, full_line_window, quadrature_eigenbra, total_photon_distribution
+from oracles import (
+    eigenbra_density,
+    fock_conditioning,
+    full_line_window,
+    quadrature_eigenbra,
+    total_photon_distribution,
+)
 from resomem.errors import ContractError, DimensionError, DomainError
 from resomem.gates import (
-    NODE_BLOCK,
     PROJECTION_GRID_BOUND,
     JointState,
     beamsplitter_apply,
@@ -21,7 +26,6 @@ from resomem.gates import (
     gauss_hermite,
     hermite_functions,
     homodyne_project,
-    phase_matrix,
     product_table,
     projection_rule,
     quadrature_density,
@@ -113,13 +117,11 @@ def test_quadrature_density_matches_complex_contraction(theta):
     states = [rm.coherent_state(1 + 0.7j, 20).to_density_matrix().rho, _random_mixed_state(12, 4, 3)]
     for rho in states:
         dim = rho.shape[0]
-        bras = quadrature_eigenbra(x, theta, dim)
-        kets = quadrature_eigenbra(xp, theta, dim)
         diag = rm.marginal(rm.DensityMatrix(dim, rho), theta, x)
         assert diag.dtype == float
-        assert np.max(np.abs(diag - np.einsum("iv,iv->v", bras, rho @ bras.conj()))) < 1e-13
+        assert np.max(np.abs(diag - eigenbra_density(rho, theta, x))) < 1e-13
         off = quadrature_density(rho, theta, hermite_functions(x, dim), hermite_functions(xp, dim))
-        assert np.max(np.abs(off - np.einsum("iv,iv->v", bras, rho @ kets.conj()))) < 1e-13
+        assert np.max(np.abs(off - eigenbra_density(rho, theta, x, xp))) < 1e-13
 
 
 @pytest.mark.parametrize("dim", [2, 20, 30, 40])
@@ -164,16 +166,17 @@ def test_tomography_table_is_the_dense_table_bit_for_bit(dim):
 
 @pytest.mark.parametrize("dim", [2, 5, 20, 60, 150])
 def test_marginal_matches_dim_row_form(dim):
-    # random complex mixed states at generic phases; every phase in one call
+    # random complex mixed states at generic phases, against the complex eigenbras (dim rows
+    # per point, no product rule); every phase in one call
     rho = _random_mixed_state(dim, 3, dim)
     thetas = np.array([0.37, -1.3, 2.9])
     x = np.linspace(-PROJECTION_GRID_BOUND, PROJECTION_GRID_BOUND, 2401)
     dens = rm.marginal(rm.DensityMatrix(dim, rho), thetas, x)
     assert dens.shape == (3, len(x))
     for theta, row in zip(thetas, dens):
-        assert np.max(np.abs(row - dim_row_density(rho, theta, x))) <= 1e-13
+        assert np.max(np.abs(row - eigenbra_density(rho, theta, x))) <= 1e-13
     single = rm.marginal(rm.DensityMatrix(dim, rho), thetas[0], x)
-    assert np.max(np.abs(single - dim_row_density(rho, thetas[0], x))) <= 1e-13
+    assert np.max(np.abs(single - eigenbra_density(rho, thetas[0], x))) <= 1e-13
 
 
 @pytest.mark.parametrize("theta", [0.3, 2.5, -1.0])
@@ -184,17 +187,10 @@ def test_kernel_matches_fock_oracle_at_generic_phase(theta, window):
     mem = rm.coherent_state(0.8 + 0.5j, 30)
     anc = rm.coherent_state(-0.4 + 0.9j, 30)
     T = 2 / 3
-    j = beamsplitter_apply(mem, anc, T)
-    if window is None:
-        nodes, weights = np.array([0.37]), np.ones(1)
-        surv, ref_dens = homodyne_project(j, "B", theta, 0.37)
-        ref = np.outer(surv.amp, surv.amp.conj()) / ref_dens
-    else:
-        nodes, weights = projection_rule(window)
-        ref_rho, ref_dens = window_condition(j, "B", theta, *window)
-        ref = ref_rho.rho
+    ref, ref_dens = fock_conditioning(mem, anc, T, theta, 0.37 if window is None else window)
+    nodes, weights = (np.array([0.37]), np.ones(1)) if window is None else projection_rule(window)
     cond, dens = condition_on_quadrature(mem.to_density_matrix().rho, anc.amp, T, theta, nodes, weights)
-    assert np.max(np.abs(cond / dens - ref)) <= 1e-12
+    assert np.max(np.abs(cond / dens - ref / ref_dens)) <= 1e-12
     assert abs(dens - ref_dens) <= 1e-10 * ref_dens
 
 
@@ -205,19 +201,10 @@ def test_mixed_ancilla_is_the_weighted_sum_of_its_pure_parts(window):
     mem = rm.coherent_state(0.8 + 0.5j, 30)
     parts = [(0.7, rm.coherent_state(-0.4 + 0.9j, 30)), (0.3, rm.cat_state(0.7, +1, 30))]
     T, theta = 2 / 3, 0.3
-    ref = np.zeros((30, 30), dtype=complex)
-    for p, anc in parts:
-        j = beamsplitter_apply(mem, anc, T)
-        if window is None:
-            surv, _ = homodyne_project(j, "B", theta, 0.37)
-            ref += p * np.outer(surv.amp, surv.amp.conj())
-        else:
-            rho, acceptance = window_condition(j, "B", theta, *window)
-            ref += p * acceptance * rho.rho
+    ref, ref_total = fock_conditioning(mem, parts, T, theta, 0.37 if window is None else window)
     rule = (np.array([0.37]), np.ones(1)) if window is None else projection_rule(window)
     ancilla = sum(p * anc.to_density_matrix().rho for p, anc in parts)
     cond, total = condition_on_quadrature(mem.amp, ancilla, T, theta, *rule)
-    ref_total = np.trace(ref).real
     assert np.max(np.abs(cond / total - ref / ref_total)) <= 1e-12
     assert abs(total - ref_total) <= 1e-10 * ref_total
 
@@ -242,45 +229,20 @@ def test_conditioning_ports_of_different_dims_raise():
             condition_on_quadrature(memory, ancilla, 0.5, 0.0, *rule)
 
 
-def per_table_conditioning(rho, ancilla, T, theta, nodes, weights):
-    """`condition_on_quadrature` with the memory and the ancilla table of
-    each node block from separate `hermite_functions` calls, as it computed
-    them before they came from one call."""
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    lam, vec = np.linalg.eigh((rho + rho.conj().T) / 2)
-    keep = lam > 1e-12 * lam[-1]
-    phase = np.exp(1j * theta * np.arange(dim))
-    factors = vec[:, keep] * np.sqrt(lam[keep]) * phase[:, None]
-    ancilla = ancilla * phase
-    x, wx = gauss_hermite(3 * (dim - 1))
-    psi_out = hermite_functions(x, dim) * wx
-    t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    cond = None
-    for lo in range(0, len(nodes), NODE_BLOCK):
-        x0 = nodes[lo : lo + NODE_BLOCK, None]
-        mem = np.tensordot(factors, hermite_functions(t * x - r * x0, dim), axes=(0, 0))
-        anc = np.tensordot(ancilla, hermite_functions(r * x + t * x0, dim), axes=(0, 0))
-        out = np.tensordot(psi_out, mem * anc, axes=(1, 2))
-        part = (out * weights[lo : lo + NODE_BLOCK]).reshape(dim, -1) @ out.reshape(dim, -1).conj().T
-        cond = part if cond is None else cond + part
-    cond = cond * phase_matrix(theta, dim).conj()
-    return cond, float(np.trace(cond).real)
-
-
-@pytest.mark.parametrize("rank", [1, 2])
-@pytest.mark.parametrize("window", [None, (-0.1, 0.1)])
-def test_conditioning_tables_from_one_call_move_no_bit(rank, window):
-    dim = 40
-    memory = rm.cat_state(1.0, -1, dim).to_density_matrix().rho
-    if rank == 2:
-        memory = 0.7 * memory + 0.3 * rm.coherent_state(0.8 + 0.5j, dim).to_density_matrix().rho
-    ancilla = rm.cat_state(1.0, -1, dim).amp
-    for T, theta in ((1 / 2, np.pi / 2), (2 / 3, 0.0)):
-        rule = projection_rule(window)
-        cond, total = condition_on_quadrature(memory, ancilla, T, theta, *rule)
-        ref, ref_total = per_table_conditioning(memory, ancilla, T, theta, *rule)
-        assert cond.tobytes() == ref.tobytes() and total == ref_total
+@pytest.mark.parametrize("dim", [1, 2, 40, 79])
+def test_stacked_hermite_tables_are_the_per_argument_tables_bit_for_bit(dim):
+    # the conditioning kernel stacks its memory and ancilla arguments (2, block, nodes), and the
+    # stabilizers their four shifted ones (4, nodes), into one call: no table may move a bit
+    x, u = gauss_hermite(3 * (dim - 1))[0], gauss_hermite(2 * (dim - 1))[0]
+    x0 = projection_rule((-0.1, 0.1))[0][:, None]
+    t, r = np.sqrt(2 / 3), np.sqrt(1 / 3)
+    cx, cp = 2.46, 2 * np.pi / 2.46
+    conditioning = np.stack((t * x - r * x0, r * x + t * x0))
+    stabilizers = np.stack((u + cx / 2, u - cx / 2, u + cp / 2, u - cp / 2))
+    for stack in (conditioning, stabilizers):
+        tables = hermite_functions(stack, dim)
+        for i, arg in enumerate(stack):
+            assert tables[:, i].tobytes() == hermite_functions(arg, dim).tobytes()
 
 
 def test_gauss_hermite_rule_is_computed_once_and_read_only():

@@ -76,3 +76,15 @@ def test_negative_rates_are_refused():
         rm.k_from_rates(1e3, 1e6, -5.0)
     with pytest.raises(DomainError, match="r0"):
         rm.heralding_probability(-1e3, 1e6)
+    # a non-finite input is named, not passed through or blamed on the float range
+    for call, name in [
+        (lambda: rm.success_probability(3, np.nan, 0.25), "k_match"),
+        (lambda: rm.success_probability(3, np.inf, 0.25), "k_match"),
+        (lambda: rm.heralding_probability(1e3, np.nan), "delta"),
+        (lambda: rm.heralding_probability(np.inf, 1e6), "r0"),
+        (lambda: rm.k_from_rates(np.nan, 1e6, 1.0), "r0"),
+        (lambda: rm.k_from_rates(1e3, np.nan, 1.0), "delta"),
+        (lambda: rm.k_from_rates(1e3, 1e6, np.inf), "r_bs"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{name}=.* must be finite"):
+            call()

@@ -7,13 +7,7 @@ from scipy.stats import kstest
 import resomem as rm
 from oracles import quadrature_eigenbra
 from resomem.errors import DomainError, NumericalAccuracyWarning
-from resomem.gates import (
-    PROJECTION_GRID_BOUND,
-    PROJECTION_GRID_STEP,
-    hermite_functions,
-    phase_matrix,
-    product_table,
-)
+from resomem.gates import PROJECTION_GRID_BOUND, PROJECTION_GRID_STEP, hermite_functions
 from resomem.tomo import (
     MLE_GAP,
     HomodyneDataset,
@@ -150,39 +144,25 @@ def test_mle_matches_complex_em_oracle():
     assert gain <= likelihood_gap(data, rho) <= MLE_GAP
 
 
-def per_phase_evaluate(data, dim, rho):
-    """Log-likelihood and R by the per-phase loop the one-product evaluation
-    replaced: each phase bins its own frames and gets its own Hermite table."""
-    T = product_table(dim)
-    ll, R = 0.0, np.zeros((dim, dim), complex)
-    for theta in data.phase_set:
-        idx = np.round(data.xs[data.thetas == theta] / PROJECTION_GRID_STEP).astype(np.int64)
-        uniq, cnt = np.unique(idx, return_counts=True)
-        phi = hermite_functions(np.sqrt(2.0) * (uniq * PROJECTION_GRID_STEP), 2 * dim - 1)
-        F = phase_matrix(theta, dim)
-        pr = np.maximum((T @ (rho * F).real.ravel()) @ phi, 1e-300)
-        ll += np.sum(cnt * np.log(pr))
-        R += F.conj() * (T.T @ (phi @ (cnt / pr))).reshape(F.shape)
-    return ll, R
-
-
 @pytest.mark.parametrize("phases_deg, n_frames", [
     ([150.0, 0.0, 60.0, 0.0, 90.0], 6000),
     (np.arange(180.0), 2000),  # ~11 frames per phase, so most (phase, bin) cells are empty
 ], ids=["unsorted_with_duplicate", "180_sparse_phases"])
-def test_one_product_matches_per_phase_loop(phases_deg, n_frames):
+def test_one_product_matches_complex_eigenbras(phases_deg, n_frames):
+    # the likelihood and R over the phase stack against the eigenbras of each phase's own bins
     dim = 20
     cat = rm.cat_state(1.0, -1, dim)
     data = rm.sample_homodyne(cat, np.deg2rad(phases_deg), n_frames, seed=4)
     model = _binned_projectors(data, dim)
     assert np.sum(model.counts) == n_frames
+    B, counts = complex_bins(data, dim)
     # a random complex mixed rho and the sampled state: both keep pr well above
     # the rounding of its sum over 2 dim - 1 terms at every occupied bin
     rng = np.random.default_rng(5)
     G = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
     for sigma in (G @ G.conj().T / np.trace(G @ G.conj().T).real, cat.to_density_matrix().rho):
         ll, pr = _log_likelihood(model, sigma)
-        ll_ref, R_ref = per_phase_evaluate(data, dim, sigma)
+        ll_ref, R_ref = complex_evaluate(B, counts, sigma)
         assert abs(ll - ll_ref) <= 1e-12 * abs(ll_ref)
         assert np.max(np.abs(_ml_operator(model, pr) - R_ref)) <= 1e-12 * np.max(np.abs(R_ref))
 
