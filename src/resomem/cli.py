@@ -17,8 +17,11 @@ Exit codes: 0 ok, 2 config/schema violation, 3 numeric guard violation,
 4 I/O failure.  CSV format: '.' decimal, LF line endings and a trailing
 newline; str values printed as is, numbers with 17 significant digits
 (FLOAT_FMT), so the same numbers print to the same bytes on every platform;
-the same config and seed give the same numbers at a fixed BLAS thread count
-(the last bits of a windowed `breeding.csv` move with it). One vectorized
+the same config and seed give the same numbers at a fixed BLAS thread count.
+The last bits of some files move with it, and which ones depends on the BLAS
+build: with OpenBLAS 0.3.31 at 1 and 2 threads, the Wigner grids of `wigner`
+and `fig4d`, the `tomo` `rho.csv` of a cat or squeezed state, and a 3-step
+dim-120 GKP `breeding.csv` (README, CLI section). One vectorized
 kernel (`_number_cells`) prints every number of every CSV and equals
 FLOAT_FMT % x byte for byte: values it cannot decide exactly are printed by
 FLOAT_FMT itself. A table is converted to float64, formatted and written

@@ -18,4 +18,12 @@ class ContractError(ResomemError):
 
 
 class NumericalAccuracyWarning(UserWarning):
-    """Raised via warnings.warn when truncation-edge weight endangers accuracy."""
+    """Raised via warnings.warn when a result is computed but misses its
+    accuracy target; three places raise it:
+    - `cli`: a `pulse` whose `effective_Tf` misses `target_Tf` by more than
+      `cli.PULSE_TF_TOL`
+    - `memory`: a write or read pulse whose clipped gamma samples carry more
+      than `memory.NORM_TRUNCATION` of the wavepacket's weight
+    - `tomo`: an ML reconstruction from one phase, or one that stops short of
+      `tomo.MLE_GAP` (out of iterations, or no line-search increase left)
+    """

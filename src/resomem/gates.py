@@ -53,7 +53,11 @@ PROJECTION_GRID_BOUND = 12.0
 PROJECTION_GRID_STEP = 1e-3  # tomography's sampling grid and bin width
 WINDOW_PANEL_WIDTH = 0.25  # widest Gauss-Legendre panel of a window rule
 WINDOW_PANEL_NODES = 16  # Gauss-Legendre nodes per panel
-NODE_BLOCK = 256  # outcome nodes conditioned at once; a window up to 4 wide is one block
+# bound on the working arrays of one block of outcome nodes in
+# `condition_on_quadrature`: 16 MiB keeps a +-0.1 window (16 nodes) one block
+# up to dim 150, and holds a dim-300 step with a +-2 window (256 nodes) to a
+# 66 MB process peak, where one block of all its nodes peaked at 1.1 GB
+NODE_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -292,8 +296,9 @@ def condition_on_quadrature(
     amplitudes of K(x0) psi are integrals of a polynomial of degree <= 3(dim-1)
     times e^{-x^2}, so Gauss-Hermite quadrature gives them exactly; only the output
     is truncated to `dim`. The factors carry the phase e^{i n theta}, the sum is
-    rotated back by conj(F_theta), and the nodes are summed NODE_BLOCK at a time,
-    with the memory and the ancilla table of a block from one `hermite_functions` call.
+    rotated back by conj(F_theta), and the nodes are summed a block at a time, with
+    the memory and the ancilla table of a block from one `hermite_functions` call;
+    a block takes as many nodes as keep its working arrays within NODE_BLOCK_BYTES.
     """
     mem, anc = _eigen_factors(memory), _eigen_factors(ancilla)
     dim = len(mem)
@@ -305,14 +310,17 @@ def condition_on_quadrature(
     psi_out = hermite_functions(x, dim) * wx
     nodes = np.asarray(nodes, dtype=float)
     t, r = np.sqrt(T), np.sqrt(1.0 - T)
+    # per node: the memory and ancilla tables (2 dim len(x) floats) and the
+    # rank-by-rank product m * a (len(x) complex per pair of columns)
+    block = max(1, NODE_BLOCK_BYTES // (16 * len(x) * (dim + mem.shape[1] * anc.shape[1])))
     cond = None
-    for lo in range(0, len(nodes), NODE_BLOCK):
-        x0 = nodes[lo : lo + NODE_BLOCK, None]
+    for lo in range(0, len(nodes), block):
+        x0 = nodes[lo : lo + block, None]
         psi = hermite_functions(np.stack((t * x - r * x0, r * x + t * x0)), dim)  # memory, ancilla
         m = np.tensordot(mem, psi[:, 0], axes=(0, 0))
         a = np.tensordot(anc, psi[:, 1], axes=(0, 0))
         out = np.tensordot(psi_out, m[:, None] * a, axes=(1, 3))  # (dim, memory rank, ancilla rank, block)
-        part = (out * weights[lo : lo + NODE_BLOCK]).reshape(dim, -1) @ out.reshape(dim, -1).conj().T
+        part = (out * weights[lo : lo + block]).reshape(dim, -1) @ out.reshape(dim, -1).conj().T
         cond = part if cond is None else cond + part
     cond = cond * phase_matrix(theta, dim).conj()
     return cond, float(np.trace(cond).real)

@@ -194,13 +194,15 @@ def test_windowed_step_matches_closed_form(protocol, window):
 
 
 def test_wide_window_step_peaks_below_100_mb():
-    # the kernel sums the outcome nodes NODE_BLOCK at a time; summed at once,
-    # the 4001 nodes of this window peaked at 529 MB. VmHWM is the child's own
-    # peak, where ru_maxrss would keep that of the pytest process it came from.
+    # the kernel sums the outcome nodes in blocks whose working arrays stay
+    # within NODE_BLOCK_BYTES; one block of all 256 nodes of the dim-300 step
+    # peaked at 1.1 GB. VmHWM is the child's own peak, where ru_maxrss would
+    # keep that of the pytest process it came from.
     code = (
         "import resomem as rm\n"
-        "cat = rm.cat_state(1.0, -1, 60)\n"
-        "rm.breed_step(cat, cat, 1, 'gkp', (-2.0, 2.0))\n"
+        "for dim in (60, 300):\n"
+        "    cat = rm.cat_state(1.0, -1, dim)\n"
+        "    rm.breed_step(cat, cat, 1, 'gkp', (-2.0, 2.0))\n"
         "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"  # kB
     )
     src = str(Path(rm.__file__).parents[1])

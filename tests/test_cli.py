@@ -116,19 +116,6 @@ def test_wigner_scenario_format(tmp_path):
     assert float(first[0]) == -5.0  # p value leads each row
 
 
-def test_determinism_byte_identical(tmp_path):
-    cfg = {"kind": "tomo", "state": {"type": "fock", "n": 1, "dim": 12}, "n_frames": 3000, "dim": 12, "iterations": 30, "seed": 5}
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    with accuracy_warnings_ignored():  # 30 iterations stop short of the certified optimum
-        cli.run_scenario(dict(cfg), d1)
-        cli.run_scenario(dict(cfg), d2)
-    for f in sorted(d1.iterdir()):
-        if f.name == "manifest.json":
-            assert read_manifest(f)["files"] == read_manifest(d2 / f.name)["files"]
-        else:
-            assert f.read_bytes() == (d2 / f.name).read_bytes()
-
-
 def test_main_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "validate"}))
@@ -364,13 +351,6 @@ def _same_files(a: Path, b: Path) -> bool:
         (a / n).read_bytes() == (b / n).read_bytes() for n in names)
 
 
-def test_store_manifest_with_infinite_T1_reruns_byte_identically(tmp_path):
-    config = read_manifest(cli.run_scenario({"kind": "store", "T1": math.inf}, tmp_path / "a"))["config"]
-    assert config["T1"] == "Infinity"
-    cli.run_scenario(config, tmp_path / "b")
-    assert _same_files(tmp_path / "a", tmp_path / "b")
-
-
 def test_fig3e_with_infinite_T1_fits_infinity_and_reruns_byte_identically(tmp_path):
     manifest = read_manifest(cli.emit_figure_data("fig3e", tmp_path / "a", {"T1": math.inf}))
     assert manifest["results"]["fit_T1"] == "Infinity"  # rho11 stays 1
@@ -384,6 +364,8 @@ def test_edfig_manifests_record_their_figure(tmp_path):
     for kind, params in (("edfig_rates", {"p1": 0.5}), ("edfig_fidelity", {})):
         m = cli.emit_figure_data(kind, tmp_path / kind, params)
         assert read_manifest(m)["config"] == {"kind": kind, **params}
+    assert cli.main(["--figure", "edfig_rates", "--out", str(tmp_path / "figure")]) == 0
+    assert read_manifest(tmp_path / "figure" / "manifest.json")["config"] == {"kind": "edfig_rates"}
 
 
 def test_figure_keys_through_config(tmp_path):
@@ -407,33 +389,13 @@ def _resomem(*args) -> subprocess.CompletedProcess:
     return _python("-m", "resomem.cli", *args)
 
 
-def test_every_kind_runs_on_numpy_alone(tmp_path):
-    # the README's promise; the tests themselves run with scipy installed
-    proc = _python("-c", """
-import sys
-sys.modules["scipy"] = None  # an import of scipy or of any scipy module raises ImportError
-from resomem import cli
-out = sys.argv[1]
-for kind in cli._SCENARIOS:
-    cli.run_scenario({"kind": kind}, f"{out}/{kind}")
-cli.run_scenario({"kind": "breed", "window": [-0.1, 0.1]}, f"{out}/window")
-""", tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert all((tmp_path / kind / "manifest.json").exists() for kind in [*cli._SCENARIOS, "window"])
-
-
-@pytest.mark.parametrize("kind", cli.FIGURE_KINDS)
-def test_module_reruns_a_figure_from_its_manifest_config(tmp_path, kind):
-    # --figure exits 0, and --config on its manifest's config writes the same bytes
-    proc = _resomem("--figure", kind, "--out", tmp_path / "a")
-    assert proc.returncode == 0, proc.stderr
-    config = read_manifest(tmp_path / "a" / "manifest.json")["config"]
-    assert config == {"kind": kind}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    proc = _resomem("--config", path, "--out", tmp_path / "b")
-    assert proc.returncode == 0, proc.stderr
-    assert _same_files(tmp_path / "a", tmp_path / "b")
+def test_every_run_of_the_digest_list_keeps_the_run_contracts():
+    # tests/digests.py reruns every run of its list from the manifest's config
+    # and refuses any loaded scipy module; -W makes a RuntimeWarning an error.
+    # scipy stays importable here, so an optional import of it fails too.
+    proc = _python("-W", "error::RuntimeWarning", Path(__file__).with_name("digests.py"))
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert {f"default/{kind}" for kind in cli._SCENARIOS} <= json.loads(proc.stdout).keys()
 
 
 def test_module_exit_codes(tmp_path):

@@ -1,9 +1,4 @@
-import json
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,43 +302,3 @@ def test_cumulative_trapezoid_bit_equal_to_scipy(n):
     for t in (np.sort(rng.normal(size=n)), np.linspace(-3.0, 1.0, n)):
         y = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
         assert np.array_equal(_cumulative_trapezoid(y, t), cumulative_trapezoid(y, t, initial=0.0))
-
-
-def fresh_interpreter(code: str) -> str:
-    """stdout of `code` run by a new interpreter that imports the resomem
-    this process imported."""
-    src = str(Path(rm.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    return out.stdout
-
-
-def test_cli_import_loads_no_scipy():
-    code = "import sys, resomem.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert fresh_interpreter(code).strip() == "[]"
-
-
-def test_scenarios_load_no_scipy(tmp_path):
-    # one small run of every scenario kind and figure, as the CLI makes them,
-    # in an interpreter where importing scipy fails
-    configs = [
-        {"kind": "pulse", "points": 2001},
-        {"kind": "pulse", "wavepacket": "exp_decaying", "Tf": 0.5, "points": 2001},
-        {"kind": "store"},
-        {"kind": "breed", "protocol": "gkp", "steps": 2, "dim": 40, "window": [-0.1, 0.1]},
-        {"kind": "wigner", "state": {"type": "bred", "protocol": "gkp", "steps": 1, "alpha": 1.0, "dim": 40}},
-        {"kind": "tomo", "state": {"type": "fock", "n": 1, "dim": 8}, "dim": 8, "n_frames": 2000},
-        {"kind": "rates"},
-        {"kind": "validate"},
-    ]
-    code = (
-        "import json, sys, warnings; from pathlib import Path\n"
-        "sys.modules['scipy'] = None\n"
-        "import resomem.cli as cli\n"
-        "warnings.simplefilter('ignore')\n"
-        f"out = Path({str(tmp_path)!r})\n"
-        f"for i, c in enumerate(json.loads({json.dumps(configs)!r})): cli.run_scenario(c, out / str(i))\n"
-        "for kind in ('fig3e', 'fig4d', 'edfig_rates', 'edfig_fidelity'): cli.emit_figure_data(kind, out / kind)\n"
-        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))"
-    )
-    assert fresh_interpreter(code).strip() == "[]"
