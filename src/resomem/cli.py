@@ -14,10 +14,12 @@ a Wigner grid) and its results, and `_write_outputs` is the one place that
 writes them, then the manifest.
 
 Exit codes: 0 ok, 2 config/schema violation, 3 numeric guard violation,
-4 I/O failure.  CSV format: '.' decimal, LF line endings and a trailing
-newline; str values printed as is, numbers with 17 significant digits
-(FLOAT_FMT), so the same numbers print to the same bytes on every platform;
-the same config and seed give the same numbers at a fixed BLAS thread count.
+4 I/O failure; a refused run (2 or 3) prints one short line and writes
+nothing, and a config that gives a key twice is refused.  CSV format: '.'
+decimal, LF line endings and a trailing newline; str values printed as is,
+numbers with 17 significant digits (FLOAT_FMT), so the same numbers print to
+the same bytes on every platform; the same config and seed give the same
+numbers at a fixed BLAS thread count.
 The last bits of some files move with it, and which ones depends on the BLAS
 build: with OpenBLAS 0.3.31 at 1 and 2 threads, the Wigner grids of `wigner`
 and `fig4d`, the `tomo` `rho.csv` of a cat or squeezed state, and a 3-step
@@ -36,6 +38,7 @@ import argparse
 import hashlib
 import json
 import math
+import reprlib
 import shutil
 import sys
 import warnings
@@ -442,13 +445,13 @@ def _resolve(where: str, spec: dict, table: dict) -> dict:
     or defaulted."""
     unknown = set(spec) - set(table)
     if unknown:
-        raise ConfigError(f"unknown keys for {where}: {sorted(unknown)}; it reads {sorted(table)}")
+        raise ConfigError(f"unknown keys for {where}: {reprlib.repr(sorted(unknown))}; it reads {sorted(table)}")
     settings = {}
     for key, (rule, default, *only) in table.items():
         if key in spec:
             value = spec[key]
             if not rule[0](value):
-                raise ConfigError(f"{where} {key} must be {rule[1]}, got {value!r}")
+                raise ConfigError(f"{where} {key} must be {rule[1]}, got {reprlib.repr(value)}")
             if only and settings[only[0]] not in only[1]:
                 raise ConfigError(f"{where} {key} is read only where {only[0]} is "
                                   f"{' or '.join(map(repr, only[1]))}, not {settings[only[0]]!r}")
@@ -479,7 +482,7 @@ def validate_config(config) -> dict:
         raise ConfigError("config must be a JSON object")
     kind = config.get("kind")
     if not isinstance(kind, str) or kind not in _SCENARIOS:
-        raise ConfigError(f"unknown scenario kind {kind!r}; expected one of {sorted(_SCENARIOS)}")
+        raise ConfigError(f"unknown scenario kind {reprlib.repr(kind)}; expected one of {sorted(_SCENARIOS)}")
     rest = {k: v for k, v in config.items() if k != "kind"}
     return {"kind": kind, **_resolve(kind, rest, _SCENARIOS[kind][1])}
 
@@ -748,6 +751,17 @@ def emit_figure_data(kind: str, outdir: str | Path, params: dict | None = None) 
 # ---------------------------------------------------------------------------
 # entry point
 
+def _object(pairs: list) -> dict:
+    """A JSON object of a config file; a key given twice is a config error,
+    where json.loads would keep the last value."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"key {reprlib.repr(key)} is given twice in one object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="resomem", description=__doc__)
     parser.add_argument("--config", type=Path, help="scenario config JSON")
@@ -768,11 +782,16 @@ def main(argv=None) -> int:
                 text = Path(args.config).read_text(encoding="utf-8")
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from exc
-            config = json.loads(text)
+            try:
+                config = json.loads(text, object_pairs_hook=_object)
+            except RecursionError as exc:
+                raise ConfigError(f"{args.config} nests deeper than the JSON parser can read") from exc
+            except ValueError as exc:  # a JSONDecodeError, or an integer literal past sys.get_int_max_str_digits()
+                raise ConfigError(str(exc)) from exc
         if args.seed is not None and isinstance(config, dict):
             config["seed"] = args.seed  # allowed where the kind's table reads seed (tomo)
         run_scenario(config, args.out)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResomemError as exc:

@@ -5,7 +5,6 @@ import importlib.util
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -41,14 +40,8 @@ def read_manifest(path):
 
 
 def test_schema_rejects_unknown_kind_and_keys():
-    with pytest.raises(cli.ConfigError):
-        cli.validate_config({"kind": "bogus"})
-    with pytest.raises(cli.ConfigError):
-        cli.validate_config({"kind": "breed", "bogus_key": 1})
-    with pytest.raises(cli.ConfigError):
-        cli.validate_config({"kind": "wigner", "state": {"type": "cat", "nope": 2}})
-    with pytest.raises(cli.ConfigError):
-        cli.validate_config([1, 2])
+    for config in ({"kind": "bogus"}, {"kind": "breed", "bogus_key": 1}, [1, 2], {"kind": "wigner", "state": {"type": "cat", "nope": 2}}):
+        pytest.raises(cli.ConfigError, cli.validate_config, config)
 
 
 def test_rates_scenario(tmp_path):
@@ -60,22 +53,19 @@ def test_rates_scenario(tmp_path):
     assert body.decode().splitlines()[0] == "n,k_match,p_n"
 
 
+def test_rates_sources_schema(tmp_path):
+    # the sources come back as given; r_bs = 0 is a source that never interferes
+    sources = [{"r0": 4000, "delta": 3e6, "r_bs": 20}, {"r0": 2e5, "delta": 1.2e8, "r_bs": 0}]
+    assert all(cli.validate_config({"kind": k, "sources": sources})["sources"] == sources for k in ("rates", "edfig_rates"))
+    cli.run_scenario({"kind": "rates", "sources": sources}, tmp_path)
+    assert (tmp_path / "k_values.csv").read_text().splitlines()[1].startswith("4000,3000000,20,3.75,")
+
+
 def test_validate_scenario(tmp_path):
     m = cli.run_scenario({"kind": "validate"}, tmp_path)
     checks = ["multimode_T0_0.3", "wigner_vacuum", "gkp_three_peaks"]
     assert read_manifest(m)["results"] == dict.fromkeys(checks, True)
     assert (tmp_path / "validation.csv").read_text() == "check,passed\n" + "".join(f"{c},1\n" for c in checks)
-
-
-@pytest.mark.parametrize("r, dropped", [(1.5, "2.53e-01"), (1e3, "1.00e+00")])
-def test_tomo_of_a_cut_squeezed_state_exits_3(tmp_path, capsys, r, dropped):
-    # dim 20 drops 0.25 of S(1.5)|1>, and all of S(1000)|1>, whose cosh r
-    # overflows; renormalizing the cut state hid the first
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "tomo", "state": {"type": "squeezed_single_photon", "r": r, "dim": 20}}))
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERIC
-    assert f"drops weight {dropped}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_breed_scenario(tmp_path):
@@ -90,6 +80,12 @@ def test_store_scenario_files_and_checksums(tmp_path):
     manifest = read_manifest(m)
     for name, digest in manifest["files"].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_store_past_every_lifetime_has_decayed(tmp_path):
+    # the damping and dephasing exponents overflow, and fidelity and rho11 are 0
+    cli.run_scenario({"kind": "store", "times": [0, 1e305]}, tmp_path)
+    assert (tmp_path / "storage_fidelity.csv").read_text().splitlines()[-1] == "9.9999999999999994e+304,0,0"
 
 
 def test_store_fidelity_of_pure_state_is_its_overlap(tmp_path):
@@ -114,123 +110,6 @@ def test_wigner_scenario_format(tmp_path):
     assert header[0] == "" and len(header) == 202
     first = lines[1].split(",")
     assert float(first[0]) == -5.0  # p value leads each row
-
-
-def test_main_exit_codes(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "validate"}))
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"kind": "nope"}))
-    assert cli.main(["--config", str(bad), "--out", str(tmp_path / "out2")]) == 2
-    assert cli.main(["--out", str(tmp_path)]) == 2
-    assert cli.main(["--config", str(cfg)]) == 2
-    not_object = tmp_path / "list.json"
-    not_object.write_text(json.dumps([1, 2]))
-    assert cli.main(["--config", str(not_object), "--out", str(tmp_path / "o"), "--seed", "2"]) == 2
-    numeric = tmp_path / "numeric.json"
-    numeric.write_text(json.dumps({"kind": "breed", "alpha": 5.0, "dim": 20}))
-    assert cli.main(["--config", str(numeric), "--out", str(tmp_path / "out3")]) == 3
-    tomo_errors = [
-        {"n_frames": 10},
-        {"n_frames": "many"},
-        {"dim": 31},
-        {"dim": 1},
-        {"iterations": 0},
-        {"iterations": -5},
-        {"seed": -1},
-        {"phases_deg": []},
-        {"phases_deg": [0, "x"]},
-        {"phases_deg": [0, float("nan")]},
-    ]
-    for i, bad_tomo in enumerate(tomo_errors):
-        path = tmp_path / f"tomo{i}.json"
-        path.write_text(json.dumps({"kind": "tomo", "n_frames": 2000, **bad_tomo}))
-        assert cli.main(["--config", str(path), "--out", str(tmp_path / f"tomo{i}")]) == 2, bad_tomo
-        assert not (tmp_path / f"tomo{i}").exists()
-    config_errors = [
-        {"kind": "breed", "alpha": "abc"},
-        {"kind": "breed", "window": [1]},
-        {"kind": "breed", "window": [0.1, -0.1]},
-        # windows must stay on the +-12 projection grid; these ran out of memory
-        {"kind": "breed", "protocol": "gkp", "steps": 1, "alpha": 1.0, "dim": 40, "window": [-1e300, 1e300]},
-        {"kind": "breed", "protocol": "gkp", "steps": 1, "alpha": 1.0, "dim": 40, "window": [0, 1e12]},
-        {"kind": "breed", "window": [-12.5, 0]},
-        {"kind": "breed", "steps": 0},
-        {"kind": "breed", "s": 0},
-        {"kind": "store", "times": "x"},
-        {"kind": "store", "T1": 0},
-        {"kind": "wigner", "xs": [0]},
-        {"kind": "wigner", "state": {"type": "cat"}},
-        {"kind": "wigner", "state": {"type": "fock", "n": -1}},
-        {"kind": "tomo", "state": {"type": "squeezed_single_photon", "dim": 20}},
-        {"kind": "tomo", "state": {"type": "bred", "protocol": "gkp", "alpha": 1.0}},
-        {"kind": [1]},
-        {"kind": {}},
-        {"kind": "wigner", "state": {"type": [1]}},
-        {"kind": "wigner", "state": None},
-        {"kind": "wigner", "state": {"type": "fock", "n": 1}, "xs": [5, 0, -5]},
-        {"kind": "wigner", "state": {"type": "fock", "n": 1}, "xs": [-5, -4.9, 5]},
-        {"kind": "wigner", "ps": [-5, -5, 5]},
-        {"kind": "pulse", "wavepacket": "exp_rising", "Tf": 0.5},
-        {"kind": "pulse", "Tf": 0.5},
-        {"kind": "pulse", "wavepacket": "exp_decaying", "t0": 1.0},
-        {"kind": "pulse", "wavepacket": "time_bin", "span": 10.0},
-        {"kind": "breed", "seed": [1]},
-        # sizes past their caps; at the uncapped schema these left tracebacks (exit 1)
-        {"kind": "breed", "steps": 10**30},
-        {"kind": "wigner", "state": {"type": "bred", "protocol": "gkp", "steps": 10**30, "alpha": 1.0}},
-        {"kind": "tomo", "n_frames": 10**30},
-        {"kind": "pulse", "points": 10**30},
-        {"kind": "wigner", "state": {"type": "vacuum", "dim": 10**20}},
-    ]
-    for i, bad_config in enumerate(config_errors):
-        path = tmp_path / f"bad{i}.json"
-        path.write_text(json.dumps(bad_config))
-        assert cli.main(["--config", str(path), "--out", str(tmp_path / f"bad{i}")]) == 2, bad_config
-        assert not (tmp_path / f"bad{i}").exists()
-    # r0**2 underflows to 0, and overflows
-    out_of_range = [{"r0": 1e-200, "delta": 1, "r_bs": 1}, {"r0": 1e200, "delta": 1e300, "r_bs": 1}]
-    for i, source in enumerate(out_of_range):
-        path = tmp_path / f"range{i}.json"
-        path.write_text(json.dumps({"kind": "rates", "sources": [source]}))
-        assert cli.main(["--config", str(path), "--out", str(tmp_path / f"range{i}")]) == 3, source
-        assert not (tmp_path / f"range{i}").exists()
-    # the axes pass their check, but W leaves the float range on them
-    far = tmp_path / "far.json"
-    far.write_text(json.dumps({"kind": "wigner", "state": {"type": "fock", "n": 1, "dim": 12},
-                               "xs": [-1e300, 0, 1e300], "ps": [-1e300, 0, 1e300]}))
-    assert cli.main(["--config", str(far), "--out", str(tmp_path / "far")]) == 3
-    assert not (tmp_path / "far").exists()
-    # these axes reach past the state, but neither spans it: W would be ~3e-75 everywhere
-    miss = tmp_path / "miss.json"
-    axis = list(range(-60, -9))
-    miss.write_text(json.dumps({"kind": "wigner", "state": {"type": "cat", "alpha": 1.0, "dim": 40},
-                                "xs": axis, "ps": axis}))
-    assert cli.main(["--config", str(miss), "--out", str(tmp_path / "miss")]) == 3
-    assert not (tmp_path / "miss").exists()
-
-
-@pytest.mark.parametrize("config", [
-    # one sample holds the whole wavepacket: its read pulse would leave 0.37, not 0
-    {"kind": "pulse", "wavepacket": "exp_decaying", "span": 1e300},
-    {"kind": "pulse", "wavepacket": "time_bin", "t0": 1e300},
-    {"kind": "pulse", "points": 3},
-], ids=["span", "t0", "points"])
-def test_pulse_grid_coarser_than_one_over_gamma0_exit_3(tmp_path, capsys, config):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
-    assert "is longer than 1/gamma0" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_pulse_retired_dt_factor_key_exits_2(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"kind": "pulse", "dt_factor": 1e-3}))
-    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "unknown keys for pulse: ['dt_factor']" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_pulse_at_huge_gamma0_matches_nominal(tmp_path):
@@ -268,42 +147,6 @@ def test_store_readout_pulses_do_not_warn(tmp_path, Tf):
             warnings.simplefilter("error", cli.NumericalAccuracyWarning)
             results = read_manifest(cli.run_scenario(config, tmp_path / str(i)))["results"]
         assert abs(results["effective_Tf"] - results["target_Tf"]) <= (1.01e-6 if i == 1 else 1e-7), config
-
-
-@pytest.mark.parametrize("config, code", [
-    ({"kind": "pulse", "gamma0": 1e300}, 0),  # rates near 1e302 and a time step near 1e-303 s
-    ({"kind": "pulse", "wavepacket": "time_bin", "t0": 1000, "Tf": 0.5}, 0),  # e^{gamma0 t / 2} reaches e^500
-    ({"kind": "store", "times": [0, 1e305]}, 0),  # the damping and dephasing exponents overflow
-    # the axes pass their check, but W leaves the float range on them
-    ({"kind": "wigner", "state": {"type": "fock", "n": 1, "dim": 12}, "xs": [-1e300, 0, 1e300],
-      "ps": [-1e300, 0, 1e300]}, 3),
-    # |alpha|^2 leaves the float range: the truncation guard refuses before squaring
-    ({"kind": "wigner", "state": {"type": "cat", "alpha": 1e160, "dim": 40}}, 3),
-    ({"kind": "tomo", "state": {"type": "cat", "alpha": 1e160, "dim": 20}}, 3),
-    ({"kind": "store", "state": {"type": "cat", "alpha": 1e160, "dim": 20}}, 3),
-    ({"kind": "fig4d", "alpha": 1e160}, 3),
-    ({"kind": "wigner", "state": {"type": "squeezed_single_photon", "alpha": 1e300, "dim": 40}}, 3),
-    ({"kind": "breed", "alpha": 1e300, "dim": 40}, 3),
-    ({"kind": "breed", "alpha": 1.7e308, "steps": 3}, 3),  # sqrt(steps + 1) * alpha overflows
-    # every sample of the analytic output mode underflows: its exponents are shifted to peak at 0
-    ({"kind": "pulse", "wavepacket": "exp_decaying", "Tf": 1e-12}, 0),
-    ({"kind": "pulse", "wavepacket": "time_bin", "points": 3, "t0": 0.5, "Tf": 1e-4}, 0),
-    ({"kind": "pulse", "wavepacket": "time_bin", "Tf": 1e-300}, 0),
-    ({"kind": "fig3e", "T1": 1e-9}, 3),  # rho22 underflows to 0 before rho02 does
-], ids=["pulse", "pulse_long_time_bin", "store", "wigner", "wigner_cat", "tomo_cat", "store_cat", "fig4d",
-        "wigner_squeezed", "breed", "breed_final_amplitude", "pulse_tiny_Tf", "pulse_three_points",
-        "pulse_Tf_1e-300", "fig3e_short_T1"])
-def test_overflow_prints_no_runtime_warning(tmp_path, capsys, config, code):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == code
-    assert (tmp_path / "out").exists() == (code == 0)
-    if code:  # one line, the amplitude printed short
-        assert re.fullmatch(r"numeric error: [^\n]{,120}\n", capsys.readouterr().err)
-    elif config["kind"] == "store":  # the state has fully decayed: fidelity and rho11 are 0
-        assert (tmp_path / "out" / "storage_fidelity.csv").read_text().splitlines()[-1] == "9.9999999999999994e+304,0,0"
 
 
 @pytest.mark.parametrize("config, key, cap", [
@@ -368,6 +211,12 @@ def test_edfig_manifests_record_their_figure(tmp_path):
     assert read_manifest(tmp_path / "figure" / "manifest.json")["config"] == {"kind": "edfig_rates"}
 
 
+def test_figure_flag_takes_only_the_figure_kinds(tmp_path, capsys):
+    with pytest.raises(SystemExit, match="^2$"):
+        cli.main(["--figure", "store", "--out", str(tmp_path / "store")])
+    assert "invalid choice" in capsys.readouterr().err and not (tmp_path / "store").exists()
+
+
 def test_figure_keys_through_config(tmp_path):
     # a figure's keys arrive through --config as through emit_figure_data's params, manifest and all
     path = tmp_path / "fig4d.json"
@@ -390,12 +239,18 @@ def _resomem(*args) -> subprocess.CompletedProcess:
 
 
 def test_every_run_of_the_digest_list_keeps_the_run_contracts():
-    # tests/digests.py reruns every run of its list from the manifest's config
-    # and refuses any loaded scipy module; -W makes a RuntimeWarning an error.
-    # scipy stays importable here, so an optional import of it fails too.
+    # tests/digests.py reruns every run of its list from the manifest's config,
+    # checks every refused run's exit code, line and --out, and refuses any
+    # loaded scipy module; -W makes a RuntimeWarning an error. scipy stays
+    # importable here, so an optional import of it fails too.
     proc = _python("-W", "error::RuntimeWarning", Path(__file__).with_name("digests.py"))
     assert proc.returncode == 0, proc.stderr[-3000:]
-    assert {f"default/{kind}" for kind in cli._SCENARIOS} <= json.loads(proc.stdout).keys()
+    keys = json.loads(proc.stdout).keys()
+    assert {f"default/{kind}" for kind in cli._SCENARIOS} <= keys
+    # a new kind or state type brings a refused run, as it brings a default run
+    refused = [key.split("/")[1:] for key in keys if key.startswith("refused/")]
+    assert set(cli._SCENARIOS) <= {kind for kind, _ in refused}
+    assert all(any(name.startswith(f"{t}_") for _, name in refused) for t in cli._STATES)
 
 
 def test_module_exit_codes(tmp_path):
@@ -410,45 +265,12 @@ def test_module_exit_codes(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_main_rejects_unread_flags_and_non_utf8_config(tmp_path, capsys):
-    rates = tmp_path / "rates.json"
-    rates.write_text(json.dumps({"kind": "rates"}))
-    binary = tmp_path / "binary.json"
-    binary.write_bytes(b"\xff\xfe{")
-    cases = [
-        (["--config", str(binary)], "UTF-8"),
-        (["--figure", "edfig_rates", "--seed", "3"], "'seed'"),  # the kind's table reads no seed
-        (["--figure", "fig3e", "--config", str(rates)], "--config"),
-    ]
-    for i, (args, message) in enumerate(cases):
-        out = tmp_path / f"out{i}"
-        assert cli.main([*args, "--out", str(out)]) == 2, args
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-    with pytest.raises(SystemExit) as exit_:  # --figure takes only the figure kinds
-        cli.main(["--figure", "store", "--out", str(tmp_path / "store")])
-    assert exit_.value.code == 2 and "invalid choice" in capsys.readouterr().err
-
-
 def test_validate_counts_gkp_peaks(tmp_path, monkeypatch):
     # an odd cat's p marginal integrates to 1 but has two peaks, not three
     monkeypatch.setattr(cli, "theoretical_bred_state", lambda k, alpha, s, protocol, dim: cli.cat_state(alpha, -1, dim))
     with pytest.raises(cli.ResomemError, match="gkp_three_peaks"):
         cli.run_scenario({"kind": "validate"}, tmp_path)
     assert not (tmp_path / "validation.csv").exists()
-
-
-def test_seed_is_a_tomo_key(tmp_path, capsys):
-    for kind in set(cli._SCENARIOS) - {"tomo"}:
-        assert "seed" not in cli._SCENARIOS[kind][1], kind
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "validate", "seed": 1}))
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o1")]) == 2
-    assert "'seed'" in capsys.readouterr().err
-    cfg.write_text(json.dumps({"kind": "validate"}))
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "o2"), "--seed", "3"]) == 2
-    assert "'seed'" in capsys.readouterr().err
-    assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
 
 
 @pytest.mark.parametrize("kind, params, key", [
@@ -496,65 +318,6 @@ def test_validate_config_returns_settings_or_config_error(config):
     assert settings.keys() == {"kind", *cli._SCENARIOS[config["kind"]][1]}
 
 
-def test_rates_sources_schema(tmp_path, capsys):
-    # each source is checked key by key, and the message names the source and the key
-    for i, (src, message) in enumerate([
-        ({"r0": None, "delta": 1e6, "r_bs": 10}, "sources[0] r0 must be a finite number > 0"),
-        ({"r0": 1e5}, "sources[0] needs delta"),
-        ("r0", "sources must be a list of at most 1000 objects with keys r0, delta and r_bs"),
-        ({"r0": True, "delta": 1e6, "r_bs": 10}, "sources[0] r0 must be a finite number > 0"),
-        ({"r0": 10**400, "delta": 1e6, "r_bs": 10}, "sources[0] r0 must be a finite number > 0"),
-    ]):
-        cfg = tmp_path / f"rates{i}.json"
-        cfg.write_text(json.dumps({"kind": "rates", "sources": [src]}))
-        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 2, src
-        assert message in capsys.readouterr().err
-    cfg.write_text(json.dumps({"kind": "rates", "sources": [{"r0": 4000, "delta": 3e6, "r_bs": 20}]}))
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
-    assert (tmp_path / "ok" / "k_values.csv").read_text().splitlines()[1].startswith("4000,3000000,20,3.75,")
-
-
-@pytest.mark.parametrize("kind", ["rates", "edfig_rates"])
-@pytest.mark.parametrize("source, message", [
-    ({"r0": 4e3, "delta": 3e6, "rbs": 20}, r"unknown keys for sources\[1\]: \['rbs'\]"),
-    ({"r0": 4e3, "delta": 3e6, "r_bs": -5}, r"sources\[1\] r_bs must be a finite number >= 0, got -5$"),
-    ({"r0": -1, "delta": 3e6, "r_bs": 20}, r"sources\[1\] r0 must be a finite number > 0, got -1$"),
-    ({"r0": 4e3, "delta": 0, "r_bs": 20}, r"sources\[1\] delta must be a finite number > 0, got 0$"),
-], ids=["misspelled_key", "negative_r_bs", "negative_r0", "zero_delta"])
-def test_rates_sources_are_checked_key_by_key(tmp_path, capsys, kind, source, message):
-    config = {"kind": kind, "sources": [{"r0": 2e5, "delta": 1.2e8, "r_bs": 0}, source]}
-    with pytest.raises(cli.ConfigError, match=message):
-        cli.validate_config(config)
-    cfg = tmp_path / "rates.json"
-    cfg.write_text(json.dumps(config))
-    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    assert re.search(message, capsys.readouterr().err.strip())
-    assert not (tmp_path / "out").exists()
-    # r_bs = 0 is a source that never interferes; the sources come back as given
-    assert cli.validate_config({"kind": kind, "sources": config["sources"][:1]})["sources"] == config["sources"][:1]
-
-
-@pytest.mark.parametrize("config, key", [
-    ({"kind": "pulse", "points": "x"}, "points"),
-    ({"kind": "pulse", "points": 1}, "points"),
-    ({"kind": "pulse", "wavepacket": "square"}, "wavepacket"),
-    ({"kind": "pulse", "wavepacket": "time_bin", "Tf": 1.0}, "Tf"),
-    ({"kind": "pulse", "gamma0": 0}, "gamma0"),
-    ({"kind": "rates", "k_list": ["a"]}, "k_list"),
-    ({"kind": "rates", "k_list": [-1.0]}, "k_list"),
-    ({"kind": "rates", "p1": "x"}, "p1"),
-    ({"kind": "rates", "p1": 1.5}, "p1"),
-    ({"kind": "rates", "n_max": -1}, "n_max"),
-    ({"kind": "rates", "n_max": 65}, "n_max"),
-])
-def test_pulse_and_rates_keys_checked(tmp_path, capsys, config, key):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"{config['kind']} {key} must be" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_tomo_manifest_records_certificate(tmp_path):
     from resomem.tomo import MLE_GAP
 
@@ -590,6 +353,10 @@ def test_tomo_of_a_larger_input_state(tmp_path):
         sel = thetas == theta
         xs[sel] = np.interp(rng.random(int(np.sum(sel))), cdf / cdf[-1], grid)
     assert np.max(np.abs(table[:, 1] - xs)) <= 1e-12
+
+
+def test_seed_is_a_tomo_key():
+    assert [kind for kind, (_, table) in cli._SCENARIOS.items() if "seed" in table] == ["tomo"]
 
 
 def test_seed_override(tmp_path):
